@@ -15,16 +15,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 
-from .errors import (
-    BudgetExceeded,
-    Infeasible,
-    InvalidInput,
-    InvalidModulus,
-    InvalidShape,
-    InvalidWord,
-    SweepwordsError,
-    TooLarge,
-)
+from .errors import BudgetExceeded, InvalidInput, SweepwordsError
 from .genericity import (
     DEFAULT_PRIME,
     generic_length_experiment,
@@ -408,19 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 3
-    except (
-        InvalidInput,
-        InvalidModulus,
-        InvalidShape,
-        InvalidWord,
-        Infeasible,
-        TooLarge,
-        ValueError,
-    ) as exc:
+    except (SweepwordsError, ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
-        return 2
-    except SweepwordsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
     envelope = {
         "command": args.command,

@@ -5,16 +5,26 @@ in [0, p), integer work never leaves the integers (fraction-free
 elimination).  All values are immutable and all operations are pure
 functions, so results may be shared freely across threads.
 
-A vectorized elimination kernel (numpy int64 with split-limb products)
-accelerates determinants modulo the default prime 2^61 - 1; the portable
-pure-Python path covers every other modulus and doubles as the reference
-implementation in cross-checks.
+Modulo the default prime 2^61 - 1, matrix products run through one exact
+BLAS kernel (`_matmul_m61`): entries split into 21-bit limbs, the limb
+products are float64 matmuls that stay below 2^53, and the partial sums
+recombine mod 2^61 - 1.  Two things are built on it:
+
+- `evaluate_words`, the one word evaluator: every word splits into two
+  halves, the distinct halves are built through a prefix trie, and all
+  words are one batched product head @ tail.  Other rings take the same
+  route with exact Python-int products.
+- `_det_mersenne_np`, a right-looking blocked LU whose trailing updates
+  are kernel products.  The portable pure-Python elimination covers every
+  other modulus and the small sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as _np
 
 from .errors import (
     ArityMismatch,
@@ -24,11 +34,6 @@ from .errors import (
     InvalidWord,
 )
 from .words import Word
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 try:
     from gmpy2 import mpz as _mpz
@@ -315,16 +320,75 @@ class MatrixTuple:
 
 def evaluate_word(w: Word, t: MatrixTuple) -> Matrix:
     """Product of the tuple's matrices in the order of the word's letters."""
-    if w.degree == 0:
-        raise InvalidWord("cannot evaluate the empty word")
-    if any(not 1 <= letter <= t.g for letter in w.letters):
-        raise InvalidWord(
-            f"word uses letters outside [1, {t.g}]: {w.letters}"
+    return evaluate_words([w], t)[0]
+
+
+def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
+    """Evaluate nonempty words at the tuple t; the package's one evaluator.
+
+    Every word splits at ceil(deg/2) into a head and a (possibly empty)
+    tail.  The distinct halves are built through their prefix trie, one
+    batched product per trie level, and then all words are one batched
+    product head @ tail.  On the n x n grid the halves are exactly the v_i
+    and the rev(v_j), so n^2 words cost about 2n small products plus the
+    final one.  Over F_(2^61-1) products run through `_matmul_m61`; every
+    other ring multiplies exact Python ints (object dtype), reduced mod p
+    over other prime fields.
+    """
+    for w in words:
+        if w.degree == 0:
+            raise InvalidWord("cannot evaluate the empty word")
+        if any(not 1 <= letter <= t.g for letter in w.letters):
+            raise InvalidWord(
+                f"word uses letters outside [1, {t.g}]: {w.letters}"
+            )
+    if not words:
+        return []
+    n, ring = t.n, t.ring
+    if ring.kind == "prime_field" and ring.p == MERSENNE61:
+        dtype, mul = _np.int64, _matmul_m61
+    else:
+        dtype = object
+
+        def mul(a, b):
+            c = _np.matmul(a, b)
+            return c % ring.p if ring.kind == "prime_field" else c
+
+    letters = _np.array(
+        [[ring.canon(x) for x in m.entries] for m in t.matrices], dtype=dtype
+    ).reshape(t.g, n, n)
+    cuts = [(w.degree + 1) // 2 for w in words]
+    heads = [w.letters[:c] for w, c in zip(words, cuts)]
+    tails = [w.letters[c:] for w, c in zip(words, cuts)]
+    index, stack = _prefix_products(set(heads) | set(tails), letters, mul)
+    prod = mul(
+        stack[[index[h] for h in heads]], stack[[index[h] for h in tails]]
+    )
+    return [
+        Matrix(n, n, tuple(entries), ring)
+        for entries in prod.reshape(len(words), n * n).tolist()
+    ]
+
+
+def _prefix_products(halves, letters, mul):
+    """Evaluate letter tuples (the empty one included) through their prefix trie.
+
+    Returns (index, stack) with stack[index[h]] the product for h.  Trie
+    level l (the distinct length-l prefixes) is one batched product of
+    level l-1 rows by letter matrices; level 0 is the identity.
+    """
+    index = {(): 0}
+    levels = [_np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
+    start = 0  # row of the stack where the last level begins
+    for depth in range(1, max(map(len, halves)) + 1):
+        level = sorted({h[:depth] for h in halves if len(h) >= depth})
+        parents = [index[pre[:-1]] - start for pre in level]
+        start += len(levels[-1])
+        levels.append(
+            mul(levels[-1][parents], letters[[pre[-1] - 1 for pre in level]])
         )
-    result = t.matrices[w.letters[0] - 1]
-    for letter in w.letters[1:]:
-        result = result.mul(t.matrices[letter - 1])
-    return result
+        index.update((pre, start + i) for i, pre in enumerate(level))
+    return index, _np.concatenate(levels)
 
 
 def vectorize(m: Matrix) -> tuple[int, ...]:
@@ -358,7 +422,7 @@ def discriminant(ms: list[Matrix]) -> int:
     nn = n * n
     if len(ms) != nn:
         raise ArityMismatch(f"discriminant needs exactly {nn} matrices, got {len(ms)}")
-    rows = [[ms[k].entries[r] for k in range(nn)] for r in range(nn)]
+    rows = [list(r) for r in zip(*(m.entries for m in ms))]
     if ring.kind == "prime_field":
         return _det_mod_p(rows, ring.p)
     return _det_bareiss(rows)
@@ -378,7 +442,7 @@ def rank(ms: list[Matrix]) -> int:
 
 def _det_mod_p(rows: list[list[int]], p: int) -> int:
     n = len(rows)
-    if _np is not None and p == MERSENNE61 and n >= 24:
+    if p == MERSENNE61 and n >= 24:
         return _det_mersenne_np(rows)
     m = [list(r) for r in rows]
     det = 1
@@ -437,27 +501,112 @@ def _np_mulmod(a, b):
     return _np.where(s >= MERSENNE61, s - MERSENNE61, s)
 
 
+# Limb products are below 2^42, and one limb-diagonal sum adds at most three
+# of them per inner index, so over an inner dimension k its entries stay
+# below 3 * k * 2^42.  float64 holds every integer below 2^53 exactly, and
+# every partial sum is a nonnegative integer no larger than the total, so a
+# chunk of k <= 512 (3 * 2^9 * 2^42 < 2^53) is exact in any summation order
+# BLAS picks.  512 is the largest power of two under the bound 2^53 / (3 *
+# 2^42) ~ 682.
+_M61_CHUNK = 512
+_LIMB_MASK = (1 << 21) - 1
+
+
+def _limbs(x):
+    """int64 entries in [0, 2^61) as three float64 limbs of 21 bits."""
+    return [
+        (x & _LIMB_MASK).astype(_np.float64),
+        ((x >> 21) & _LIMB_MASK).astype(_np.float64),
+        (x >> 42).astype(_np.float64),
+    ]
+
+
+def _rot61(x, e):
+    """x * 2^e mod 2^61-1 for 0 <= x < 2^61, as a 61-bit rotation (< 2^61)."""
+    return ((x & ((1 << (61 - e)) - 1)) << e) + (x >> (61 - e))
+
+
+def _matmul_m61(a, b):
+    """Exact a @ b mod 2^61-1 for (stacked) int64 arrays with entries in [0, 2^61).
+
+    Entries split into three 21-bit limbs; limb-diagonal s of the product,
+    sum over i + j = s of limb_i(a) @ limb_j(b), is one float64 matmul with
+    the limbs concatenated along the inner axis, exact per the chunk bound
+    above.  Diagonal s carries weight 2^(21 s) == 2^(21 s mod 61), so the
+    five sums recombine by 61-bit rotations by 0, 21, 42, 2 and 23 bits.
+    The inner dimension must be at least 1.
+    """
+    k = a.shape[-1]
+    acc = None
+    for c in range(0, k, _M61_CHUNK):
+        la = _limbs(a[..., c : c + _M61_CHUNK])
+        lb = _limbs(b[..., c : c + _M61_CHUNK, :])
+        diag = []
+        for s in range(5):
+            pairs = range(max(0, s - 2), min(s, 2) + 1)
+            diag.append(
+                _np.matmul(
+                    _np.concatenate([la[i] for i in pairs], axis=-1),
+                    _np.concatenate([lb[s - i] for i in pairs], axis=-2),
+                ).astype(_np.int64)
+            )
+        # each term is below 2^61, so a sum of three stays below 2^63
+        part = _np_fold(diag[0] + _rot61(diag[1], 21) + _rot61(diag[3], 2))
+        part = _np_fold(part + _rot61(diag[2], 42) + _rot61(diag[4], 23))
+        acc = part if acc is None else _np_fold(acc + part)
+    acc = _np_fold(acc)
+    return _np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
+
+
+# Panel width of the blocked determinant.  The panel is factored by
+# elementwise rank-1 updates, whose cost grows with the width, while the
+# trailing update runs through BLAS with the width as its inner dimension.
+# On 2 cores at N = 256, 400 and 1024, widths 32 and 64 tie and 128 is
+# ~40% slower.  64 is also far below the kernel's exactness chunk.
+_DET_BLOCK = 64
+
+
 def _det_mersenne_np(rows: list[list[int]]) -> int:
+    """Determinant mod 2^61-1 by right-looking blocked LU (entries in [0, p)).
+
+    Each panel of _DET_BLOCK columns is factored with first-nonzero
+    pivoting, swapping whole rows together with their stored multipliers;
+    every row's columns right of the panel wait until the panel is done,
+    so rows swapped during the panel are always in the same state.  Then
+    U12 = L11^-1 A12 by forward substitution and A22 -= L21 @ U12 through
+    `_matmul_m61`.
+    """
     p = MERSENNE61
     m = _np.array(rows, dtype=_np.int64)
     n = m.shape[0]
     det = 1
-    for k in range(n):
-        nz = _np.nonzero(m[k:, k])[0]
-        if nz.size == 0:
-            return 0
-        piv = int(nz[0]) + k
-        if piv != k:
-            m[[k, piv]] = m[[piv, k]]
-            det = p - det
-        pk = int(m[k, k])
-        det = det * pk % p
-        if k + 1 == n:
+    for k0 in range(0, n, _DET_BLOCK):
+        k1 = min(k0 + _DET_BLOCK, n)
+        for k in range(k0, k1):
+            nz = _np.nonzero(m[k:, k])[0]
+            if nz.size == 0:
+                return 0
+            piv = int(nz[0]) + k
+            if piv != k:
+                m[[k, piv]] = m[[piv, k]]
+                det = p - det
+            pk = int(m[k, k])
+            det = det * pk % p
+            if k + 1 == n:
+                break
+            inv = _np.int64(pow(pk, -1, p))
+            m[k + 1 :, k : k + 1] = _np_mulmod(m[k + 1 :, k : k + 1], inv)
+            sub = m[k + 1 :, k + 1 : k1] - _np_mulmod(
+                m[k + 1 :, k : k + 1], m[k : k + 1, k + 1 : k1]
+            )
+            m[k + 1 :, k + 1 : k1] = _np.where(sub < 0, sub + p, sub)
+        if k1 == n:
             break
-        inv = _np.int64(pow(pk, -1, p))
-        f = _np_mulmod(m[k + 1 :, k : k + 1], inv)
-        sub = m[k + 1 :, k:] - _np_mulmod(f, m[k : k + 1, k:])
-        m[k + 1 :, k:] = _np.where(sub < 0, sub + p, sub)
+        for i in range(k0 + 1, k1):
+            sub = m[i, k1:] - _matmul_m61(m[i : i + 1, k0:i], m[k0:i, k1:])[0]
+            m[i, k1:] = _np.where(sub < 0, sub + p, sub)
+        sub = m[k1:, k1:] - _matmul_m61(m[k1:, k0:k1], m[k0:k1, k1:])
+        m[k1:, k1:] = _np.where(sub < 0, sub + p, sub)
     return det
 
 

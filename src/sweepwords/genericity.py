@@ -26,6 +26,7 @@ from .exactalg import (
     ScalarRing,
     SubspaceBasis,
     discriminant,
+    evaluate_words,
     prime_field,
     rank,
     span_insert,
@@ -72,29 +73,6 @@ def sample_tuple(
     return MatrixTuple(
         tuple(sample_matrix(n, ring, rng, symmetric) for _ in range(g))
     )
-
-
-def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
-    """Evaluate many words sharing prefix products (words must be nonempty)."""
-    cache: dict[tuple[int, ...], Matrix] = {}
-    for k in range(1, t.g + 1):
-        cache[(k,)] = t.matrices[k - 1]
-
-    def ev(letters: tuple[int, ...]) -> Matrix:
-        got = cache.get(letters)
-        if got is None:
-            got = ev(letters[:-1]).mul(cache[(letters[-1],)])
-            cache[letters] = got
-        return got
-
-    out = []
-    for w in words:
-        if w.degree == 0:
-            raise InvalidWord("cannot evaluate the empty word")
-        if any(not 1 <= letter <= t.g for letter in w.letters):
-            raise InvalidWord(f"word uses letters outside [1, {t.g}]")
-        out.append(ev(w.letters))
-    return out
 
 
 def words_digest(words: list[Word]) -> str:

@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-from .exactalg import Matrix, MatrixTuple, big_integer, discriminant, int_to_decimal
+from .exactalg import (
+    Matrix,
+    MatrixTuple,
+    big_integer,
+    discriminant,
+    evaluate_words,
+    int_to_decimal,
+)
 from .words import (
     VarId,
     WordGrid,
@@ -122,18 +129,7 @@ def verify_witness(t: MatrixTuple, grid: WordGrid) -> int:
         raise InvalidInput("witness verification runs over the integers")
     if t.n != grid.n or t.g < grid.g:
         raise InvalidInput("tuple and grid sizes do not match")
-    cache: dict[tuple[int, ...], Matrix] = {
-        (k,): t.matrices[k - 1] for k in range(1, t.g + 1)
-    }
-
-    def ev(letters: tuple[int, ...]) -> Matrix:
-        got = cache.get(letters)
-        if got is None:
-            got = ev(letters[:-1]).mul(cache[(letters[-1],)])
-            cache[letters] = got
-        return got
-
-    return discriminant([ev(w.letters) for w in grid.flatten()])
+    return discriminant(evaluate_words(grid.flatten(), t))
 
 
 @dataclass(frozen=True)

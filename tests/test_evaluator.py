@@ -1,0 +1,150 @@
+"""Differential tests of the word evaluator and the F_(2^61-1) matmul kernel.
+
+The oracle evaluates one word at a time through a prefix cache of
+left-to-right pure-Python `Matrix.mul` products; it shares nothing with the
+evaluator under test but `Matrix`.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sweepwords.exactalg import (
+    MERSENNE61,
+    Matrix,
+    MatrixTuple,
+    _matmul_m61,
+    _np,
+    big_integer,
+    evaluate_word,
+    prime_field,
+)
+from sweepwords.genericity import evaluate_words
+from sweepwords.words import Word, build_word_grid
+
+RINGS = {
+    "mersenne61": prime_field(MERSENNE61),
+    "p61m31": prime_field((1 << 61) - 31),
+    "p1009": prime_field(1009),
+    "integers": big_integer(),
+}
+
+
+def oracle_evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
+    cache = {(k,): t.matrices[k - 1] for k in range(1, t.g + 1)}
+
+    def ev(letters):
+        got = cache.get(letters)
+        if got is None:
+            got = ev(letters[:-1]).mul(cache[(letters[-1],)])
+            cache[letters] = got
+        return got
+
+    return [ev(w.letters) for w in words]
+
+
+def random_tuple(n: int, g: int, ring, rng: random.Random) -> MatrixTuple:
+    def draw():
+        if ring.kind == "prime_field":
+            return rng.randrange(ring.p)
+        return rng.randrange(-(10**30), 10**30)
+
+    return MatrixTuple(
+        tuple(
+            Matrix(n, n, tuple(draw() for _ in range(n * n)), ring)
+            for _ in range(g)
+        )
+    )
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 14, 20])
+def test_grid_matches_oracle(n, g):
+    ring = RINGS["mersenne61"]
+    words = build_word_grid(n, g).flatten()
+    t = random_tuple(n, g, ring, random.Random(n * 10 + g))
+    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+def test_grid_matches_oracle_on_every_ring(ring):
+    words = build_word_grid(4, 2).flatten()
+    t = random_tuple(4, 2, ring, random.Random(4))
+    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+
+
+@pytest.mark.parametrize(
+    "ring", [r for r in RINGS.values() if r.kind == "prime_field"]
+)
+def test_all_entries_p_minus_one(ring):
+    n, g = 5, 2
+    top = Matrix(n, n, (ring.p - 1,) * (n * n), ring)
+    t = MatrixTuple((top,) * g)
+    words = build_word_grid(n, g).flatten() + [Word((1,), g), Word((2, 1, 2), g)]
+    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+
+
+@st.composite
+def word_lists(draw):
+    g = draw(st.integers(2, 3))
+    letters = st.lists(st.integers(1, g), min_size=1, max_size=7)
+    words = draw(st.lists(letters, min_size=1, max_size=12))
+    # repeat some words verbatim
+    words += draw(st.lists(st.sampled_from(words), max_size=3))
+    return g, [Word(tuple(w), g) for w in words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=word_lists(),
+    n=st.integers(1, 4),
+    ring_name=st.sampled_from(sorted(RINGS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_word_lists_match_oracle(case, n, ring_name, seed):
+    g, words = case
+    ring = RINGS[ring_name]
+    t = random_tuple(n, g, ring, random.Random(seed))
+    expected = oracle_evaluate_words(words, t)
+    assert evaluate_words(words, t) == expected
+    assert [evaluate_word(w, t) for w in words] == expected
+
+
+def test_empty_word_list():
+    t = random_tuple(2, 2, RINGS["mersenne61"], random.Random(0))
+    assert evaluate_words([], t) == []
+
+
+@pytest.mark.parametrize("k", [1, 511, 512, 513, 700])
+def test_matmul_m61_across_the_chunk_boundary(k):
+    rng = random.Random(k)
+    p = MERSENNE61
+    a = [[rng.randrange(p) for _ in range(k)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(4)] for _ in range(k)]
+    a[0] = [p - 1] * k  # largest limbs: the exactness bound is tightest here
+    for row in b:
+        row[0] = p - 1
+    got = _matmul_m61(_np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64))
+    expected = [
+        [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(4)]
+        for i in range(3)
+    ]
+    assert got.tolist() == expected
+
+
+def test_matmul_m61_stacked():
+    rng = random.Random(1)
+    p = MERSENNE61
+    a = [[[rng.randrange(p) for _ in range(6)] for _ in range(2)] for _ in range(5)]
+    b = [[[rng.randrange(p) for _ in range(3)] for _ in range(6)] for _ in range(5)]
+    got = _matmul_m61(_np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64))
+    for s in range(5):
+        for i in range(2):
+            for j in range(3):
+                assert int(got[s, i, j]) == sum(
+                    a[s][i][t] * b[s][t][j] for t in range(6)
+                ) % p

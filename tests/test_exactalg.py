@@ -286,6 +286,39 @@ class TestMersenneKernel:
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
         assert _det_mersenne_np(rows) == 0
 
+    # the blocked kernel factors panels of 64 columns; these sizes sit on
+    # and across the panel boundaries
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+    def test_determinant_above_block_width(self, n):
+        rng = random.Random(n)
+        rows = [[rng.randrange(MERSENNE61) for _ in range(n)] for _ in range(n)]
+        assert _det_mersenne_np(rows) == _pure_det(rows, MERSENNE61)
+
+    @pytest.mark.parametrize("n, h", [(150, 20), (150, 70), (200, 100)])
+    def test_late_pivots(self, n, h):
+        # [[0, B], [C, D]] with a zero h x h top-left block: the first h
+        # pivots come from below row h, after multipliers have been stored
+        rng = random.Random(h)
+        rows = [[rng.randrange(MERSENNE61) for _ in range(n)] for _ in range(n)]
+        for i in range(h):
+            rows[i][:h] = [0] * h
+        det = _det_mersenne_np(rows)
+        assert det != 0
+        assert det == _pure_det(rows, MERSENNE61)
+
+    def test_duplicated_row_in_second_block(self):
+        rng = random.Random(12)
+        rows = [[rng.randrange(MERSENNE61) for _ in range(129)] for _ in range(129)]
+        rows[100] = list(rows[70])
+        assert _det_mersenne_np(rows) == 0
+
+    def test_zero_last_column(self):
+        rng = random.Random(13)
+        rows = [[rng.randrange(MERSENNE61) for _ in range(129)] for _ in range(129)]
+        for row in rows:
+            row[-1] = 0
+        assert _det_mersenne_np(rows) == 0
+
 
 def _pure_det(rows, p):
     n = len(rows)
