@@ -15,12 +15,18 @@ recombine mod 2^61 - 1.  Two things are built on it:
   words are one batched product head @ tail.  Other rings take the same
   route with exact Python-int products.
 - `_det_mersenne_np`, a right-looking blocked LU whose trailing updates
-  are kernel products.  The portable pure-Python elimination covers every
-  other modulus and the small sizes.
+  are kernel products; it takes every determinant mod 2^61 - 1.
+
+Every other elimination goes through one echelon-insert routine,
+`_insert`, which reduces a vector against sorted echelon rows and inserts
+it in place.  `span_insert`, `rank` and the determinant over every other
+prime field are built on it; integer determinants use fraction-free
+(Bareiss) elimination.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -415,56 +421,98 @@ def _check_uniform(ms: list[Matrix]) -> tuple[int, ScalarRing]:
 def discriminant(ms: list[Matrix]) -> int:
     """Determinant of the n^2-by-n^2 matrix whose k-th column is vectorize(ms[k]).
 
-    Exact over both rings: modular Gaussian elimination over a prime field,
-    fraction-free (Bareiss) elimination over the integers.
+    Exact over both rings.  Over the integers it is fraction-free (Bareiss)
+    elimination; modulo 2^61 - 1 it is the blocked LU `_det_mersenne_np`.
+    Over any other prime field the rows go one by one into the echelon
+    rows of `_insert`: each reduced row is upper triangular once the rows
+    are sorted by pivot, so the determinant is the product of the leading
+    values times the sign of that sort, and 0 at the first dependent row.
     """
     n, ring = _check_uniform(ms)
     nn = n * n
     if len(ms) != nn:
         raise ArityMismatch(f"discriminant needs exactly {nn} matrices, got {len(ms)}")
     rows = [list(r) for r in zip(*(m.entries for m in ms))]
-    if ring.kind == "prime_field":
-        return _det_mod_p(rows, ring.p)
-    return _det_bareiss(rows)
+    if ring.kind == "big_integer":
+        return _det_bareiss(rows)
+    p = ring.p
+    if p == MERSENNE61:
+        return _det_mersenne_np(rows)
+    vectors: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    det = 1
+    for row in rows:
+        lead, pos = _insert(vectors, pivots, row, ring)
+        if lead is None:
+            return 0
+        det = det * lead % p
+        # every row that now sorts after the new one is one transposition
+        if (len(pivots) - 1 - pos) % 2:
+            det = p - det
+    return det
 
 
 def rank(ms: list[Matrix]) -> int:
     """Rank of the vectorized collection; equals n^2 iff the span is full."""
-    n, ring = _check_uniform(ms)
-    rows = [list(m.entries) for m in ms]
-    if ring.kind == "prime_field":
-        return _rank_mod_p(rows, ring.p)
-    return _rank_int(rows)
+    _, ring = _check_uniform(ms)
+    vectors: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for m in ms:
+        _insert(vectors, pivots, m.entries, ring)
+    return len(vectors)
 
 
 # --- elimination kernels ----------------------------------------------------
 
 
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    if p == MERSENNE61 and n >= 24:
-        return _det_mersenne_np(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = p - det
-        pk = m[k][k]
-        det = det * pk % p
-        inv = pow(pk, -1, p)
-        rk = m[k]
-        for i in range(k + 1, n):
-            f = m[i][k]
+def _insert(
+    vectors: list[tuple[int, ...]],
+    pivots: list[int],
+    vec: tuple[int, ...] | list[int],
+    ring: ScalarRing,
+) -> tuple[int | None, int | None]:
+    """Reduce vec against echelon rows and insert the result, in place.
+
+    `vectors` (tuples) and `pivots` are parallel lists sorted by pivot
+    column, one pivot per row.  Over a prime field the rows are fully
+    reduced with unit pivots; over the integers they are content-normalized
+    with a positive leading entry and no pivot scaling.  Returns (lead, pos):
+    the leading entry of the reduced vector before scaling and the index of
+    its new row, or (None, None) when vec already lies in the span.
+    """
+    v = list(vec)
+    if ring.kind == "prime_field":
+        p = ring.p
+        for row, c in zip(vectors, pivots):
+            f = v[c] % p
             if f:
-                f = f * inv % p
-                ri = m[i]
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] - f * rk[j]) % p
-    return det
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+    else:
+        for row, c in zip(vectors, pivots):
+            if v[c]:
+                a, b = row[c], v[c]
+                v = [a * x - b * y for x, y in zip(v, row)]
+                content = math.gcd(*v)
+                if content > 1:
+                    v = [x // content for x in v]
+    pivot = next((c for c, x in enumerate(v) if x), None)
+    if pivot is None:
+        return None, None
+    lead = v[pivot]
+    if ring.kind == "prime_field":
+        inv = pow(lead, -1, p)
+        v = [x * inv % p for x in v]
+        # keep reduced form: clear the new pivot column in existing rows
+        for i, row in enumerate(vectors):
+            f = row[pivot]
+            if f:
+                vectors[i] = tuple((x - f * y) % p for x, y in zip(row, v))
+    elif lead < 0:
+        v = [-x for x in v]
+    pos = bisect.bisect(pivots, pivot)
+    pivots.insert(pos, pivot)
+    vectors.insert(pos, tuple(v))
+    return lead, pos
 
 
 _M61_LOW31 = (1 << 31) - 1
@@ -610,31 +658,6 @@ def _det_mersenne_np(rows: list[list[int]]) -> int:
     return det
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [[x % p for x in r] for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        rr = m[r]
-        for i in range(r + 1, n_rows):
-            f = m[i][c]
-            if f:
-                f = f * inv % p
-                ri = m[i]
-                for j in range(c, n_cols):
-                    ri[j] = (ri[j] - f * rr[j]) % p
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def _det_bareiss(rows: list[list[int]]) -> int:
     """Fraction-free determinant; every division is exact by construction."""
     n = len(rows)
@@ -659,32 +682,6 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * int(m[n - 1][n - 1])
 
 
-def _rank_int(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free row elimination."""
-    m = [[int(x) for x in r] for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        rr = m[r]
-        for i in range(r + 1, n_rows):
-            ri = m[i]
-            if ri[c]:
-                a, b = rr[c], ri[c]
-                ri[:] = [a * y - b * x for x, y in zip(rr, ri)]
-                content = math.gcd(*ri)
-                if content > 1:
-                    ri[:] = [y // content for y in ri]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 # --- incremental span maintenance -------------------------------------------
 
 
@@ -693,10 +690,8 @@ class SubspaceBasis:
     """Span of n-by-n matrices kept as echelonized vectorizations.
 
     `matrices` lists the independent representatives in insertion order;
-    `vectors` are the echelon rows sorted by pivot column (pivots strictly
-    increasing, one per row).  Over a prime field rows are fully reduced
-    with unit pivots; over the integers rows are content-normalized with a
-    positive leading entry and no pivot scaling.
+    `vectors` and `pivots` are the echelon rows that `_insert` maintains,
+    sorted by pivot column.
     """
 
     n: int
@@ -713,25 +708,6 @@ class SubspaceBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def reduce(self, vec: list[int]) -> list[int]:
-        """Reduce a vector against the basis; the zero vector means membership."""
-        v = list(vec)
-        if self.ring.kind == "prime_field":
-            p = self.ring.p
-            for row, c in zip(self.vectors, self.pivots):
-                f = v[c] % p
-                if f:
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-        else:
-            for row, c in zip(self.vectors, self.pivots):
-                if v[c]:
-                    a, b = row[c], v[c]
-                    v = [a * x - b * y for x, y in zip(v, row)]
-                    content = math.gcd(*v)
-                    if content > 1:
-                        v = [x // content for x in v]
-        return v
-
 
 def span_insert(b: SubspaceBasis, m: Matrix) -> tuple[SubspaceBasis, bool]:
     """Insert a matrix into the span; returns (new basis, inserted flag)."""
@@ -739,29 +715,11 @@ def span_insert(b: SubspaceBasis, m: Matrix) -> tuple[SubspaceBasis, bool]:
         raise InvalidInput(f"expected {b.n}x{b.n} matrix")
     if m.ring != b.ring:
         raise InvalidInput("ring mismatch")
-    v = b.reduce(list(m.entries))
-    pivot = next((c for c, x in enumerate(v) if x), None)
-    if pivot is None:
+    vectors, pivots = list(b.vectors), list(b.pivots)
+    lead, _ = _insert(vectors, pivots, m.entries, b.ring)
+    if lead is None:
         return b, False
-    if b.ring.kind == "prime_field":
-        p = b.ring.p
-        inv = pow(v[pivot], -1, p)
-        v = [x * inv % p for x in v]
-        # keep reduced form: clear the new pivot column in existing rows
-        new_rows = []
-        for row in b.vectors:
-            f = row[pivot]
-            if f:
-                row = tuple((x - f * y) % p for x, y in zip(row, v))
-            new_rows.append(row)
-    else:
-        if v[pivot] < 0:
-            v = [-x for x in v]
-        new_rows = list(b.vectors)
-    merged = sorted(list(zip(b.pivots, new_rows)) + [(pivot, tuple(v))])
-    pivots = tuple(c for c, _ in merged)
-    vectors = tuple(r for _, r in merged)
     return (
-        SubspaceBasis(b.n, b.ring, b.matrices + (m,), vectors, pivots),
+        SubspaceBasis(b.n, b.ring, b.matrices + (m,), tuple(vectors), tuple(pivots)),
         True,
     )

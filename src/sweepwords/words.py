@@ -88,6 +88,8 @@ def all_words(g: int, s: int) -> list[Word]:
 
 def degree_exponent(n: int, g: int) -> int:
     """Smallest d with g**d >= n (the half-degree of the grid words)."""
+    if g < 2 and n >= 2:
+        raise InvalidInput(f"alphabet size must be >= 2 for n >= 2, got g={g}")
     d = 0
     power = 1
     while power < n:

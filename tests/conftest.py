@@ -44,6 +44,27 @@ def rank_fractions(rows: list[list[int]]) -> int:
     return r
 
 
+def pure_det(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p by plain Gaussian elimination (first nonzero pivot)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] % p), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det = det * m[k][k] % p
+        inv = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            f = m[i][k] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
+    return det % p
+
+
 def mat(rows: list[list[int]], ring: exactalg.ScalarRing) -> exactalg.Matrix:
     return exactalg.Matrix.from_rows(rows, ring)
 

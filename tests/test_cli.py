@@ -96,6 +96,12 @@ class TestCertifyCommand:
         assert code in (0, 1)  # exploratory: either outcome is a valid run
         assert env["result"]["certification"]["trials"] == 2
 
+    def test_random_words_unary_alphabet_exits_2(self):
+        code, out, err = run(["certify", "--random-words", "--g", "1", "--n", "3"])
+        assert code == 2
+        assert out == ""
+        assert "invalid" in err
+
     def test_csv_rows(self):
         code, out, _ = run(["certify", "--n", "3", "--trials", "2", "--format", "csv"])
         assert code == 0

@@ -1,0 +1,180 @@
+"""Differential tests for the echelon core and everything built on it.
+
+`discriminant` over prime fields other than 2^61 - 1 folds the leading
+values of `_insert`; modulo 2^61 - 1 it is the blocked kernel at every
+size.  `rank` and `span_insert` are `_insert` as well.  Each is checked
+against the independent oracles in conftest.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import pure_det, rank_fractions
+from sweepwords.exactalg import (
+    MERSENNE61,
+    Matrix,
+    SubspaceBasis,
+    big_integer,
+    discriminant,
+    prime_field,
+    rank,
+    span_insert,
+)
+
+FOLD_PRIMES = [101, (1 << 61) - 31]
+
+RINGS = {
+    "fp101": prime_field(101),
+    "fp_default": prime_field(MERSENNE61),
+    "zz": big_integer(),
+}
+
+
+def _columns(a, n, ring):
+    """The n^2 matrices whose vectorizations are the columns of a (n^2 x n^2)."""
+    nn = n * n
+    return [
+        Matrix(n, n, tuple(ring.canon(a[i][k]) for i in range(nn)), ring)
+        for k in range(nn)
+    ]
+
+
+def _vectors(vs, n, ring):
+    return [Matrix(n, n, tuple(ring.canon(x) for x in v), ring) for v in vs]
+
+
+@st.composite
+def square_systems(draw, n_max):
+    """(n, a) with a an n^2 x n^2 matrix: full-range or 0/1 entries."""
+    n = draw(st.integers(1, n_max))
+    nn = n * n
+    rng = draw(st.randoms(use_true_random=False))
+    # 0/1 entries make zero pivots and singular matrices common
+    hi = draw(st.sampled_from([2, MERSENNE61]))
+    return n, [[rng.randrange(hi) for _ in range(nn)] for _ in range(nn)]
+
+
+@st.composite
+def planted_families(draw, n_max=4):
+    """(n, vectors, r): r independent vectors plus integer combinations.
+
+    The r basis vectors have an r x r minor that is unit lower triangular,
+    so they are independent over Q and over every prime field, and every
+    other vector is an integer combination of them: the rank is r over
+    every ring.  There may be more vectors than n^2.
+    """
+    n = draw(st.integers(1, n_max))
+    nn = n * n
+    rng = draw(st.randoms(use_true_random=False))
+    r = draw(st.integers(0, nn))
+    count = draw(st.integers(max(r, 1), nn + 4))
+    cols = rng.sample(range(nn), r)
+    basis = []
+    for i in range(r):
+        v = [rng.randrange(-3, 4) for _ in range(nn)]
+        for j, c in enumerate(cols):
+            if j >= i:
+                v[c] = int(j == i)
+        basis.append(v)
+    vectors = list(basis)
+    for _ in range(count - r):
+        coeffs = [rng.randrange(-2, 3) for _ in basis]
+        vectors.append(
+            [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(nn)]
+        )
+    rng.shuffle(vectors)
+    return n, vectors, r
+
+
+class TestDiscriminant:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FOLD_PRIMES), square_systems(n_max=6))
+    def test_fold_path_matches_oracle(self, p, system):
+        n, a = system
+        assert discriminant(_columns(a, n, prime_field(p))) == pure_det(a, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(square_systems(n_max=4))
+    def test_mersenne_kernel_at_small_sizes(self, system):
+        n, a = system
+        ring = prime_field(MERSENNE61)
+        assert discriminant(_columns(a, n, ring)) == pure_det(a, MERSENNE61)
+
+    @pytest.mark.parametrize("p", FOLD_PRIMES + [MERSENNE61])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_late_pivots(self, p, n):
+        # rows [[0, B], [C, D]] with a zero h x h top-left block: the first
+        # h rows take pivots right of column h, so later rows sort before them
+        rng = random.Random(n * 1000 + p % 997)
+        nn, h = n * n, n * n // 2
+        a = [[rng.randrange(p) for _ in range(nn)] for _ in range(nn)]
+        for i in range(h):
+            a[i][:h] = [0] * h
+        det = discriminant(_columns(a, n, prime_field(p)))
+        assert det == pure_det(a, p)
+        assert det != 0
+
+    @pytest.mark.parametrize("p", FOLD_PRIMES + [MERSENNE61])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_duplicated_row_and_zero_column(self, p, n):
+        rng = random.Random(n)
+        nn = n * n
+        a = [[rng.randrange(p) for _ in range(nn)] for _ in range(nn)]
+        dup = [list(r) for r in a]
+        dup[-1] = list(dup[nn // 2])
+        assert discriminant(_columns(dup, n, prime_field(p))) == 0
+        for row in a:
+            row[-1] = 0
+        assert discriminant(_columns(a, n, prime_field(p))) == 0
+
+
+class TestRank:
+    @settings(max_examples=60, deadline=None)
+    @given(planted_families())
+    def test_planted_rank(self, family):
+        n, vectors, r = family
+        assert rank_fractions(vectors) == r
+        for ring in RINGS.values():
+            assert rank(_vectors(vectors, n, ring)) == r
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.randoms(use_true_random=False), st.data())
+    def test_random_sign_vectors(self, n, rng, data):
+        # entries in {-1, 0, 1} and at most 16 columns: every minor is at
+        # most 4^16 = 2^32 by Hadamard's bound, so the rank modulo
+        # 2^61 - 1 is the rational rank
+        nn = n * n
+        count = data.draw(st.integers(1, nn + 4))
+        vectors = [[rng.randrange(-1, 2) for _ in range(nn)] for _ in range(count)]
+        expected = rank_fractions(vectors)
+        for name in ("fp_default", "zz"):
+            assert rank(_vectors(vectors, n, RINGS[name])) == expected
+
+
+class TestSpanInsertFold:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(RINGS)), planted_families())
+    def test_dimension_tracks_rank_of_every_prefix(self, name, family):
+        ring = RINGS[name]
+        n, vectors, _ = family
+        ms = _vectors(vectors, n, ring)
+        basis = SubspaceBasis.empty(n, ring)
+        for k, m in enumerate(ms, start=1):
+            before = basis.dimension
+            basis, inserted = span_insert(basis, m)
+            assert basis.dimension == rank(ms[:k])
+            assert inserted == (basis.dimension == before + 1)
+            assert len(basis.matrices) == basis.dimension
+        pivots = list(basis.pivots)
+        assert pivots == sorted(set(pivots))
+        for row, c in zip(basis.vectors, pivots):
+            assert all(x == 0 for x in row[:c])
+            if ring.kind == "prime_field":
+                assert row[c] == 1
+                # fully reduced: every other row is zero in this pivot column
+                assert sum(1 for other in basis.vectors if other[c]) == 1
+            else:
+                assert row[c] > 0

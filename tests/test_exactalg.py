@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import det_cofactor, mat, rank_fractions
+from conftest import det_cofactor, mat, pure_det, rank_fractions
 from sweepwords.errors import (
     ArityMismatch,
     InvalidInput,
@@ -184,13 +184,16 @@ class TestDiscriminant:
         with pytest.raises(InvalidInput):
             discriminant(ms)
 
-    def test_alternating_under_swaps(self, fp_default):
+    # fp_default runs the blocked kernel, fp101 the `_insert` fold
+    @pytest.mark.parametrize("ring_name", ["fp_default", "fp101"])
+    def test_alternating_under_swaps(self, ring_name, request):
+        ring = request.getfixturevalue(ring_name)
         rng = random.Random(5)
-        p = fp_default.p
+        p = ring.p
         for _ in range(40):
             n = rng.choice([2, 3])
             ms = [
-                mat([[rng.randrange(p) for _ in range(n)] for _ in range(n)], fp_default)
+                mat([[rng.randrange(p) for _ in range(n)] for _ in range(n)], ring)
                 for _ in range(n * n)
             ]
             i, j = rng.sample(range(n * n), 2)
@@ -198,13 +201,15 @@ class TestDiscriminant:
             swapped[i], swapped[j] = swapped[j], swapped[i]
             assert discriminant(swapped) == (-discriminant(ms)) % p
 
-    def test_nonzero_iff_full_rank(self, fp_default):
+    @pytest.mark.parametrize("ring_name", ["fp_default", "fp101"])
+    def test_nonzero_iff_full_rank(self, ring_name, request):
+        ring = request.getfixturevalue(ring_name)
         rng = random.Random(6)
-        p = fp_default.p
+        p = ring.p
         for trial in range(30):
             n = 2
             ms = [
-                mat([[rng.randrange(p) for _ in range(n)] for _ in range(n)], fp_default)
+                mat([[rng.randrange(p) for _ in range(n)] for _ in range(n)], ring)
                 for _ in range(n * n)
             ]
             if trial % 2:
@@ -280,7 +285,7 @@ class TestMersenneKernel:
             # reference: cofactor for tiny sizes, pure elimination always
             if n <= 5:
                 assert fast == det_cofactor(rows) % MERSENNE61
-            assert fast == _pure_det(rows, MERSENNE61)
+            assert fast == pure_det(rows, MERSENNE61)
 
     def test_singular_matrix(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
@@ -292,7 +297,7 @@ class TestMersenneKernel:
     def test_determinant_above_block_width(self, n):
         rng = random.Random(n)
         rows = [[rng.randrange(MERSENNE61) for _ in range(n)] for _ in range(n)]
-        assert _det_mersenne_np(rows) == _pure_det(rows, MERSENNE61)
+        assert _det_mersenne_np(rows) == pure_det(rows, MERSENNE61)
 
     @pytest.mark.parametrize("n, h", [(150, 20), (150, 70), (200, 100)])
     def test_late_pivots(self, n, h):
@@ -304,7 +309,7 @@ class TestMersenneKernel:
             rows[i][:h] = [0] * h
         det = _det_mersenne_np(rows)
         assert det != 0
-        assert det == _pure_det(rows, MERSENNE61)
+        assert det == pure_det(rows, MERSENNE61)
 
     def test_duplicated_row_in_second_block(self):
         rng = random.Random(12)
@@ -318,26 +323,6 @@ class TestMersenneKernel:
         for row in rows:
             row[-1] = 0
         assert _det_mersenne_np(rows) == 0
-
-
-def _pure_det(rows, p):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] % p), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = det * m[k][k] % p
-        inv = pow(m[k][k], -1, p)
-        for i in range(k + 1, n):
-            f = m[i][k] * inv % p
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
-    return det % p
 
 
 class TestSpanInsert:

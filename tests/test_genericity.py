@@ -106,6 +106,12 @@ class TestCertification:
         with pytest.raises(InvalidInput):
             random_words_certification(3, 2, d=1)  # only 4 words of degree 2
 
+    def test_random_word_harness_rejects_unary_alphabet(self):
+        from sweepwords.errors import InvalidInput
+
+        with pytest.raises(InvalidInput):
+            random_words_certification(3, 1)
+
     def test_prefix_sharing_matches_direct_evaluation(self, fp_default):
         rng = random.Random(13)
         t = sample_tuple(3, 2, fp_default, rng)

@@ -67,6 +67,17 @@ class TestAllWords:
         assert tuples == sorted(tuples)
 
 
+class TestDegreeExponent:
+    def test_smallest_covering_power(self):
+        assert [degree_exponent(n, 2) for n in (1, 2, 3, 4, 5)] == [0, 1, 2, 2, 3]
+
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_unary_alphabet_rejected(self, g):
+        # g^d never reaches n >= 2, so the search for d would not end
+        with pytest.raises(InvalidInput):
+            degree_exponent(3, g)
+
+
 class TestWordGrid:
     def test_n2_grid(self):
         grid = build_word_grid(2, 2)
