@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from .errors import BudgetExceeded, InvalidInput, SweepwordsError
 from .genericity import (
     DEFAULT_PRIME,
+    check_length_size,
     generic_length_experiment,
     grid_certification,
     random_words_certification,
@@ -256,11 +257,14 @@ def _cmd_graph(args) -> tuple[RunConfig, dict, int]:
 
 def _cmd_length(args) -> tuple[RunConfig, dict, int]:
     sizes = _parse_n_range(args.n)
-    summaries = []
-    code = 0
+    # refuse the whole range before running any of it
     for n in sizes:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")
+        check_length_size(n)
+    summaries = []
+    code = 0
+    for n in sizes:
         summary = generic_length_experiment(
             n,
             args.g,

@@ -8,20 +8,26 @@ functions, so results may be shared freely across threads.
 Modulo the default prime 2^61 - 1, matrix products run through one exact
 BLAS kernel (`_matmul_m61`): entries split into 21-bit limbs, the limb
 products are float64 matmuls that stay below 2^53, and the partial sums
-recombine mod 2^61 - 1.  Two things are built on it:
+recombine mod 2^61 - 1.  Three things are built on it:
 
 - `evaluate_words`, the one word evaluator: every word splits into two
   halves, the distinct halves are built through a prefix trie, and all
   words are one batched product head @ tail.  Other rings take the same
-  route with exact Python-int products.
-- `_det_mersenne_np`, a right-looking blocked LU whose trailing updates
-  are kernel products; it takes every determinant mod 2^61 - 1.
+  route with exact Python-int products (`letter_stack` picks the product).
+- `_det_mersenne_np`, a right-looking blocked LU whose U12 solve and
+  trailing updates are kernel products; it takes every determinant mod
+  2^61 - 1.
+- `_extend_m61`, blocked echelon extension: candidate rows go into an
+  int64 RREF basis in blocks, each reduced against the basis by one kernel
+  product.  Through `echelon_extend` it carries `rank` and the span growth
+  of `genericity.subspace_length` mod 2^61 - 1.
 
 Every other elimination goes through one echelon-insert routine,
 `_insert`, which reduces a vector against sorted echelon rows and inserts
-it in place.  `span_insert`, `rank` and the determinant over every other
-prime field are built on it; integer determinants use fraction-free
-(Bareiss) elimination.
+it in place.  `span_insert` is built on it, and so are `echelon_extend`
+over every ring but F_(2^61-1) and the determinant over every other prime
+field; `_extend_m61` returns exactly what folding `_insert` would.
+Integer determinants use fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -337,9 +343,7 @@ def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
     batched product per trie level, and then all words are one batched
     product head @ tail.  On the n x n grid the halves are exactly the v_i
     and the rev(v_j), so n^2 words cost about 2n small products plus the
-    final one.  Over F_(2^61-1) products run through `_matmul_m61`; every
-    other ring multiplies exact Python ints (object dtype), reduced mod p
-    over other prime fields.
+    final one.  Products are those of `letter_stack`.
     """
     for w in words:
         if w.degree == 0:
@@ -351,18 +355,7 @@ def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
     if not words:
         return []
     n, ring = t.n, t.ring
-    if ring.kind == "prime_field" and ring.p == MERSENNE61:
-        dtype, mul = _np.int64, _matmul_m61
-    else:
-        dtype = object
-
-        def mul(a, b):
-            c = _np.matmul(a, b)
-            return c % ring.p if ring.kind == "prime_field" else c
-
-    letters = _np.array(
-        [[ring.canon(x) for x in m.entries] for m in t.matrices], dtype=dtype
-    ).reshape(t.g, n, n)
+    letters, mul = letter_stack(t)
     cuts = [(w.degree + 1) // 2 for w in words]
     heads = [w.letters[:c] for w, c in zip(words, cuts)]
     tails = [w.letters[c:] for w, c in zip(words, cuts)]
@@ -374,6 +367,30 @@ def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
         Matrix(n, n, tuple(entries), ring)
         for entries in prod.reshape(len(words), n * n).tolist()
     ]
+
+
+def letter_stack(t: MatrixTuple):
+    """(letters, mul): t's matrices as one (g, n, n) array, and the ring's product.
+
+    `mul(a, b)` is the exact (stacked) product of such arrays.  Over
+    F_(2^61-1) the arrays are int64 and products run through `_matmul_m61`;
+    every other ring multiplies exact Python ints (object dtype), reduced
+    mod p over other prime fields.
+    """
+    ring = t.ring
+    if ring.kind == "prime_field" and ring.p == MERSENNE61:
+        dtype, mul = _np.int64, _matmul_m61
+    else:
+        dtype = object
+
+        def mul(a, b):
+            c = _np.matmul(a, b)
+            return c % ring.p if ring.kind == "prime_field" else c
+
+    letters = _np.array(
+        [[ring.canon(x) for x in m.entries] for m in t.matrices], dtype=dtype
+    ).reshape(t.g, t.n, t.n)
+    return letters, mul
 
 
 def _prefix_products(halves, letters, mul):
@@ -455,14 +472,33 @@ def discriminant(ms: list[Matrix]) -> int:
 def rank(ms: list[Matrix]) -> int:
     """Rank of the vectorized collection; equals n^2 iff the span is full."""
     _, ring = _check_uniform(ms)
-    vectors: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for m in ms:
-        _insert(vectors, pivots, m.entries, ring)
+    vectors, _, _ = echelon_extend([], [], [m.entries for m in ms], ring)
     return len(vectors)
 
 
 # --- elimination kernels ----------------------------------------------------
+
+
+def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
+    """Insert the rows (a nonempty 2-D sequence) in order into echelon rows.
+
+    Returns (vectors, pivots, accepted): the echelon rows of the grown span
+    and the indices, in order, of the rows that were not in the span of
+    the echelon rows and the rows before them.  The result equals folding
+    `_insert` over the rows.  Modulo 2^61 - 1 the rows go through the
+    blocked `_extend_m61`, which takes any start (`[]` included) and
+    returns `vectors` as an int64 array and `pivots` as an index array;
+    over every other ring they are the lists of `_insert`.  Either way the
+    echelon rows passed in may be changed in place: use the returned ones.
+    """
+    if ring.kind == "prime_field" and ring.p == MERSENNE61:
+        return _extend_m61(vectors, pivots, rows)
+    accepted = [
+        i
+        for i, row in enumerate(rows)
+        if _insert(vectors, pivots, row, ring)[0] is not None
+    ]
+    return vectors, pivots, accepted
 
 
 def _insert(
@@ -549,6 +585,12 @@ def _np_mulmod(a, b):
     return _np.where(s >= MERSENNE61, s - MERSENNE61, s)
 
 
+def _sub_m61(a, b):
+    """a - b mod 2^61-1 for entries in [0, 2^61-1)."""
+    d = a - b
+    return _np.where(d < 0, d + MERSENNE61, d)
+
+
 # Limb products are below 2^42, and one limb-diagonal sum adds at most three
 # of them per inner index, so over an inner dimension k its entries stay
 # below 3 * k * 2^42.  float64 holds every integer below 2^53 exactly, and
@@ -621,8 +663,8 @@ def _det_mersenne_np(rows: list[list[int]]) -> int:
     pivoting, swapping whole rows together with their stored multipliers;
     every row's columns right of the panel wait until the panel is done,
     so rows swapped during the panel are always in the same state.  Then
-    U12 = L11^-1 A12 by forward substitution and A22 -= L21 @ U12 through
-    `_matmul_m61`.
+    U12 = L11^-1 A12, with the unit lower triangle L11 inverted by
+    `_unit_lower_inverse`, and A22 -= L21 @ U12, all through `_matmul_m61`.
     """
     p = MERSENNE61
     m = _np.array(rows, dtype=_np.int64)
@@ -644,18 +686,108 @@ def _det_mersenne_np(rows: list[list[int]]) -> int:
                 break
             inv = _np.int64(pow(pk, -1, p))
             m[k + 1 :, k : k + 1] = _np_mulmod(m[k + 1 :, k : k + 1], inv)
-            sub = m[k + 1 :, k + 1 : k1] - _np_mulmod(
-                m[k + 1 :, k : k + 1], m[k : k + 1, k + 1 : k1]
+            m[k + 1 :, k + 1 : k1] = _sub_m61(
+                m[k + 1 :, k + 1 : k1],
+                _np_mulmod(m[k + 1 :, k : k + 1], m[k : k + 1, k + 1 : k1]),
             )
-            m[k + 1 :, k + 1 : k1] = _np.where(sub < 0, sub + p, sub)
         if k1 == n:
             break
-        for i in range(k0 + 1, k1):
-            sub = m[i, k1:] - _matmul_m61(m[i : i + 1, k0:i], m[k0:i, k1:])[0]
-            m[i, k1:] = _np.where(sub < 0, sub + p, sub)
-        sub = m[k1:, k1:] - _matmul_m61(m[k1:, k0:k1], m[k0:k1, k1:])
-        m[k1:, k1:] = _np.where(sub < 0, sub + p, sub)
+        # every panel but the last is _DET_BLOCK wide, a power of two
+        m[k0:k1, k1:] = _matmul_m61(
+            _unit_lower_inverse(m[k0:k1, k0:k1]), m[k0:k1, k1:]
+        )
+        m[k1:, k1:] = _sub_m61(
+            m[k1:, k1:], _matmul_m61(m[k1:, k0:k1], m[k0:k1, k1:])
+        )
     return det
+
+
+def _unit_lower_inverse(lu):
+    """Inverse mod 2^61-1 of the unit lower triangle of a w x w block, w = 2^j.
+
+    Only the strictly lower part of `lu` is read.  Level s inverts the
+    w / 2s diagonal blocks [[A, 0], [C, D]] of size 2s whose halves A and D
+    are already inverted, as [[A^-1, 0], [-D^-1 C A^-1, D^-1]]; the blocks
+    of one level are one stacked product, so there are 2 log2(w) kernel
+    calls in all.
+    """
+    w = lu.shape[0]
+    inv = _np.eye(w, dtype=_np.int64)
+    s = 1
+    while s < w:
+        m = w // (2 * s)
+        k = _np.arange(m)
+        blocks = inv.reshape(m, 2 * s, m, 2 * s)  # a view of inv
+        c = lu.reshape(m, 2 * s, m, 2 * s)[k, s:, k, :s]
+        c_a = _matmul_m61(c, blocks[k, :s, k, :s])
+        blocks[k, s:, k, :s] = _sub_m61(0, _matmul_m61(blocks[k, s:, k, s:], c_a))
+        s *= 2
+    return inv
+
+
+# Rows per block of `_extend_m61`.  A block is one reduction product
+# against the basis, so it bounds the transient memory of the reduction;
+# `genericity.subspace_length` forms its products in blocks of this size
+# too.  Unblocked, a process running one n = 14 chain peaked at 38.5 MB
+# max RSS, against 34.7 MB in blocks of 32 (2-core x86-64, numpy 2.4).
+_EXTEND_BLOCK = 32
+
+
+def _extend_m61(vectors, pivots, rows):
+    """Blocked `_insert` fold mod 2^61-1; see `echelon_extend`.
+
+    The echelon rows are an int64 array in RREF with unit pivots, sorted by
+    pivot.  Per block of at most _EXTEND_BLOCK candidate rows: one kernel
+    product reduces the block against the basis, on the free (non-pivot)
+    columns only, since the pivot columns of a reduced row are 0; a
+    first-nonzero Gauss-Jordan elimination inside the block accepts rows in
+    order; one more kernel product clears the new pivot columns from the
+    old rows.  RREF is unique, so rows and pivots equal the `_insert` fold.
+    """
+    p = MERSENNE61
+    rows = _np.asarray(rows, dtype=_np.int64)
+    n_cols = rows.shape[1]
+    basis = _np.asarray(vectors, dtype=_np.int64).reshape(-1, n_cols)
+    piv = _np.asarray(pivots, dtype=_np.intp)
+    accepted: list[int] = []
+    for lo in range(0, len(rows), _EXTEND_BLOCK):
+        is_free = _np.ones(n_cols, dtype=bool)
+        is_free[piv] = False
+        free = _np.flatnonzero(is_free)
+        if free.size == 0:
+            break  # the span is full
+        block = rows[lo : lo + _EXTEND_BLOCK]
+        w = block[:, free]
+        if piv.size:
+            w = _sub_m61(w, _matmul_m61(block[:, piv], basis[:, free]))
+        new: list[int] = []
+        cols: list[int] = []
+        for i in range(len(w)):
+            nz = _np.flatnonzero(w[i])
+            if nz.size == 0:
+                continue
+            c = nz[0]
+            w[i] = _np_mulmod(w[i], _np.int64(pow(int(w[i, c]), -1, p)))
+            f = w[:, c].copy()
+            f[i] = 0
+            hit = _np.flatnonzero(f)
+            w[hit] = _sub_m61(w[hit], _np_mulmod(f[hit, None], w[i]))
+            new.append(i)
+            cols.append(c)
+        if not new:
+            continue
+        fresh = w[new]
+        if piv.size:
+            basis[:, free] = _sub_m61(
+                basis[:, free], _matmul_m61(basis[:, free[cols]], fresh)
+            )
+        grown = _np.zeros((len(new), n_cols), dtype=_np.int64)
+        grown[:, free] = fresh
+        piv = _np.concatenate([piv, free[cols]])
+        order = _np.argsort(piv)
+        basis, piv = _np.concatenate([basis, grown])[order], piv[order]
+        accepted += [lo + i for i in new]
+    return basis, piv, accepted
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:

@@ -19,22 +19,31 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Infeasible, InvalidInput, InvalidModulus, InvalidWord
+import numpy as np
+
+from .errors import Infeasible, InvalidInput, InvalidModulus, InvalidWord, TooLarge
 from .exactalg import (
+    _EXTEND_BLOCK,
     Matrix,
     MatrixTuple,
     ScalarRing,
-    SubspaceBasis,
     discriminant,
+    echelon_extend,
     evaluate_words,
+    letter_stack,
     prime_field,
     rank,
-    span_insert,
+    span_insert,  # noqa: F401 - re-exported; perfbench/tracer.py wraps it here
 )
 from .words import Word, all_words, build_word_grid, degree_exponent
 
 DEFAULT_PRIME = (1 << 61) - 1
 _MASK64 = (1 << 64) - 1
+
+# Largest n that `subspace_length` accepts.  Its echelon rows hold n^4
+# entries: on 2 cores one g = 2 chain at n = 48 takes ~13 s and peaks at
+# ~260 MB (n = 40: ~5 s, ~125 MB), growing as ~n^6 in time, ~n^4 in memory.
+LENGTH_MAX_N = 48
 
 
 def derive_trial_seed(seed: int, counter: int) -> int:
@@ -203,6 +212,15 @@ class LengthReport:
         }
 
 
+def check_length_size(n: int) -> None:
+    """Raise TooLarge when n exceeds the length-chain cap LENGTH_MAX_N."""
+    if n > LENGTH_MAX_N:
+        raise TooLarge(
+            f"length chains are capped at n = {LENGTH_MAX_N}; n = {n} would "
+            f"keep {n**4} echelon entries"
+        )
+
+
 def subspace_length(
     t: MatrixTuple, max_k: int | None = None, include_identity: bool = False
 ) -> LengthReport:
@@ -212,37 +230,48 @@ def subspace_length(
     reported chain ends with the first repeated dimension.  The identity is
     excluded unless requested (products of length zero are not counted).
     The length is None when max_k is hit before stabilization.
+
+    The letters, the fresh products and the echelon rows stay ring arrays
+    (`letter_stack`); each step's products are formed and go through
+    `echelon_extend` one elimination block (_EXTEND_BLOCK rows) at a time,
+    which bounds the memory that products and reductions hold at once.
     """
-    n = t.n
+    n, nn, ring = t.n, t.n * t.n, t.ring
     if max_k is None:
-        max_k = n * n + 1
+        max_k = nn + 1
     if max_k < 1:
         raise InvalidInput(f"max_k must be >= 1, got {max_k}")
-    basis = SubspaceBasis.empty(n, t.ring)
+    check_length_size(n)
+    letters, mul = letter_stack(t)
+    vectors, pivots = [], []
     if include_identity:
-        basis, _ = span_insert(basis, Matrix.identity(n, t.ring))
-    fresh: list[Matrix] = []
-    for m in t.matrices:
-        basis, inserted = span_insert(basis, m)
-        if inserted:
-            fresh.append(m)
-    dims = [basis.dimension]
+        identity = np.eye(n, dtype=letters.dtype).reshape(1, nn)
+        vectors, pivots, _ = echelon_extend(vectors, pivots, identity, ring)
+    vectors, pivots, accepted = echelon_extend(
+        vectors, pivots, letters.reshape(t.g, nn), ring
+    )
+    fresh = letters[accepted]
+    dims = [len(vectors)]
     length = None
     for k in range(1, max_k + 1):
-        nxt_fresh: list[Matrix] = []
-        nxt = basis
-        # products with one more factor; older basis members already
+        # products a @ b with one more factor, a over the letters (outer)
+        # and b over the fresh members (inner); older basis members already
         # produced their successors in earlier steps
-        for a in t.matrices:
-            for b in fresh:
-                nxt, inserted = span_insert(nxt, a.mul(b))
-                if inserted:
-                    nxt_fresh.append(nxt.matrices[-1])
-        dims.append(nxt.dimension)
-        if nxt.dimension == basis.dimension:
+        pairs, found = t.g * len(fresh), []
+        for lo in range(0, pairs, _EXTEND_BLOCK):
+            if len(vectors) == nn:
+                break  # a full span takes no more rows
+            ab = np.arange(lo, min(lo + _EXTEND_BLOCK, pairs))
+            prods = mul(letters[ab // len(fresh)], fresh[ab % len(fresh)])
+            vectors, pivots, accepted = echelon_extend(
+                vectors, pivots, prods.reshape(len(ab), nn), ring
+            )
+            found.append(prods[accepted])
+        dims.append(len(vectors))
+        if dims[-1] == dims[-2]:
             length = k
             break
-        basis, fresh = nxt, nxt_fresh
+        fresh = np.concatenate(found)
     return LengthReport(
         n=n,
         g=t.g,
@@ -293,6 +322,7 @@ def generic_length_experiment(
     include_identity: bool = False,
 ) -> LengthExperimentSummary:
     """Sample tuples and check the length against both bounds per trial."""
+    check_length_size(n)
     ring = prime_field(p)
     reports = []
     for trial in range(trials):

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 
+from sweepwords import cli
 from sweepwords.cli import main
+from sweepwords.genericity import LENGTH_MAX_N
 
 
 def run(argv):
@@ -183,6 +185,18 @@ class TestLengthCommand:
         )
         assert code == 0
         assert env["config"]["include_identity"] is True
+
+    def test_size_above_cap_exits_2(self, monkeypatch):
+        # a range reaching past the cap is refused before its first size runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an experiment before the size check")
+
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes in [str(LENGTH_MAX_N + 1), f"2..{LENGTH_MAX_N + 1}"]:
+            code, out, err = run(["length", "--n", sizes])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
 
 class TestWitnessCommand:

@@ -2,8 +2,10 @@
 
 `discriminant` over prime fields other than 2^61 - 1 folds the leading
 values of `_insert`; modulo 2^61 - 1 it is the blocked kernel at every
-size.  `rank` and `span_insert` are `_insert` as well.  Each is checked
-against the independent oracles in conftest.
+size.  `span_insert` is `_insert` as well, and so is `rank` except modulo
+2^61 - 1, where it is the blocked `echelon_extend`.  Each is checked
+against the independent oracles in conftest; `echelon_extend` modulo
+2^61 - 1 is checked against the `_insert` fold itself.
 """
 
 import random
@@ -13,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pure_det, rank_fractions
+from sweepwords import exactalg
 from sweepwords.exactalg import (
     MERSENNE61,
     Matrix,
     SubspaceBasis,
+    _insert,
     big_integer,
     discriminant,
+    echelon_extend,
     prime_field,
     rank,
     span_insert,
@@ -178,3 +183,117 @@ class TestSpanInsertFold:
                 assert sum(1 for other in basis.vectors if other[c]) == 1
             else:
                 assert row[c] > 0
+
+
+BLOCK = exactalg._EXTEND_BLOCK
+M61 = RINGS["fp_default"]
+
+
+def _fold(vectors, pivots, rows):
+    """The oracle: `_insert` folded over the rows, on copies of the basis."""
+    vectors, pivots = list(vectors), list(pivots)
+    accepted = [
+        i
+        for i, row in enumerate(rows)
+        if _insert(vectors, pivots, row, M61)[0] is not None
+    ]
+    return vectors, pivots, accepted
+
+
+def _dense_rows(rng, count, n_cols):
+    return [[rng.randrange(MERSENNE61) for _ in range(n_cols)] for _ in range(count)]
+
+
+def _assert_extend_matches_fold(vectors, pivots, rows):
+    expected = _fold(vectors, pivots, rows)
+    got_vectors, got_pivots, got_accepted = echelon_extend(
+        list(vectors), list(pivots), rows, M61
+    )
+    assert [tuple(r) for r in got_vectors.tolist()] == expected[0]
+    assert got_pivots.tolist() == expected[1]
+    assert got_accepted == expected[2]
+
+
+@st.composite
+def extension_cases(draw):
+    """(basis vectors, basis pivots, candidate rows) over F_(2^61-1).
+
+    The basis is the `_insert` fold of r random rows (r = 0 and r = N
+    included).  Candidates mix zero rows, duplicates and two-term
+    combinations of earlier candidates, multiples of basis rows, rows with
+    a long run of leading zeros (late pivots) and dense rows; their count
+    is drawn around one and two blocks.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n_cols = draw(st.sampled_from([1, 2, 5, 17, BLOCK + 3, 2 * BLOCK + 5]))
+    r = draw(st.sampled_from([0, n_cols, rng.randint(0, n_cols)]))
+    vectors, pivots = [], []
+    while len(vectors) < r:
+        _insert(vectors, pivots, _dense_rows(rng, 1, n_cols)[0], M61)
+    count = draw(
+        st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    )
+    p = MERSENNE61
+    rows = []
+    for _ in range(count):
+        kind = rng.randrange(7)
+        if kind == 0:
+            row = [0] * n_cols
+        elif kind == 1 and rows:
+            row = list(rng.choice(rows))
+        elif kind == 2 and vectors:
+            c = rng.randrange(1, p)
+            row = [c * x % p for x in rng.choice(vectors)]
+        elif kind == 3 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            row = [(x + 5 * y) % p for x, y in zip(a, b)]
+        elif kind == 4:
+            h = rng.randrange(n_cols)
+            row = [0] * h + [rng.randrange(p) for _ in range(n_cols - h)]
+        else:
+            row = [rng.randrange(p) for _ in range(n_cols)]
+        rows.append(row)
+    return vectors, pivots, rows
+
+
+class TestEchelonExtend:
+    @settings(max_examples=80, deadline=None)
+    @given(extension_cases())
+    def test_matches_insert_fold(self, case):
+        _assert_extend_matches_fold(*case)
+
+    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_block_boundaries_empty_basis(self, count):
+        # independent rows across one block boundary, then their duplicates
+        rng = random.Random(count)
+        n_cols = BLOCK + 8
+        rows = _dense_rows(rng, count, n_cols)
+        _assert_extend_matches_fold([], [], rows + rows[::-1])
+
+    def test_full_basis_takes_nothing(self):
+        # r = N leaves no free column: every candidate is already in the span
+        rng = random.Random(5)
+        n_cols = 9
+        identity = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+        vectors, pivots, _ = _fold([], [], identity)
+        rows = _dense_rows(rng, BLOCK + 1, n_cols)
+        _assert_extend_matches_fold(vectors, pivots, rows)
+        assert echelon_extend(vectors, pivots, rows, M61)[2] == []
+
+    def test_late_pivots_after_early_ones(self):
+        # the first candidates only reach the last columns, so later rows
+        # with early pivots sort in front of them
+        rng = random.Random(6)
+        n_cols = 40
+        late = [[0] * 30 + row for row in _dense_rows(rng, 10, 10)]
+        early = _dense_rows(rng, 35, n_cols)
+        _assert_extend_matches_fold([], [], late + early)
+
+    def test_fold_path_for_other_rings(self):
+        # every other ring folds `_insert` in place on the caller's lists
+        ring = RINGS["fp101"]
+        vectors, pivots = [], []
+        rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0], [0, 1, 0, 0]]
+        out = echelon_extend(vectors, pivots, rows, ring)
+        assert out == (vectors, pivots, [0, 3])
+        assert pivots == [0, 1]

@@ -19,6 +19,7 @@ from sweepwords.exactalg import (
     _det_mersenne_np,
     _np,
     _np_mulmod,
+    _unit_lower_inverse,
     big_integer,
     discriminant,
     evaluate_word,
@@ -323,6 +324,23 @@ class TestMersenneKernel:
         for row in rows:
             row[-1] = 0
         assert _det_mersenne_np(rows) == 0
+
+    @pytest.mark.parametrize("w", [1, 2, 8, 64])
+    def test_unit_lower_inverse(self, w):
+        # the U12 solve inverts the panel's unit lower triangle; the entries
+        # on and above the diagonal (U11 in the panel) must be ignored
+        rng = random.Random(w)
+        block = [[rng.randrange(MERSENNE61) for _ in range(w)] for _ in range(w)]
+        inv = _unit_lower_inverse(_np.array(block, dtype=_np.int64)).tolist()
+        lower = [
+            [int(i == j) if j >= i else block[i][j] for j in range(w)]
+            for i in range(w)
+        ]
+        product = [
+            [sum(x * y for x, y in zip(row, col)) % MERSENNE61 for col in zip(*lower)]
+            for row in inv
+        ]
+        assert product == [[int(i == j) for j in range(w)] for i in range(w)]
 
 
 class TestSpanInsert:

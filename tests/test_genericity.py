@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import mat
-from sweepwords import exactalg
-from sweepwords.errors import Infeasible, InvalidModulus, InvalidWord
-from sweepwords.exactalg import Matrix, MatrixTuple, evaluate_word, rank
+from sweepwords import exactalg, genericity
+from sweepwords.errors import Infeasible, InvalidModulus, InvalidWord, TooLarge
+from sweepwords.exactalg import Matrix, MatrixTuple, _insert, evaluate_word, rank
 from sweepwords.genericity import (
     DEFAULT_PRIME,
+    LENGTH_MAX_N,
+    check_length_size,
     derive_trial_seed,
     evaluate_words,
     generic_length_experiment,
@@ -154,15 +156,25 @@ class TestSweepCheck:
         assert sweep_check(words, t)
 
 
-def brute_dims(t: MatrixTuple, max_k: int) -> list[int]:
+def fold_rank(ms: list[Matrix]) -> int:
+    """Rank by folding `_insert`, not `rank`, which is under test here."""
+    vectors, pivots = [], []
+    for m in ms:
+        _insert(vectors, pivots, m.entries, m.ring)
+    return len(vectors)
+
+
+def brute_dims(
+    t: MatrixTuple, max_k: int, include_identity: bool = False
+) -> list[int]:
     """Independent span dimensions: evaluate every word of length <= k."""
     dims = []
     for k in range(1, max_k + 1):
-        evals = []
+        evals = [Matrix.identity(t.n, t.ring)] if include_identity else []
         for length in range(1, k + 1):
             for word in all_words(t.g, length):
                 evals.append(evaluate_word(word, t))
-        dims.append(rank(evals))
+        dims.append(fold_rank(evals))
     return dims
 
 
@@ -191,6 +203,27 @@ class TestSubspaceLength:
             oracle = brute_dims(t, report.length + 1)
             assert list(report.dims) == oracle
             assert oracle[report.length - 1] == oracle[report.length]
+
+    @pytest.mark.parametrize("include_identity", [False, True])
+    def test_fold_branch_against_bruteforce(self, fp101, include_identity):
+        # F_101 takes the `_insert` fold; 0/1 tuples give degenerate chains
+        rng = random.Random(37)
+        for trial in range(12):
+            n = rng.choice([1, 2, 3])
+            hi = 2 if trial % 2 else 101
+            t = MatrixTuple(
+                tuple(
+                    Matrix(n, n, tuple(rng.randrange(hi) for _ in range(n * n)), fp101)
+                    for _ in range(2)
+                )
+            )
+            report = subspace_length(t, include_identity=include_identity)
+            oracle = brute_dims(t, report.length + 1, include_identity)
+            assert list(report.dims) == oracle
+            capped = subspace_length(t, max_k=1, include_identity=include_identity)
+            assert list(capped.dims) == oracle[:2]
+            if report.length > 1:
+                assert capped.length is None
 
     def test_unresolved_when_capped(self, fp_default):
         rng = random.Random(3)
@@ -227,6 +260,32 @@ class TestSubspaceLength:
                 report = subspace_length(t)
                 assert report.length is not None
                 assert report.length <= 2 * grid.d
+
+
+class TestLengthCap:
+    def _forbid(self, monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for name in names:
+            monkeypatch.setattr(genericity, name, refuse)
+
+    def test_experiment_refuses_before_sampling(self, monkeypatch):
+        self._forbid(monkeypatch, "sample_tuple", "sample_matrix", "subspace_length")
+        with pytest.raises(TooLarge):
+            generic_length_experiment(LENGTH_MAX_N + 1, 2, trials=1)
+
+    def test_subspace_length_refuses_before_allocating(self, monkeypatch, fp101):
+        self._forbid(monkeypatch, "letter_stack", "echelon_extend")
+        n = LENGTH_MAX_N + 1
+        t = MatrixTuple((Matrix.zeros(n, fp101), Matrix.zeros(n, fp101)))
+        with pytest.raises(TooLarge):
+            subspace_length(t)
+
+    def test_cap_is_inclusive(self):
+        check_length_size(LENGTH_MAX_N)
+        with pytest.raises(TooLarge):
+            check_length_size(LENGTH_MAX_N + 1)
 
 
 class TestExperiment:
