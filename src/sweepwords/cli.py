@@ -134,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help=f"node budget for --enumerate (default {DEFAULT_BUDGET}; "
-        "d >= 3 searches exceed it and exit 3)",
+        help=f"node budget for --enumerate (default {DEFAULT_BUDGET}); a node "
+        "is one partial partition expanded.  d >= 3 searches exceed it and "
+        "exit 3",
     )
     p_graph.add_argument("--dot", default=None, help="also write a DOT file here")
     common(p_graph)
@@ -261,7 +262,7 @@ def _cmd_length(args) -> tuple[RunConfig, dict, int]:
     for n in sizes:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")
-        check_length_size(n)
+        check_length_size(n, args.prime)
     summaries = []
     code = 0
     for n in sizes:

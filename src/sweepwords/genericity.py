@@ -40,10 +40,15 @@ from .words import Word, all_words, build_word_grid, degree_exponent
 DEFAULT_PRIME = (1 << 61) - 1
 _MASK64 = (1 << 64) - 1
 
-# Largest n that `subspace_length` accepts.  Its echelon rows hold n^4
-# entries: on 2 cores one g = 2 chain at n = 48 takes ~13 s and peaks at
-# ~260 MB (n = 40: ~5 s, ~125 MB), growing as ~n^6 in time, ~n^4 in memory.
+# Largest n that `subspace_length` accepts modulo 2^61 - 1.  Its echelon
+# rows hold n^4 entries: on 2 cores one g = 2 chain at n = 48 takes ~13 s and
+# peaks at ~260 MB (n = 40: ~5 s, ~125 MB), growing as ~n^6 in time, ~n^4 in
+# memory.
 LENGTH_MAX_N = 48
+# Largest n over every other ring, where span growth is the pure-Python
+# `_insert` fold: one g = 2 chain (CLI wall time, 2 cores) takes 5-7 s at
+# n = 18 and 10-16 s at n = 20, growing as ~n^6.
+LENGTH_FOLD_MAX_N = 18
 
 
 def derive_trial_seed(seed: int, counter: int) -> int:
@@ -212,12 +217,17 @@ class LengthReport:
         }
 
 
-def check_length_size(n: int) -> None:
-    """Raise TooLarge when n exceeds the length-chain cap LENGTH_MAX_N."""
-    if n > LENGTH_MAX_N:
+def check_length_size(n: int, p: int | None = DEFAULT_PRIME) -> None:
+    """Raise TooLarge when n exceeds the length-chain cap of the ring.
+
+    The cap is LENGTH_MAX_N modulo 2^61 - 1 (p = DEFAULT_PRIME) and
+    LENGTH_FOLD_MAX_N modulo any other prime or over the integers (p None).
+    """
+    cap = LENGTH_MAX_N if p == DEFAULT_PRIME else LENGTH_FOLD_MAX_N
+    if n > cap:
         raise TooLarge(
-            f"length chains are capped at n = {LENGTH_MAX_N}; n = {n} would "
-            f"keep {n**4} echelon entries"
+            f"length chains are capped at n = {cap} (n <= {LENGTH_MAX_N} "
+            f"modulo 2^61 - 1, n <= {LENGTH_FOLD_MAX_N} otherwise); got n = {n}"
         )
 
 
@@ -241,7 +251,7 @@ def subspace_length(
         max_k = nn + 1
     if max_k < 1:
         raise InvalidInput(f"max_k must be >= 1, got {max_k}")
-    check_length_size(n)
+    check_length_size(n, ring.p)
     letters, mul = letter_stack(t)
     vectors, pivots = [], []
     if include_identity:
@@ -322,7 +332,7 @@ def generic_length_experiment(
     include_identity: bool = False,
 ) -> LengthExperimentSummary:
     """Sample tuples and check the length against both bounds per trial."""
-    check_length_size(n)
+    check_length_size(n, p)
     ring = prime_field(p)
     reports = []
     for trial in range(trials):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InvalidInput, TooLarge
 from .words import Word, all_words, degree_exponent, entry_variable_chain
 
 
@@ -254,6 +254,71 @@ class _Saturated(Exception):
     pass
 
 
+# candidate walks (summed over all words) the search stores before it
+# refuses the graph: g = 2, d = 4 stores 181,722 (~30 MB), and g = 2, d = 5
+# stops here
+CANDIDATE_WALKS_MAX = 250_000
+
+# a walk as (pair index, ((edge id, uses), ...))
+_Walk = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _candidate_walks(
+    graph: LabeledMultigraph, words: list[tuple[int, ...]]
+) -> tuple[list[int], list[list[_Walk]]]:
+    """Edge multiplicities by edge id, and every word's walks in the full graph.
+
+    A walk's pair index is (start - 1) * n_side + (end - 1).  Each word's
+    walks come in lexicographic (start, steps) order, which is the order the
+    search tries them in.
+    """
+    n_side = graph.n_vertices
+    pair_index = {
+        (i, j): (i - 1) * n_side + j - 1
+        for i in range(1, n_side + 1)
+        for j in range(1, n_side + 1)
+    }
+    keys = sorted(graph.edges)
+    mult = [graph.edges[key] for key in keys]
+    # adjacency by (source, label), targets ascending for canonical order
+    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for edge, (u, v, label) in enumerate(keys):
+        adj.setdefault((u, label), []).append((v, edge))
+    # one shared tuple per distinct (edge id, uses): a stored walk of
+    # length 8 then takes ~160 bytes
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    stored = 0
+    walks_by_word = []
+    for letters in words:
+        walks: list[_Walk] = []
+        usage: Counter[int] = Counter()
+
+        def walk_from(pos: int, depth: int, start: int):
+            if depth == len(letters):
+                steps = tuple(shared.setdefault(eu, eu) for eu in usage.items())
+                walks.append((pair_index[(start, pos)], steps))
+                return
+            for target, edge in adj.get((pos, letters[depth]), ()):
+                if mult[edge] > usage[edge]:
+                    usage[edge] += 1
+                    walk_from(target, depth + 1, start)
+                    usage[edge] -= 1
+                    if not usage[edge]:
+                        del usage[edge]
+
+        for start in range(1, n_side + 1):
+            walk_from(start, 0, start)
+        stored += len(walks)
+        if stored > CANDIDATE_WALKS_MAX:
+            raise TooLarge(
+                f"the partition search is capped at {CANDIDATE_WALKS_MAX} "
+                f"candidate walks; this graph's walks of length {len(letters)} "
+                "number more"
+            )
+        walks_by_word.append(walks)
+    return mult, walks_by_word
+
+
 def enumerate_partitions(
     graph: LabeledMultigraph, cap: int, budget: int = 100_000_000
 ) -> int:
@@ -261,101 +326,67 @@ def enumerate_partitions(
 
     Words are assigned in decreasing lexicographic order; each word's m
     walks are chosen in nondecreasing canonical order so that partitions
-    are counted as multisets.  The count saturates at `cap`; exceeding the
-    node-expansion budget raises BudgetExceeded instead of returning a
-    count.
+    are counted as multisets.  Every word's walks in the full graph are
+    listed once up front; a search node filters its word's list against
+    the residual edge and pair counts.  A node is one partial partition
+    expanded, i.e. one call of `extend`, leaves included.  The count
+    saturates at `cap`; expanding more than `budget` nodes raises
+    BudgetExceeded instead of returning a count, and a graph with more than
+    CANDIDATE_WALKS_MAX candidate walks raises TooLarge before the search.
     """
     if cap < 2:
         raise InvalidInput(f"cap must be >= 2, got {cap}")
-    g, d, m = graph.g, graph.d, graph.m
-    n_side = graph.n_vertices
-    words = [w.letters for w in all_words(g, 2 * d)]
-    edges_rem: Counter[tuple[int, int, int]] = Counter(graph.edges)
-    pair_rem = {
-        (i, j): m
-        for i in range(1, n_side + 1)
-        for j in range(1, n_side + 1)
-    }
-    label_rem = graph.label_counts()
-    # adjacency by (source, label), targets ascending for canonical order
-    adj: dict[tuple[int, int], list[int]] = {}
-    for (u, v, label) in sorted(graph.edges):
-        adj.setdefault((u, label), []).append(v)
-    # letters still needed by words[idx:] (m copies each), for the
-    # equality prune: residual label counts must exactly match
-    suffix_need: list[Counter[int]] = [Counter() for _ in range(len(words) + 1)]
-    for idx in range(len(words) - 1, -1, -1):
-        need = suffix_need[idx + 1].copy()
-        for letter in words[idx]:
+    m = graph.m
+    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    # every placed walk uses exactly its word's letters, so matching label
+    # totals up front is the only label check the search needs
+    need: Counter[int] = Counter()
+    for letters in words:
+        for letter in letters:
             need[letter] += m
-        suffix_need[idx] = need
-    if Counter({k: v for k, v in label_rem.items() if v}) != Counter(
-        {k: v for k, v in suffix_need[0].items() if v}
-    ):
+    have = graph.label_counts()
+    if {k: v for k, v in have.items() if v} != {k: v for k, v in need.items() if v}:
         return 0
+    edges_rem, walks_by_word = _candidate_walks(graph, words)
+    pair_rem = [m] * graph.n_vertices**2
+    n_words = len(words)
+    nodes = 0
+    count = 0
 
-    state = {"nodes": 0, "count": 0}
-
-    def candidate_walks(letters: tuple[int, ...]) -> list[tuple[int, tuple]]:
-        found: list[tuple[int, tuple]] = []
-        usage: Counter[tuple[int, int, int]] = Counter()
-        steps: list[tuple[int, int]] = []
-
-        def extend(pos: int, depth: int, start: int):
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise BudgetExceeded(state["nodes"], budget)
-            if depth == len(letters):
-                found.append((start, tuple(steps)))
-                return
-            letter = letters[depth]
-            for target in adj.get((pos, letter), ()):
-                key = (pos, target, letter)
-                if edges_rem[key] - usage[key] > 0:
-                    usage[key] += 1
-                    steps.append((target, letter))
-                    extend(target, depth + 1, start)
-                    steps.pop()
-                    usage[key] -= 1
-
-        for start in range(1, n_side + 1):
-            extend(start, 0, start)
-        return found
-
-    def place(walk: tuple[int, tuple], sign: int):
-        start, steps = walk
-        pos = start
-        for target, label in steps:
-            edges_rem[(pos, target, label)] -= sign
-            label_rem[label] -= sign
-            pos = target
-        pair_rem[(start, pos)] -= sign
-
-    def search(word_idx: int, copy_idx: int, min_walk):
-        if word_idx == len(words):
-            state["count"] += 1
-            if state["count"] >= cap:
+    def extend(word_idx: int, copy_idx: int, lo: int):
+        nonlocal nodes, count
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes, budget)
+        if word_idx == n_words:
+            count += 1
+            if count >= cap:
                 raise _Saturated
             return
-        letters = words[word_idx]
-        for walk in candidate_walks(letters):
-            if min_walk is not None and walk < min_walk:
+        walks = walks_by_word[word_idx]
+        last = copy_idx + 1 == m
+        # the next copy of this word restarts at this walk's index
+        for idx in range(lo, len(walks)):
+            pair, steps = walks[idx]
+            if not pair_rem[pair]:
                 continue
-            start, steps = walk
-            end = steps[-1][0] if steps else start
-            if pair_rem[(start, end)] == 0:
-                continue
-            place(walk, 1)
-            if copy_idx + 1 == m:
-                need = suffix_need[word_idx + 1]
-                if all(label_rem[k] == need[k] for k in range(1, g + 1)):
-                    search(word_idx + 1, 0, None)
+            for edge, uses in steps:
+                if edges_rem[edge] < uses:
+                    break
             else:
-                search(word_idx, copy_idx + 1, walk)
-            place(walk, -1)
+                pair_rem[pair] -= 1
+                for edge, uses in steps:
+                    edges_rem[edge] -= uses
+                if last:
+                    extend(word_idx + 1, 0, 0)
+                else:
+                    extend(word_idx, copy_idx + 1, idx)
+                pair_rem[pair] += 1
+                for edge, uses in steps:
+                    edges_rem[edge] += uses
 
     try:
-        search(0, 0, None)
+        extend(0, 0, 0)
     except _Saturated:
         pass
-    return state["count"]
+    return count

@@ -2,9 +2,9 @@ import contextlib
 import io
 import json
 
-from sweepwords import cli
+from sweepwords import cli, graphs
 from sweepwords.cli import main
-from sweepwords.genericity import LENGTH_MAX_N
+from sweepwords.genericity import LENGTH_FOLD_MAX_N, LENGTH_MAX_N
 
 
 def run(argv):
@@ -133,6 +133,14 @@ class TestGraphCommand:
         assert code == 3
         assert "budget" in err
 
+    def test_candidate_walk_cap_exits_2(self, monkeypatch):
+        # level 2 lists 116 candidate walks; below that the search refuses
+        monkeypatch.setattr(graphs, "CANDIDATE_WALKS_MAX", 115)
+        code, out, err = run(["graph", "--g", "2", "--d", "2", "--enumerate"])
+        assert code == 2
+        assert out == ""
+        assert "candidate walks" in err
+
     def test_edge_dump_matches_level_one_multiplicities(self):
         code, env, _ = run_json(["graph", "--g", "2", "--d", "1"])
         assert code == 0
@@ -194,6 +202,18 @@ class TestLengthCommand:
         monkeypatch.setattr(cli, "generic_length_experiment", refuse)
         for sizes in [str(LENGTH_MAX_N + 1), f"2..{LENGTH_MAX_N + 1}"]:
             code, out, err = run(["length", "--n", sizes])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
+
+    def test_fold_size_above_cap_exits_2(self, monkeypatch):
+        # off the default prime the cap is lower, and is checked the same way
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an experiment before the size check")
+
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes in [str(LENGTH_FOLD_MAX_N + 1), f"2..{LENGTH_FOLD_MAX_N + 1}"]:
+            code, out, err = run(["length", "--n", sizes, "--prime", "101"])
             assert code == 2
             assert out == ""
             assert "capped" in err

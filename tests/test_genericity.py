@@ -10,6 +10,7 @@ from sweepwords.errors import Infeasible, InvalidModulus, InvalidWord, TooLarge
 from sweepwords.exactalg import Matrix, MatrixTuple, _insert, evaluate_word, rank
 from sweepwords.genericity import (
     DEFAULT_PRIME,
+    LENGTH_FOLD_MAX_N,
     LENGTH_MAX_N,
     check_length_size,
     derive_trial_seed,
@@ -286,6 +287,26 @@ class TestLengthCap:
         check_length_size(LENGTH_MAX_N)
         with pytest.raises(TooLarge):
             check_length_size(LENGTH_MAX_N + 1)
+
+    def test_fold_cap_is_inclusive(self):
+        # every ring but F_(2^61-1) grows its span with the pure-Python fold
+        check_length_size(LENGTH_FOLD_MAX_N + 1)
+        for p in (101, (1 << 61) - 31, None):
+            check_length_size(LENGTH_FOLD_MAX_N, p)
+            with pytest.raises(TooLarge):
+                check_length_size(LENGTH_FOLD_MAX_N + 1, p)
+
+    def test_fold_experiment_refuses_before_sampling(self, monkeypatch):
+        self._forbid(monkeypatch, "sample_tuple", "sample_matrix", "subspace_length")
+        with pytest.raises(TooLarge):
+            generic_length_experiment(LENGTH_FOLD_MAX_N + 1, 2, p=101, trials=1)
+
+    def test_fold_subspace_length_refuses_before_allocating(self, monkeypatch, fp101):
+        self._forbid(monkeypatch, "letter_stack", "echelon_extend")
+        n = LENGTH_FOLD_MAX_N + 1
+        t = MatrixTuple((Matrix.zeros(n, fp101), Matrix.zeros(n, fp101)))
+        with pytest.raises(TooLarge):
+            subspace_length(t)
 
 
 class TestExperiment:
