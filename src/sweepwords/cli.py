@@ -259,6 +259,8 @@ def _cmd_graph(args) -> tuple[RunConfig, dict, int]:
 def _cmd_length(args) -> tuple[RunConfig, dict, int]:
     sizes = _parse_n_range(args.n)
     # refuse the whole range before running any of it
+    if args.trials < 1:
+        raise InvalidInput("need at least one trial")
     for n in sizes:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")

@@ -8,26 +8,25 @@ functions, so results may be shared freely across threads.
 Modulo the default prime 2^61 - 1, matrix products run through one exact
 BLAS kernel (`_matmul_m61`): entries split into 21-bit limbs, the limb
 products are float64 matmuls that stay below 2^53, and the partial sums
-recombine mod 2^61 - 1.  Three things are built on it:
+recombine mod 2^61 - 1.  Two things are built on it:
 
 - `evaluate_words`, the one word evaluator: every word splits into two
   halves, the distinct halves are built through a prefix trie, and all
   words are one batched product head @ tail.  Other rings take the same
   route with exact Python-int products (`letter_stack` picks the product).
-- `_det_mersenne_np`, a right-looking blocked LU whose U12 solve and
-  trailing updates are kernel products; it takes every determinant mod
-  2^61 - 1.
 - `_extend_m61`, blocked echelon extension: candidate rows go into an
   int64 RREF basis in blocks, each reduced against the basis by one kernel
-  product.  Through `echelon_extend` it carries `rank` and the span growth
-  of `genericity.subspace_length` mod 2^61 - 1.
+  product.
 
-Every other elimination goes through one echelon-insert routine,
-`_insert`, which reduces a vector against sorted echelon rows and inserts
-it in place.  `span_insert` is built on it, and so are `echelon_extend`
-over every ring but F_(2^61-1) and the determinant over every other prime
-field; `_extend_m61` returns exactly what folding `_insert` would.
-Integer determinants use fraction-free (Bareiss) elimination.
+Every elimination over a prime field goes through `echelon_extend`: the
+blocked `_extend_m61` mod 2^61 - 1, and otherwise a fold of one
+echelon-insert routine, `_insert`, which reduces a vector against sorted
+echelon rows and inserts it in place; `_extend_m61` returns exactly what
+that fold would.  `rank`, the span growth of `genericity.subspace_length`
+and every prime-field determinant are built on `echelon_extend`; a
+determinant is the product of the leads it reports times the sign of the
+pivot order (`_det_echelon`).  `span_insert` is `_insert` itself.  Integer
+determinants use fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -214,37 +213,6 @@ class Matrix:
         nc = self.n_cols
         return [list(self.entries[r * nc : (r + 1) * nc]) for r in range(self.n_rows)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.n_cols,
-            self.n_rows,
-            tuple(
-                self.entries[r * self.n_cols + c]
-                for c in range(self.n_cols)
-                for r in range(self.n_rows)
-            ),
-            self.ring,
-        )
-
-    def scale(self, c: int) -> "Matrix":
-        ring = self.ring
-        return Matrix(
-            self.n_rows,
-            self.n_cols,
-            tuple(ring.canon(c * x) for x in self.entries),
-            ring,
-        )
-
-    def add(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other, same_shape=True)
-        ring = self.ring
-        return Matrix(
-            self.n_rows,
-            self.n_cols,
-            tuple(ring.canon(a + b) for a, b in zip(self.entries, other.entries)),
-            ring,
-        )
-
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
         if self.n_cols != other.n_rows:
@@ -270,13 +238,9 @@ class Matrix:
                     out.append(sum(arow[k] * b[k * m + j] for k in range(mid)))
         return Matrix(n, m, tuple(out), self.ring)
 
-    def _check_compatible(self, other: "Matrix", same_shape: bool = False):
+    def _check_compatible(self, other: "Matrix"):
         if self.ring != other.ring:
             raise InvalidInput("ring mismatch")
-        if same_shape and (
-            self.n_rows != other.n_rows or self.n_cols != other.n_cols
-        ):
-            raise InvalidShape("shape mismatch")
 
     def to_json(self) -> dict:
         if not self.is_square:
@@ -439,40 +403,60 @@ def discriminant(ms: list[Matrix]) -> int:
     """Determinant of the n^2-by-n^2 matrix whose k-th column is vectorize(ms[k]).
 
     Exact over both rings.  Over the integers it is fraction-free (Bareiss)
-    elimination; modulo 2^61 - 1 it is the blocked LU `_det_mersenne_np`.
-    Over any other prime field the rows go one by one into the echelon
-    rows of `_insert`: each reduced row is upper triangular once the rows
-    are sorted by pivot, so the determinant is the product of the leading
-    values times the sign of that sort, and 0 at the first dependent row.
+    elimination.  Over every prime field the vectorizations go in as rows
+    (the transpose has the same determinant) to `_det_echelon`: the product
+    of the leads that `echelon_extend` reports times the sign of the pivot
+    order, or 0 at the first slice with a dependent row.
     """
     n, ring = _check_uniform(ms)
     nn = n * n
     if len(ms) != nn:
         raise ArityMismatch(f"discriminant needs exactly {nn} matrices, got {len(ms)}")
-    rows = [list(r) for r in zip(*(m.entries for m in ms))]
     if ring.kind == "big_integer":
-        return _det_bareiss(rows)
+        return _det_bareiss([list(r) for r in zip(*(m.entries for m in ms))])
+    return _det_echelon([m.entries for m in ms], ring)
+
+
+def _det_echelon(rows, ring: ScalarRing) -> int:
+    """Determinant of a square matrix over a prime field, via `echelon_extend`.
+
+    The rows go in slices of _EXTEND_BLOCK, and the first slice with a
+    rejected row means the determinant is 0.  Otherwise each row i, when
+    accepted, has been reduced by adding multiples of earlier rows (which
+    keeps the determinant) to a row with leading value lead_i in column c_i
+    and zeros in every earlier pivot column.  Those reduced rows, with
+    column c_i moved to place i, form an upper triangular matrix, so the
+    determinant is sign(i -> c_i) times the product of the leads.
+    """
     p = ring.p
-    if p == MERSENNE61:
-        return _det_mersenne_np(rows)
-    vectors: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    det = 1
-    for row in rows:
-        lead, pos = _insert(vectors, pivots, row, ring)
-        if lead is None:
+    vectors, pivots, leads = [], [], []
+    for lo in range(0, len(rows), _EXTEND_BLOCK):
+        block = rows[lo : lo + _EXTEND_BLOCK]
+        vectors, pivots, accepted, new = echelon_extend(vectors, pivots, block, ring)
+        if len(accepted) < len(block):
             return 0
+        leads += new
+    det = 1
+    for _, lead in leads:
         det = det * lead % p
-        # every row that now sorts after the new one is one transposition
-        if (len(pivots) - 1 - pos) % 2:
-            det = p - det
-    return det
+    # a permutation of N points with k cycles has the parity of N - k
+    cols = [c for c, _ in leads]
+    seen = [False] * len(cols)
+    odd = len(cols) % 2
+    for start in range(len(cols)):
+        if not seen[start]:
+            odd ^= 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = cols[i]
+    return -det % p if odd else det
 
 
 def rank(ms: list[Matrix]) -> int:
     """Rank of the vectorized collection; equals n^2 iff the span is full."""
     _, ring = _check_uniform(ms)
-    vectors, _, _ = echelon_extend([], [], [m.entries for m in ms], ring)
+    vectors, _, _, _ = echelon_extend([], [], [m.entries for m in ms], ring)
     return len(vectors)
 
 
@@ -482,23 +466,28 @@ def rank(ms: list[Matrix]) -> int:
 def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
     """Insert the rows (a nonempty 2-D sequence) in order into echelon rows.
 
-    Returns (vectors, pivots, accepted): the echelon rows of the grown span
-    and the indices, in order, of the rows that were not in the span of
-    the echelon rows and the rows before them.  The result equals folding
-    `_insert` over the rows.  Modulo 2^61 - 1 the rows go through the
-    blocked `_extend_m61`, which takes any start (`[]` included) and
-    returns `vectors` as an int64 array and `pivots` as an index array;
-    over every other ring they are the lists of `_insert`.  Either way the
-    echelon rows passed in may be changed in place: use the returned ones.
+    Returns (vectors, pivots, accepted, leads): the echelon rows of the
+    grown span, the indices, in order, of the rows that were not in the
+    span of the echelon rows and the rows before them, and for each
+    accepted row its (pivot column, lead), the lead being the row's
+    leading value once reduced, before it is scaled to a unit pivot.  Over
+    a prime field these give the determinant of a full-rank square matrix
+    (`_det_echelon`).  The result equals folding `_insert` over the rows.
+    Modulo 2^61 - 1 the rows go through the blocked `_extend_m61`, which
+    takes any start (`[]` included) and returns `vectors` as an int64 array
+    and `pivots` as an index array; over every other ring they are the
+    lists of `_insert`.  Either way the echelon rows passed in may be
+    changed in place: use the returned ones.
     """
     if ring.kind == "prime_field" and ring.p == MERSENNE61:
         return _extend_m61(vectors, pivots, rows)
-    accepted = [
-        i
-        for i, row in enumerate(rows)
-        if _insert(vectors, pivots, row, ring)[0] is not None
-    ]
-    return vectors, pivots, accepted
+    accepted, leads = [], []
+    for i, row in enumerate(rows):
+        lead, pos = _insert(vectors, pivots, row, ring)
+        if lead is not None:
+            accepted.append(i)
+            leads.append((pivots[pos], lead))
+    return vectors, pivots, accepted, leads
 
 
 def _insert(
@@ -648,83 +637,6 @@ def _matmul_m61(a, b):
     return _np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
 
 
-# Panel width of the blocked determinant.  The panel is factored by
-# elementwise rank-1 updates, whose cost grows with the width, while the
-# trailing update runs through BLAS with the width as its inner dimension.
-# On 2 cores at N = 256, 400 and 1024, widths 32 and 64 tie and 128 is
-# ~40% slower.  64 is also far below the kernel's exactness chunk.
-_DET_BLOCK = 64
-
-
-def _det_mersenne_np(rows: list[list[int]]) -> int:
-    """Determinant mod 2^61-1 by right-looking blocked LU (entries in [0, p)).
-
-    Each panel of _DET_BLOCK columns is factored with first-nonzero
-    pivoting, swapping whole rows together with their stored multipliers;
-    every row's columns right of the panel wait until the panel is done,
-    so rows swapped during the panel are always in the same state.  Then
-    U12 = L11^-1 A12, with the unit lower triangle L11 inverted by
-    `_unit_lower_inverse`, and A22 -= L21 @ U12, all through `_matmul_m61`.
-    """
-    p = MERSENNE61
-    m = _np.array(rows, dtype=_np.int64)
-    n = m.shape[0]
-    det = 1
-    for k0 in range(0, n, _DET_BLOCK):
-        k1 = min(k0 + _DET_BLOCK, n)
-        for k in range(k0, k1):
-            nz = _np.nonzero(m[k:, k])[0]
-            if nz.size == 0:
-                return 0
-            piv = int(nz[0]) + k
-            if piv != k:
-                m[[k, piv]] = m[[piv, k]]
-                det = p - det
-            pk = int(m[k, k])
-            det = det * pk % p
-            if k + 1 == n:
-                break
-            inv = _np.int64(pow(pk, -1, p))
-            m[k + 1 :, k : k + 1] = _np_mulmod(m[k + 1 :, k : k + 1], inv)
-            m[k + 1 :, k + 1 : k1] = _sub_m61(
-                m[k + 1 :, k + 1 : k1],
-                _np_mulmod(m[k + 1 :, k : k + 1], m[k : k + 1, k + 1 : k1]),
-            )
-        if k1 == n:
-            break
-        # every panel but the last is _DET_BLOCK wide, a power of two
-        m[k0:k1, k1:] = _matmul_m61(
-            _unit_lower_inverse(m[k0:k1, k0:k1]), m[k0:k1, k1:]
-        )
-        m[k1:, k1:] = _sub_m61(
-            m[k1:, k1:], _matmul_m61(m[k1:, k0:k1], m[k0:k1, k1:])
-        )
-    return det
-
-
-def _unit_lower_inverse(lu):
-    """Inverse mod 2^61-1 of the unit lower triangle of a w x w block, w = 2^j.
-
-    Only the strictly lower part of `lu` is read.  Level s inverts the
-    w / 2s diagonal blocks [[A, 0], [C, D]] of size 2s whose halves A and D
-    are already inverted, as [[A^-1, 0], [-D^-1 C A^-1, D^-1]]; the blocks
-    of one level are one stacked product, so there are 2 log2(w) kernel
-    calls in all.
-    """
-    w = lu.shape[0]
-    inv = _np.eye(w, dtype=_np.int64)
-    s = 1
-    while s < w:
-        m = w // (2 * s)
-        k = _np.arange(m)
-        blocks = inv.reshape(m, 2 * s, m, 2 * s)  # a view of inv
-        c = lu.reshape(m, 2 * s, m, 2 * s)[k, s:, k, :s]
-        c_a = _matmul_m61(c, blocks[k, :s, k, :s])
-        blocks[k, s:, k, :s] = _sub_m61(0, _matmul_m61(blocks[k, s:, k, s:], c_a))
-        s *= 2
-    return inv
-
-
 # Rows per block of `_extend_m61`.  A block is one reduction product
 # against the basis, so it bounds the transient memory of the reduction;
 # `genericity.subspace_length` forms its products in blocks of this size
@@ -742,7 +654,9 @@ def _extend_m61(vectors, pivots, rows):
     columns only, since the pivot columns of a reduced row are 0; a
     first-nonzero Gauss-Jordan elimination inside the block accepts rows in
     order; one more kernel product clears the new pivot columns from the
-    old rows.  RREF is unique, so rows and pivots equal the `_insert` fold.
+    old rows.  RREF is unique, so rows and pivots equal the `_insert` fold,
+    and so do the leads: a row's lead is read just before it is scaled, when
+    it has been reduced against every earlier row.
     """
     p = MERSENNE61
     rows = _np.asarray(rows, dtype=_np.int64)
@@ -750,6 +664,7 @@ def _extend_m61(vectors, pivots, rows):
     basis = _np.asarray(vectors, dtype=_np.int64).reshape(-1, n_cols)
     piv = _np.asarray(pivots, dtype=_np.intp)
     accepted: list[int] = []
+    leads: list[tuple[int, int]] = []
     for lo in range(0, len(rows), _EXTEND_BLOCK):
         is_free = _np.ones(n_cols, dtype=bool)
         is_free[piv] = False
@@ -767,7 +682,9 @@ def _extend_m61(vectors, pivots, rows):
             if nz.size == 0:
                 continue
             c = nz[0]
-            w[i] = _np_mulmod(w[i], _np.int64(pow(int(w[i, c]), -1, p)))
+            lead = int(w[i, c])
+            leads.append((int(free[c]), lead))
+            w[i] = _np_mulmod(w[i], _np.int64(pow(lead, -1, p)))
             f = w[:, c].copy()
             f[i] = 0
             hit = _np.flatnonzero(f)
@@ -787,7 +704,7 @@ def _extend_m61(vectors, pivots, rows):
         order = _np.argsort(piv)
         basis, piv = _np.concatenate([basis, grown])[order], piv[order]
         accepted += [lo + i for i in new]
-    return basis, piv, accepted
+    return basis, piv, accepted, leads
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:

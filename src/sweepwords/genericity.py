@@ -256,8 +256,8 @@ def subspace_length(
     vectors, pivots = [], []
     if include_identity:
         identity = np.eye(n, dtype=letters.dtype).reshape(1, nn)
-        vectors, pivots, _ = echelon_extend(vectors, pivots, identity, ring)
-    vectors, pivots, accepted = echelon_extend(
+        vectors, pivots, _, _ = echelon_extend(vectors, pivots, identity, ring)
+    vectors, pivots, accepted, _ = echelon_extend(
         vectors, pivots, letters.reshape(t.g, nn), ring
     )
     fresh = letters[accepted]
@@ -273,7 +273,7 @@ def subspace_length(
                 break  # a full span takes no more rows
             ab = np.arange(lo, min(lo + _EXTEND_BLOCK, pairs))
             prods = mul(letters[ab // len(fresh)], fresh[ab % len(fresh)])
-            vectors, pivots, accepted = echelon_extend(
+            vectors, pivots, accepted, _ = echelon_extend(
                 vectors, pivots, prods.reshape(len(ab), nn), ring
             )
             found.append(prods[accepted])
@@ -332,6 +332,8 @@ def generic_length_experiment(
     include_identity: bool = False,
 ) -> LengthExperimentSummary:
     """Sample tuples and check the length against both bounds per trial."""
+    if trials < 1:
+        raise InvalidInput("need at least one trial")
     check_length_size(n, p)
     ring = prime_field(p)
     reports = []

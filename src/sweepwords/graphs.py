@@ -331,11 +331,14 @@ def enumerate_partitions(
     the residual edge and pair counts.  A node is one partial partition
     expanded, i.e. one call of `extend`, leaves included.  The count
     saturates at `cap`; expanding more than `budget` nodes raises
-    BudgetExceeded instead of returning a count, and a graph with more than
-    CANDIDATE_WALKS_MAX candidate walks raises TooLarge before the search.
+    BudgetExceeded instead of returning a count.  A negative budget raises
+    InvalidInput, and a graph with more than CANDIDATE_WALKS_MAX candidate
+    walks raises TooLarge, both before the search.
     """
     if cap < 2:
         raise InvalidInput(f"cap must be >= 2, got {cap}")
+    if budget < 0:
+        raise InvalidInput(f"budget must be >= 0, got {budget}")
     m = graph.m
     words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
     # every placed walk uses exactly its word's letters, so matching label

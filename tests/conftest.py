@@ -69,6 +69,23 @@ def mat(rows: list[list[int]], ring: exactalg.ScalarRing) -> exactalg.Matrix:
     return exactalg.Matrix.from_rows(rows, ring)
 
 
+def mat_add(a: exactalg.Matrix, b: exactalg.Matrix) -> exactalg.Matrix:
+    """Entrywise sum of two matrices of one shape over one ring."""
+    assert (a.n_rows, a.n_cols, a.ring) == (b.n_rows, b.n_cols, b.ring)
+    entries = tuple(a.ring.canon(x + y) for x, y in zip(a.entries, b.entries))
+    return exactalg.Matrix(a.n_rows, a.n_cols, entries, a.ring)
+
+
+def mat_scale(m: exactalg.Matrix, c: int) -> exactalg.Matrix:
+    """The matrix c * m."""
+    entries = tuple(m.ring.canon(c * x) for x in m.entries)
+    return exactalg.Matrix(m.n_rows, m.n_cols, entries, m.ring)
+
+
+def mat_transpose(m: exactalg.Matrix) -> exactalg.Matrix:
+    return mat([list(col) for col in zip(*m.rows())], m.ring)
+
+
 @pytest.fixture(scope="session")
 def fp_default() -> exactalg.ScalarRing:
     return exactalg.prime_field((1 << 61) - 1)

@@ -12,7 +12,7 @@ import random
 import time
 from collections import Counter
 
-from conftest import mat
+from conftest import mat, mat_scale
 from sweepwords import exactalg, words
 from sweepwords.exactalg import MatrixTuple, discriminant, prime_field
 from sweepwords.genericity import (
@@ -260,6 +260,6 @@ def test_criterion_10e_scale_invariance():
         g = rng.choice([2, 3])
         t = sample_tuple(n, g, FP, rng)
         c = rng.randrange(1, DEFAULT_PRIME)
-        scaled = MatrixTuple(tuple(m.scale(c) for m in t.matrices))
+        scaled = MatrixTuple(tuple(mat_scale(m, c) for m in t.matrices))
         assert subspace_length(t).dims == subspace_length(scaled).dims
     report(10, True, "property suite e: length chains are scale-invariant, 100 cases")

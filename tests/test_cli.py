@@ -133,6 +133,14 @@ class TestGraphCommand:
         assert code == 3
         assert "budget" in err
 
+    def test_negative_budget_exits_2(self):
+        code, out, err = run(
+            ["graph", "--g", "2", "--d", "1", "--enumerate", "--budget", "-1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget must be >= 0" in err
+
     def test_candidate_walk_cap_exits_2(self, monkeypatch):
         # level 2 lists 116 candidate walks; below that the search refuses
         monkeypatch.setattr(graphs, "CANDIDATE_WALKS_MAX", 115)
@@ -205,6 +213,19 @@ class TestLengthCommand:
             assert code == 2
             assert out == ""
             assert "capped" in err
+
+    def test_no_trials_exits_2(self, monkeypatch):
+        # refused before the first size of a range runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an experiment before the trials check")
+
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes in ["2", "2..4"]:
+            for trials in ["0", "-3"]:
+                code, out, err = run(["length", "--n", sizes, "--trials", trials])
+                assert code == 2
+                assert out == ""
+                assert "at least one trial" in err
 
     def test_fold_size_above_cap_exits_2(self, monkeypatch):
         # off the default prime the cap is lower, and is checked the same way

@@ -1,11 +1,11 @@
 """Differential tests for the echelon core and everything built on it.
 
-`discriminant` over prime fields other than 2^61 - 1 folds the leading
-values of `_insert`; modulo 2^61 - 1 it is the blocked kernel at every
-size.  `span_insert` is `_insert` as well, and so is `rank` except modulo
-2^61 - 1, where it is the blocked `echelon_extend`.  Each is checked
-against the independent oracles in conftest; `echelon_extend` modulo
-2^61 - 1 is checked against the `_insert` fold itself.
+`discriminant` over every prime field and `rank` over every ring take the
+rows through `echelon_extend`, which folds `_insert` except modulo
+2^61 - 1, where it is the blocked `_extend_m61`.  `span_insert` is
+`_insert` itself.  Each is checked against the independent oracles in
+conftest; `echelon_extend` modulo 2^61 - 1, leads included, is checked
+against the `_insert` fold itself.
 """
 
 import random
@@ -190,14 +190,19 @@ M61 = RINGS["fp_default"]
 
 
 def _fold(vectors, pivots, rows):
-    """The oracle: `_insert` folded over the rows, on copies of the basis."""
+    """The oracle: `_insert` folded over the rows, on copies of the basis.
+
+    Returns (vectors, pivots, accepted, leads) with leads the (pivot
+    column, lead) that `_insert` reports for each accepted row.
+    """
     vectors, pivots = list(vectors), list(pivots)
-    accepted = [
-        i
-        for i, row in enumerate(rows)
-        if _insert(vectors, pivots, row, M61)[0] is not None
-    ]
-    return vectors, pivots, accepted
+    accepted, leads = [], []
+    for i, row in enumerate(rows):
+        lead, pos = _insert(vectors, pivots, row, M61)
+        if lead is not None:
+            accepted.append(i)
+            leads.append((pivots[pos], lead))
+    return vectors, pivots, accepted, leads
 
 
 def _dense_rows(rng, count, n_cols):
@@ -206,12 +211,13 @@ def _dense_rows(rng, count, n_cols):
 
 def _assert_extend_matches_fold(vectors, pivots, rows):
     expected = _fold(vectors, pivots, rows)
-    got_vectors, got_pivots, got_accepted = echelon_extend(
+    got_vectors, got_pivots, got_accepted, got_leads = echelon_extend(
         list(vectors), list(pivots), rows, M61
     )
     assert [tuple(r) for r in got_vectors.tolist()] == expected[0]
     assert got_pivots.tolist() == expected[1]
     assert got_accepted == expected[2]
+    assert got_leads == expected[3]
 
 
 @st.composite
@@ -275,7 +281,7 @@ class TestEchelonExtend:
         rng = random.Random(5)
         n_cols = 9
         identity = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-        vectors, pivots, _ = _fold([], [], identity)
+        vectors, pivots, _, _ = _fold([], [], identity)
         rows = _dense_rows(rng, BLOCK + 1, n_cols)
         _assert_extend_matches_fold(vectors, pivots, rows)
         assert echelon_extend(vectors, pivots, rows, M61)[2] == []
@@ -295,5 +301,5 @@ class TestEchelonExtend:
         vectors, pivots = [], []
         rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0], [0, 1, 0, 0]]
         out = echelon_extend(vectors, pivots, rows, ring)
-        assert out == (vectors, pivots, [0, 3])
+        assert out == (vectors, pivots, [0, 3], [(0, 1), (1, 1)])
         assert pivots == [0, 1]

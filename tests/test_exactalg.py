@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import det_cofactor, mat, pure_det, rank_fractions
+from conftest import det_cofactor, mat, mat_add, mat_scale, pure_det, rank_fractions
+from sweepwords import exactalg
 from sweepwords.errors import (
     ArityMismatch,
     InvalidInput,
@@ -16,10 +17,9 @@ from sweepwords.exactalg import (
     MatrixTuple,
     ScalarRing,
     SubspaceBasis,
-    _det_mersenne_np,
+    _det_echelon,
     _np,
     _np_mulmod,
-    _unit_lower_inverse,
     big_integer,
     discriminant,
     evaluate_word,
@@ -30,6 +30,8 @@ from sweepwords.exactalg import (
     vectorize,
 )
 from sweepwords.words import Word
+
+BLOCK = exactalg._EXTEND_BLOCK
 
 
 class TestScalarRing:
@@ -215,7 +217,7 @@ class TestDiscriminant:
             ]
             if trial % 2:
                 # plant a dependency: last = sum of the first two
-                ms[3] = ms[0].add(ms[1])
+                ms[3] = mat_add(ms[0], ms[1])
             d = discriminant(ms)
             r = rank(ms)
             assert (d != 0) == (r == n * n)
@@ -264,8 +266,90 @@ class TestRank:
             assert rank([mat(rows, fp101) for rows in rows_list]) == expected
 
 
+class _DeterminantCases:
+    """`_det_echelon` over F_p against the pure elimination of conftest.
+
+    Subclasses set p.  The rows go into `echelon_extend` in slices of
+    _EXTEND_BLOCK = 32, so the sizes sit on and across slice boundaries.
+    """
+
+    p = MERSENNE61
+
+    def _det(self, rows):
+        return _det_echelon(rows, prime_field(self.p))
+
+    def _random_rows(self, rng, n):
+        return [[rng.randrange(self.p) for _ in range(n)] for _ in range(n)]
+
+    def test_determinant_matches_pure_path(self):
+        rng = random.Random(10)
+        for n in [1, 2, 5, 24, 30, 40]:
+            rows = self._random_rows(rng, n)
+            fast = self._det(rows)
+            # reference: cofactor for tiny sizes, pure elimination always
+            if n <= 5:
+                assert fast == det_cofactor(rows) % self.p
+            assert fast == pure_det(rows, self.p)
+
+    def test_singular_matrix(self):
+        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
+        assert self._det(rows) == 0
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+    def test_determinant_above_block_width(self, n):
+        rng = random.Random(n)
+        rows = self._random_rows(rng, n)
+        assert self._det(rows) == pure_det(rows, self.p)
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 65])
+    def test_determinant_across_slice_boundary(self, n):
+        rng = random.Random(1000 + n)
+        rows = self._random_rows(rng, n)
+        assert self._det(rows) == pure_det(rows, self.p)
+
+    @pytest.mark.parametrize("n, h", [(150, 20), (150, 70), (200, 100)])
+    def test_late_pivots(self, n, h):
+        # [[0, B], [C, D]] with a zero h x h top-left block: the first h
+        # rows take pivots right of column h, so later rows sort before them
+        rng = random.Random(h)
+        rows = self._random_rows(rng, n)
+        for i in range(h):
+            rows[i][:h] = [0] * h
+        det = self._det(rows)
+        assert det != 0
+        assert det == pure_det(rows, self.p)
+
+    def test_duplicated_row_in_second_block(self):
+        rng = random.Random(12)
+        rows = self._random_rows(rng, 129)
+        rows[100] = list(rows[70])
+        assert self._det(rows) == 0
+
+    def test_zero_last_column(self):
+        rng = random.Random(13)
+        rows = self._random_rows(rng, 129)
+        for row in rows:
+            row[-1] = 0
+        assert self._det(rows) == 0
+
+    def test_dependency_in_first_slice_stops_there(self, monkeypatch):
+        sizes = []
+        extend = exactalg.echelon_extend
+
+        def counted(vectors, pivots, rows, ring):
+            sizes.append(len(rows))
+            return extend(vectors, pivots, rows, ring)
+
+        monkeypatch.setattr(exactalg, "echelon_extend", counted)
+        rng = random.Random(14)
+        rows = self._random_rows(rng, 3 * BLOCK)
+        rows[1] = list(rows[0])
+        assert self._det(rows) == 0
+        assert sizes == [BLOCK]
+
+
 @pytest.mark.skipif(_np is None, reason="numpy not installed")
-class TestMersenneKernel:
+class TestMersenneKernel(_DeterminantCases):
     def test_elementwise_mulmod_fuzz(self):
         rng = random.Random(9)
         xs = [rng.randrange(MERSENNE61) for _ in range(4096)]
@@ -276,71 +360,13 @@ class TestMersenneKernel:
         for i in range(0, 4096, 97):
             assert int(out[i]) == xs[i] * ys[i] % MERSENNE61
 
-    def test_determinant_matches_pure_path(self):
-        rng = random.Random(10)
-        for n in [1, 2, 5, 24, 30, 40]:
-            rows = [
-                [rng.randrange(MERSENNE61) for _ in range(n)] for _ in range(n)
-            ]
-            fast = _det_mersenne_np(rows)
-            # reference: cofactor for tiny sizes, pure elimination always
-            if n <= 5:
-                assert fast == det_cofactor(rows) % MERSENNE61
-            assert fast == pure_det(rows, MERSENNE61)
 
-    def test_singular_matrix(self):
-        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
-        assert _det_mersenne_np(rows) == 0
+class TestDeterminantFp101(_DeterminantCases):
+    p = 101
 
-    # the blocked kernel factors panels of 64 columns; these sizes sit on
-    # and across the panel boundaries
-    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
-    def test_determinant_above_block_width(self, n):
-        rng = random.Random(n)
-        rows = [[rng.randrange(MERSENNE61) for _ in range(n)] for _ in range(n)]
-        assert _det_mersenne_np(rows) == pure_det(rows, MERSENNE61)
 
-    @pytest.mark.parametrize("n, h", [(150, 20), (150, 70), (200, 100)])
-    def test_late_pivots(self, n, h):
-        # [[0, B], [C, D]] with a zero h x h top-left block: the first h
-        # pivots come from below row h, after multipliers have been stored
-        rng = random.Random(h)
-        rows = [[rng.randrange(MERSENNE61) for _ in range(n)] for _ in range(n)]
-        for i in range(h):
-            rows[i][:h] = [0] * h
-        det = _det_mersenne_np(rows)
-        assert det != 0
-        assert det == pure_det(rows, MERSENNE61)
-
-    def test_duplicated_row_in_second_block(self):
-        rng = random.Random(12)
-        rows = [[rng.randrange(MERSENNE61) for _ in range(129)] for _ in range(129)]
-        rows[100] = list(rows[70])
-        assert _det_mersenne_np(rows) == 0
-
-    def test_zero_last_column(self):
-        rng = random.Random(13)
-        rows = [[rng.randrange(MERSENNE61) for _ in range(129)] for _ in range(129)]
-        for row in rows:
-            row[-1] = 0
-        assert _det_mersenne_np(rows) == 0
-
-    @pytest.mark.parametrize("w", [1, 2, 8, 64])
-    def test_unit_lower_inverse(self, w):
-        # the U12 solve inverts the panel's unit lower triangle; the entries
-        # on and above the diagonal (U11 in the panel) must be ignored
-        rng = random.Random(w)
-        block = [[rng.randrange(MERSENNE61) for _ in range(w)] for _ in range(w)]
-        inv = _unit_lower_inverse(_np.array(block, dtype=_np.int64)).tolist()
-        lower = [
-            [int(i == j) if j >= i else block[i][j] for j in range(w)]
-            for i in range(w)
-        ]
-        product = [
-            [sum(x * y for x, y in zip(row, col)) % MERSENNE61 for col in zip(*lower)]
-            for row in inv
-        ]
-        assert product == [[int(i == j) for j in range(w)] for i in range(w)]
+class TestDeterminantFp61m31(_DeterminantCases):
+    p = (1 << 61) - 31
 
 
 class TestSpanInsert:
@@ -352,7 +378,7 @@ class TestSpanInsert:
     def test_scalar_multiple_not_inserted(self, fp101):
         basis = SubspaceBasis.empty(2, fp101)
         basis, _ = span_insert(basis, Matrix.unit(2, 1, 1, fp101))
-        basis2, inserted = span_insert(basis, Matrix.unit(2, 1, 1, fp101).scale(2))
+        basis2, inserted = span_insert(basis, mat_scale(Matrix.unit(2, 1, 1, fp101), 2))
         assert not inserted
         assert basis2.dimension == 1
 
@@ -361,7 +387,7 @@ class TestSpanInsert:
         e22 = Matrix.unit(2, 2, 2, fp101)
         basis = SubspaceBasis.empty(2, fp101)
         basis, _ = span_insert(basis, e11)
-        basis, inserted = span_insert(basis, e11.add(e22))
+        basis, inserted = span_insert(basis, mat_add(e11, e22))
         assert inserted and basis.dimension == 2
 
     def test_pivots_strictly_increase(self, fp101):

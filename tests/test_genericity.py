@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat
+from conftest import mat, mat_add, mat_scale, mat_transpose
 from sweepwords import exactalg, genericity
-from sweepwords.errors import Infeasible, InvalidModulus, InvalidWord, TooLarge
+from sweepwords.errors import (
+    Infeasible,
+    InvalidInput,
+    InvalidModulus,
+    InvalidWord,
+    TooLarge,
+)
 from sweepwords.exactalg import Matrix, MatrixTuple, _insert, evaluate_word, rank
 from sweepwords.genericity import (
     DEFAULT_PRIME,
@@ -104,14 +110,10 @@ class TestCertification:
         assert a.trials == 2
 
     def test_random_word_harness_needs_enough_words(self):
-        from sweepwords.errors import InvalidInput
-
         with pytest.raises(InvalidInput):
             random_words_certification(3, 2, d=1)  # only 4 words of degree 2
 
     def test_random_word_harness_rejects_unary_alphabet(self):
-        from sweepwords.errors import InvalidInput
-
         with pytest.raises(InvalidInput):
             random_words_certification(3, 1)
 
@@ -153,7 +155,7 @@ class TestSweepCheck:
         rng = random.Random(derive_trial_seed(0, 0))
         t = sample_tuple(n, 2, fp_default, rng, symmetric=True)
         for m in t.matrices:
-            assert m == m.transpose()
+            assert m == mat_transpose(m)
         assert sweep_check(words, t)
 
 
@@ -189,7 +191,7 @@ class TestSubspaceLength:
 
     def test_unit_pair_reaches_full_algebra(self, fp_default):
         e11 = Matrix.unit(2, 1, 1, fp_default)
-        y = Matrix.unit(2, 1, 2, fp_default).add(Matrix.unit(2, 2, 1, fp_default))
+        y = mat_add(Matrix.unit(2, 1, 2, fp_default), Matrix.unit(2, 2, 1, fp_default))
         report = subspace_length(MatrixTuple((e11, y)))
         assert report.terminal_dim == 4
         assert report.length == 2
@@ -249,7 +251,7 @@ class TestSubspaceLength:
             n = rng.choice([2, 3])
             t = sample_tuple(n, 2, fp_default, rng)
             c = rng.randrange(1, p)
-            scaled = MatrixTuple(tuple(m.scale(c) for m in t.matrices))
+            scaled = MatrixTuple(tuple(mat_scale(m, c) for m in t.matrices))
             assert subspace_length(t).dims == subspace_length(scaled).dims
 
     def test_sweep_implies_short_chain(self, fp_default):
@@ -321,6 +323,12 @@ class TestExperiment:
         summary = generic_length_experiment(5, 2, trials=2, seed=1)
         assert summary.reports[0].paz_bound == 8
         assert summary.reports[0].log_bound == 6
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_refused(self, trials):
+        # an empty report list would claim every bound holds
+        with pytest.raises(InvalidInput, match="at least one trial"):
+            generic_length_experiment(2, 2, trials=trials)
 
 
 class TestRosenthal:

@@ -167,6 +167,10 @@ class TestEnumerate:
         with pytest.raises(InvalidInput):
             enumerate_partitions(build_graph(2, 1), cap=1)
 
+    def test_negative_budget_is_invalid(self):
+        with pytest.raises(InvalidInput, match="budget"):
+            enumerate_partitions(build_graph(2, 1), cap=2, budget=-1)
+
     def test_unsatisfiable_graph_counts_zero(self):
         # remove one loop: totals no longer match the words' letter needs
         graph = build_graph(2, 1)
