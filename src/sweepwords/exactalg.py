@@ -25,8 +25,16 @@ echelon rows and inserts it in place; `_extend_m61` returns exactly what
 that fold would.  `rank`, the span growth of `genericity.subspace_length`
 and every prime-field determinant are built on `echelon_extend`; a
 determinant is the product of the leads it reports times the sign of the
-pivot order (`_det_echelon`).  `span_insert` is `_insert` itself.  Integer
-determinants use fraction-free (Bareiss) elimination.
+pivot order (`_det_echelon`).  `span_insert` is `_insert` itself.
+
+An integer determinant (`_det_block_triangular`) is split along the
+block-triangular form of its nonzero pattern: a perfect row -> column
+matching puts nonzeros on the diagonal (none means the determinant is 0),
+the strongly connected components of the matched pattern are the
+irreducible diagonal blocks, and the determinant is the matching's sign
+times the product of the block determinants, each by fraction-free
+(Bareiss) elimination.  The witness grids split into blocks of at most
+32 x 32; a dense matrix is one block.
 """
 
 from __future__ import annotations
@@ -402,19 +410,23 @@ def _check_uniform(ms: list[Matrix]) -> tuple[int, ScalarRing]:
 def discriminant(ms: list[Matrix]) -> int:
     """Determinant of the n^2-by-n^2 matrix whose k-th column is vectorize(ms[k]).
 
-    Exact over both rings.  Over the integers it is fraction-free (Bareiss)
-    elimination.  Over every prime field the vectorizations go in as rows
-    (the transpose has the same determinant) to `_det_echelon`: the product
-    of the leads that `echelon_extend` reports times the sign of the pivot
-    order, or 0 at the first slice with a dependent row.
+    Exact over both rings.  The vectorizations go in as rows (the transpose
+    has the same determinant).  Over the integers the determinant is split
+    along the block-triangular form of the nonzero pattern
+    (`_det_block_triangular`), and fraction-free (Bareiss) elimination runs
+    on each irreducible diagonal block; the sparse witness grids split
+    into many small blocks.  Over every prime field the rows go to `_det_echelon`: the
+    product of the leads that `echelon_extend` reports times the sign of the
+    pivot order, or 0 at the first slice with a dependent row.
     """
     n, ring = _check_uniform(ms)
     nn = n * n
     if len(ms) != nn:
         raise ArityMismatch(f"discriminant needs exactly {nn} matrices, got {len(ms)}")
+    rows = [m.entries for m in ms]
     if ring.kind == "big_integer":
-        return _det_bareiss([list(r) for r in zip(*(m.entries for m in ms))])
-    return _det_echelon([m.entries for m in ms], ring)
+        return _det_block_triangular(rows)
+    return _det_echelon(rows, ring)
 
 
 def _det_echelon(rows, ring: ScalarRing) -> int:
@@ -436,21 +448,25 @@ def _det_echelon(rows, ring: ScalarRing) -> int:
         if len(accepted) < len(block):
             return 0
         leads += new
-    det = 1
+    det = _perm_sign([c for c, _ in leads]) % p
     for _, lead in leads:
         det = det * lead % p
+    return det
+
+
+def _perm_sign(perm) -> int:
+    """Sign (+1 or -1) of the permutation i -> perm[i] of range(len(perm))."""
     # a permutation of N points with k cycles has the parity of N - k
-    cols = [c for c, _ in leads]
-    seen = [False] * len(cols)
-    odd = len(cols) % 2
-    for start in range(len(cols)):
+    seen = [False] * len(perm)
+    odd = len(perm) % 2
+    for start in range(len(perm)):
         if not seen[start]:
             odd ^= 1
             i = start
             while not seen[i]:
                 seen[i] = True
-                i = cols[i]
-    return -det % p if odd else det
+                i = perm[i]
+    return -1 if odd else 1
 
 
 def rank(ms: list[Matrix]) -> int:
@@ -707,8 +723,126 @@ def _extend_m61(vectors, pivots, rows):
     return basis, piv, accepted, leads
 
 
+def _det_block_triangular(rows) -> int:
+    """Integer determinant as a signed product of irreducible block determinants.
+
+    A perfect row -> column matching sigma on the nonzero pattern
+    (`_perfect_matching`) puts a nonzero entry on every diagonal place of
+    B[i][k] = rows[i][sigma[k]], and det = sign(sigma) det B; with no such
+    matching every term of the Leibniz sum vanishes and det = 0.  The
+    strongly connected components of the graph i -> k (B[i][k] != 0) are
+    the diagonal blocks of B's block-triangular form (Duff 1977), so det B
+    is the product of their determinants: the diagonal entry for a 1x1
+    block, `_det_bareiss` for a larger one.
+    """
+    pattern = [[j for j, x in enumerate(row) if x] for row in rows]
+    sigma = _perfect_matching(pattern)
+    if sigma is None:
+        return 0
+    place = [0] * len(sigma)  # column j of rows is column place[j] of B
+    for k, j in enumerate(sigma):
+        place[j] = k
+    det = _perm_sign(sigma)
+    for block in _strong_components([[place[j] for j in cols] for cols in pattern]):
+        if len(block) == 1:
+            det *= rows[block[0]][sigma[block[0]]]
+        else:
+            det *= _det_bareiss([[rows[i][sigma[k]] for k in block] for i in block])
+        if not det:
+            return 0
+    return det
+
+
+def _perfect_matching(pattern) -> list[int] | None:
+    """Perfect row -> column matching of a square pattern, or None.
+
+    pattern[i] lists the columns that row i may take.  Each row in turn
+    runs a depth-first search for an augmenting path (Kuhn's algorithm),
+    with an explicit stack so that no size reaches the recursion limit.
+    """
+    n = len(pattern)
+    owner = [-1] * n  # column -> matched row
+    for root in range(n):
+        seen = [False] * n
+        path_rows, path_cols, scans = [root], [], [iter(pattern[root])]
+        while scans:
+            c = next((c for c in scans[-1] if not seen[c]), None)
+            if c is None:  # dead end: back up to the row before
+                path_rows.pop()
+                scans.pop()
+                if path_cols:
+                    path_cols.pop()
+                continue
+            seen[c] = True
+            path_cols.append(c)
+            if owner[c] < 0:  # free column: flip the path
+                for r, col in zip(path_rows, path_cols):
+                    owner[col] = r
+                break
+            path_rows.append(owner[c])
+            scans.append(iter(pattern[owner[c]]))
+        else:
+            return None
+    sigma = [0] * n
+    for c, r in enumerate(owner):
+        sigma[r] = c
+    return sigma
+
+
+def _strong_components(succ) -> list[list[int]]:
+    """Strongly connected components of the digraph v -> succ[v] (Tarjan 1972).
+
+    Iterative: each frame of the explicit stack holds a vertex and its
+    unfinished successor scan.
+    """
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    components = []
+    counter = 0
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, scan = frames[-1]
+            for w in scan:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    frames.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
+
+
 def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free determinant; every division is exact by construction."""
+    """Fraction-free determinant; every division is exact by construction.
+
+    `_det_block_triangular` calls it on each irreducible diagonal block.
+    """
     n = len(rows)
     m = [[_mpz(x) for x in r] for r in rows]
     sign = 1

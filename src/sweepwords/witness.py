@@ -6,6 +6,13 @@ of one base B.  Correctness is certified a posteriori: the discriminant of
 the evaluated grid words is computed exactly over the integers, and a zero
 result triggers base escalation (B <- B^2, bounded retries).  Everything is
 deterministic, so runs are reproducible byte for byte.
+
+The zero pattern of that discriminant matrix depends only on the support,
+never on B, and it is far from irreducible: at g = 2 its block-triangular
+form has eight 8 x 8 diagonal blocks at n = 8 and blocks of at most
+32 x 32 up to n = 16.  `discriminant` computes it as the signed product of
+those block determinants, which keeps one witness under half a minute up
+to WITNESS_MAX_N.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInput
+from .errors import InvalidInput, TooLarge
 from .exactalg import (
     Matrix,
     MatrixTuple,
@@ -29,6 +36,21 @@ from .words import (
     certificate_monomial,
     degree_exponent,
 )
+
+
+# Largest n that `build_and_verify` accepts.  Nearly all of a job is
+# `_det_bareiss` on the discriminant's diagonal blocks (eight, of at most
+# 32 x 32, at g = 2 and 10 <= n <= 16).  One g = 2 CLI job (2 cores) takes
+# ~3 s at n = 9, ~7 s at n = 14 and ~27 s at n = 16, and it ran past 150 s
+# at n = 17, where the grid degree grows from 8 to 10.  g = 3 stays near
+# 1 s up to n = 16.
+WITNESS_MAX_N = 16
+
+
+def check_witness_size(n: int) -> None:
+    """Raise TooLarge when n exceeds WITNESS_MAX_N."""
+    if n > WITNESS_MAX_N:
+        raise TooLarge(f"witnesses are capped at n = {WITNESS_MAX_N}; got n = {n}")
 
 
 def _variable_level(var: VarId, g: int) -> int:
@@ -159,7 +181,11 @@ def build_and_verify(
     max_escalations: int = 3,
     _verifier=verify_witness,
 ) -> tuple[WitnessReport, MatrixTuple]:
-    """Build a witness and verify it, squaring the base on a zero result."""
+    """Build a witness and verify it, squaring the base on a zero result.
+
+    Raises TooLarge, before building anything, when n > WITNESS_MAX_N.
+    """
+    check_witness_size(n)
     grid = build_word_grid(n, g)
     spec, t = build_witness(n, g, base_hint, base_override)
     escalations = 0

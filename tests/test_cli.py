@@ -2,9 +2,10 @@ import contextlib
 import io
 import json
 
-from sweepwords import cli, graphs
+from sweepwords import cli, graphs, witness
 from sweepwords.cli import main
 from sweepwords.genericity import LENGTH_FOLD_MAX_N, LENGTH_MAX_N
+from sweepwords.witness import WITNESS_MAX_N
 
 
 def run(argv):
@@ -273,6 +274,18 @@ class TestWitnessCommand:
         code, out, _ = run(["witness", "--n", "2", "--format", "csv"])
         assert code == 0
         assert out.splitlines()[0] == "k,i,j,exponent"
+
+    def test_size_above_cap_exits_2(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a witness before the size check")
+
+        monkeypatch.setattr(witness, "build_word_grid", refuse)
+        monkeypatch.setattr(witness, "build_witness", refuse)
+        for g in ("2", "3"):
+            code, out, err = run(["witness", "--n", str(WITNESS_MAX_N + 1), "--g", g])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
 
 class TestTextFormat:

@@ -1,6 +1,10 @@
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import det_cofactor, mat, mat_add, mat_scale, pure_det, rank_fractions
 from sweepwords import exactalg
@@ -17,9 +21,12 @@ from sweepwords.exactalg import (
     MatrixTuple,
     ScalarRing,
     SubspaceBasis,
+    _det_bareiss,
+    _det_block_triangular,
     _det_echelon,
     _np,
     _np_mulmod,
+    _perm_sign,
     big_integer,
     discriminant,
     evaluate_word,
@@ -29,7 +36,8 @@ from sweepwords.exactalg import (
     span_insert,
     vectorize,
 )
-from sweepwords.words import Word
+from sweepwords.witness import build_witness
+from sweepwords.words import Word, build_word_grid
 
 BLOCK = exactalg._EXTEND_BLOCK
 
@@ -234,6 +242,177 @@ class TestDiscriminant:
             dz = discriminant([mat(rows, zz) for rows in rows_list])
             dp = discriminant([mat(rows, fp_default) for rows in rows_list])
             assert dz % p == dp
+
+
+# Moduli at which `pure_det` checks an integer determinant.
+ORACLE_PRIMES = (1_000_003, (1 << 61) - 31)
+
+
+def _inversion_sign(perm):
+    inversions = sum(
+        perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+    )
+    return -1 if inversions % 2 else 1
+
+
+@st.composite
+def sparse_integer_matrices(draw, n_max=9):
+    """Square integer matrices, mostly zeros, some with a planted defect."""
+    n = draw(st.integers(1, n_max))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.15, 0.3, 0.6, 1.0]))
+    rows = [
+        [rng.randint(-(10**6), 10**6) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+    defect = draw(st.sampled_from(["none", "duplicate row", "zero row", "zero column"]))
+    i, j = rng.randrange(n), rng.randrange(n)
+    if defect == "duplicate row" and n > 1:
+        rows[i] = list(rows[(i + 1) % n])
+    elif defect == "zero row":
+        rows[i] = [0] * n
+    elif defect == "zero column":
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+class TestBlockTriangularDeterminant:
+    """The integer determinant of `discriminant` against whole-matrix oracles.
+
+    `_det_block_triangular` matches rows to columns, splits the matched
+    matrix into the strongly connected blocks of its pattern and runs
+    `_det_bareiss` per block; the oracles are `_det_bareiss` on the whole
+    matrix and conftest's `pure_det` modulo two primes.
+    """
+
+    def _check(self, rows):
+        det = _det_block_triangular(rows)
+        assert det == _det_bareiss([list(r) for r in rows])
+        for p in ORACLE_PRIMES:
+            assert det % p == pure_det([[x % p for x in r] for r in rows], p)
+        return det
+
+    @pytest.fixture
+    def bareiss_sizes(self, monkeypatch):
+        sizes = []
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return _det_bareiss(rows)
+
+        monkeypatch.setattr(exactalg, "_det_bareiss", counted)
+        return sizes
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_integer_matrices())
+    def test_sparse_matrices_match_whole_matrix(self, rows):
+        self._check(rows)
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (5, 2), (6, 3), (9, 4)])
+    def test_structurally_singular_skips_bareiss(self, n, k, bareiss_sizes):
+        # k rows share k - 1 columns (Hall's condition fails) while no row
+        # or column is zero, so only the matching can see the singularity
+        rng = random.Random(n * 10 + k)
+        rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        for i in range(k):
+            rows[i][k - 1 :] = [0] * (n - k + 1)
+        assert _det_block_triangular(rows) == 0
+        assert bareiss_sizes == []
+        assert det_cofactor(rows) == 0
+
+    def test_permutation_matrices(self):
+        rng = random.Random(21)
+        signs = set()
+        for n in range(1, 9):
+            for _ in range(6):
+                perm = rng.sample(range(n), n)
+                rows = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+                det = self._check(rows)
+                assert det == _inversion_sign(perm) == _perm_sign(perm)
+                signs.add(det)
+        assert signs == {1, -1}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_permuted_block_triangular(self, seed, bareiss_sizes):
+        # dense (hence irreducible) diagonal blocks with nonzero known
+        # determinants, random entries above them, then rows and columns
+        # shuffled independently
+        rng = random.Random(seed)
+        blocks = []
+        for size in [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]:
+            while True:
+                block = [[rng.randint(1, 50) for _ in range(size)] for _ in range(size)]
+                if det_cofactor(block):
+                    blocks.append(block)
+                    break
+        n = sum(map(len, blocks))
+        rows = [[0] * n for _ in range(n)]
+        lo = 0
+        for block in blocks:
+            for i, brow in enumerate(block):
+                rows[lo + i][lo : lo + len(block)] = brow
+                for j in range(lo + len(block), n):
+                    if rng.random() < 0.4:
+                        rows[lo + i][j] = rng.randint(-50, 50)
+            lo += len(block)
+        row_perm, col_perm = rng.sample(range(n), n), rng.sample(range(n), n)
+        shuffled = [[rows[row_perm[i]][col_perm[j]] for j in range(n)] for i in range(n)]
+        expected = _perm_sign(row_perm) * _perm_sign(col_perm)
+        for block in blocks:
+            expected *= det_cofactor(block)
+        assert _det_block_triangular(shuffled) == expected
+        assert sorted(bareiss_sizes) == sorted(len(b) for b in blocks if len(b) > 1)
+        self._check(shuffled)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_witness_grids(self, n, g):
+        _, t = build_witness(n, g)
+        ms = exactalg.evaluate_words(build_word_grid(n, g).flatten(), t)
+        det = self._check([m.entries for m in ms])
+        assert det != 0
+        assert discriminant(ms) == det
+
+    @pytest.mark.parametrize("shape", ["long augmenting path", "long DFS chain"])
+    def test_no_recursion_on_long_chains(self, shape):
+        n = 800
+        rows = [[0] * n for _ in range(n)]
+        if shape == "long augmenting path":
+            # row i < n-1 sees columns i, i+1 and row n-1 only column 0: the
+            # greedy rows 0..n-2 take columns 0..n-2, so the last row's
+            # augmenting path runs through every row.  Only the n-cycle
+            # i -> i+1 contributes: det = sign(n-cycle) * 2^(n-1) * 3
+            for i in range(n - 1):
+                rows[i][i], rows[i][i + 1] = 1, 2
+            rows[n - 1][0] = 3
+            expected = (-1) ** (n - 1) * 2 ** (n - 1) * 3
+        else:
+            # upper bidiagonal: the matching is the diagonal and the
+            # component search walks the path 0 -> 1 -> ... -> n-1
+            for i in range(n):
+                rows[i][i] = i + 1
+                if i + 1 < n:
+                    rows[i][i + 1] = 1
+            expected = math.factorial(n)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            det = _det_block_triangular(rows)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert n > depth + 50
+        assert det == expected
+
+    def test_perm_sign_matches_inversion_count(self):
+        rng = random.Random(22)
+        for n in range(0, 12):
+            for _ in range(10):
+                perm = rng.sample(range(n), n)
+                assert _perm_sign(perm) == _inversion_sign(perm)
 
 
 class TestRank:

@@ -2,12 +2,15 @@ import json
 
 import pytest
 
-from sweepwords.errors import InvalidInput
+from sweepwords import witness
+from sweepwords.errors import InvalidInput, TooLarge
 from sweepwords.exactalg import Matrix, MatrixTuple, big_integer, prime_field
 from sweepwords.genericity import DEFAULT_PRIME
 from sweepwords.witness import (
+    WITNESS_MAX_N,
     build_and_verify,
     build_witness,
+    check_witness_size,
     reported_constants,
     verify_witness,
 )
@@ -121,6 +124,23 @@ class TestBuildAndVerify:
 
             dp = discriminant(evaluate_words(grid.flatten(), reduced))
             assert dp == report.discriminant % p
+
+
+class TestWitnessCap:
+    def test_refuses_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for name in ("build_word_grid", "build_witness", "verify_witness"):
+            monkeypatch.setattr(witness, name, refuse)
+        for g in (2, 3):
+            with pytest.raises(TooLarge):
+                build_and_verify(WITNESS_MAX_N + 1, g, _verifier=refuse)
+
+    def test_cap_is_inclusive(self):
+        check_witness_size(WITNESS_MAX_N)
+        with pytest.raises(TooLarge):
+            check_witness_size(WITNESS_MAX_N + 1)
 
 
 class TestReportedConstants:
