@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -395,6 +396,13 @@ def _emit(envelope: dict, fmt: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work runs."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise InvalidInput(f"cannot write {path!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -402,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for path in (args.out, getattr(args, "dot", None)):
+            if path:
+                _check_writable(path)
         config, result, code = _HANDLERS[args.command](args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

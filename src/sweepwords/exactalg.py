@@ -35,6 +35,13 @@ irreducible diagonal blocks, and the determinant is the matching's sign
 times the product of the block determinants, each by fraction-free
 (Bareiss) elimination.  The witness grids split into blocks of at most
 32 x 32; a dense matrix is one block.
+
+numpy is imported inside the functions that run array code (`letter_stack`,
+`_prefix_products`, `_extend_m61` and the kernel helpers), not at module
+scope.  Importing the package, the `words` and `graph` commands and every
+input refused with exit 2 run without it; `certify`, `length` and `witness`
+load it at their first kernel call (`witness` for its object-dtype integer
+products).
 """
 
 from __future__ import annotations
@@ -42,8 +49,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as _np
 
 from .errors import (
     ArityMismatch,
@@ -349,17 +354,19 @@ def letter_stack(t: MatrixTuple):
     every other ring multiplies exact Python ints (object dtype), reduced
     mod p over other prime fields.
     """
+    import numpy as np
+
     ring = t.ring
     if ring.kind == "prime_field" and ring.p == MERSENNE61:
-        dtype, mul = _np.int64, _matmul_m61
+        dtype, mul = np.int64, _matmul_m61
     else:
         dtype = object
 
         def mul(a, b):
-            c = _np.matmul(a, b)
+            c = np.matmul(a, b)
             return c % ring.p if ring.kind == "prime_field" else c
 
-    letters = _np.array(
+    letters = np.array(
         [[ring.canon(x) for x in m.entries] for m in t.matrices], dtype=dtype
     ).reshape(t.g, t.n, t.n)
     return letters, mul
@@ -372,8 +379,10 @@ def _prefix_products(halves, letters, mul):
     level l (the distinct length-l prefixes) is one batched product of
     level l-1 rows by letter matrices; level 0 is the identity.
     """
+    import numpy as np
+
     index = {(): 0}
-    levels = [_np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
+    levels = [np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
     start = 0  # row of the stack where the last level begins
     for depth in range(1, max(map(len, halves)) + 1):
         level = sorted({h[:depth] for h in halves if len(h) >= depth})
@@ -383,7 +392,7 @@ def _prefix_products(halves, letters, mul):
             mul(levels[-1][parents], letters[[pre[-1] - 1 for pre in level]])
         )
         index.update((pre, start + i) for i, pre in enumerate(level))
-    return index, _np.concatenate(levels)
+    return index, np.concatenate(levels)
 
 
 def vectorize(m: Matrix) -> tuple[int, ...]:
@@ -574,6 +583,8 @@ def _np_mulmod(a, b):
       mid*2^31 == (mid >> 30) + (mid & low30) * 2^31 with both parts < 2^61,
       ll = a0*b0 < 2^62.
     """
+    import numpy as np
+
     a1 = a >> 31
     a0 = a & _M61_LOW31
     b1 = b >> 31
@@ -587,13 +598,15 @@ def _np_mulmod(a, b):
         + _np_fold(a0 * b0)
     )
     s = _np_fold(_np_fold(s))
-    return _np.where(s >= MERSENNE61, s - MERSENNE61, s)
+    return np.where(s >= MERSENNE61, s - MERSENNE61, s)
 
 
 def _sub_m61(a, b):
     """a - b mod 2^61-1 for entries in [0, 2^61-1)."""
+    import numpy as np
+
     d = a - b
-    return _np.where(d < 0, d + MERSENNE61, d)
+    return np.where(d < 0, d + MERSENNE61, d)
 
 
 # Limb products are below 2^42, and one limb-diagonal sum adds at most three
@@ -609,10 +622,12 @@ _LIMB_MASK = (1 << 21) - 1
 
 def _limbs(x):
     """int64 entries in [0, 2^61) as three float64 limbs of 21 bits."""
+    import numpy as np
+
     return [
-        (x & _LIMB_MASK).astype(_np.float64),
-        ((x >> 21) & _LIMB_MASK).astype(_np.float64),
-        (x >> 42).astype(_np.float64),
+        (x & _LIMB_MASK).astype(np.float64),
+        ((x >> 21) & _LIMB_MASK).astype(np.float64),
+        (x >> 42).astype(np.float64),
     ]
 
 
@@ -631,6 +646,8 @@ def _matmul_m61(a, b):
     five sums recombine by 61-bit rotations by 0, 21, 42, 2 and 23 bits.
     The inner dimension must be at least 1.
     """
+    import numpy as np
+
     k = a.shape[-1]
     acc = None
     for c in range(0, k, _M61_CHUNK):
@@ -640,17 +657,17 @@ def _matmul_m61(a, b):
         for s in range(5):
             pairs = range(max(0, s - 2), min(s, 2) + 1)
             diag.append(
-                _np.matmul(
-                    _np.concatenate([la[i] for i in pairs], axis=-1),
-                    _np.concatenate([lb[s - i] for i in pairs], axis=-2),
-                ).astype(_np.int64)
+                np.matmul(
+                    np.concatenate([la[i] for i in pairs], axis=-1),
+                    np.concatenate([lb[s - i] for i in pairs], axis=-2),
+                ).astype(np.int64)
             )
         # each term is below 2^61, so a sum of three stays below 2^63
         part = _np_fold(diag[0] + _rot61(diag[1], 21) + _rot61(diag[3], 2))
         part = _np_fold(part + _rot61(diag[2], 42) + _rot61(diag[4], 23))
         acc = part if acc is None else _np_fold(acc + part)
     acc = _np_fold(acc)
-    return _np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
+    return np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
 
 
 # Rows per block of `_extend_m61`.  A block is one reduction product
@@ -674,17 +691,19 @@ def _extend_m61(vectors, pivots, rows):
     and so do the leads: a row's lead is read just before it is scaled, when
     it has been reduced against every earlier row.
     """
+    import numpy as np
+
     p = MERSENNE61
-    rows = _np.asarray(rows, dtype=_np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
     n_cols = rows.shape[1]
-    basis = _np.asarray(vectors, dtype=_np.int64).reshape(-1, n_cols)
-    piv = _np.asarray(pivots, dtype=_np.intp)
+    basis = np.asarray(vectors, dtype=np.int64).reshape(-1, n_cols)
+    piv = np.asarray(pivots, dtype=np.intp)
     accepted: list[int] = []
     leads: list[tuple[int, int]] = []
     for lo in range(0, len(rows), _EXTEND_BLOCK):
-        is_free = _np.ones(n_cols, dtype=bool)
+        is_free = np.ones(n_cols, dtype=bool)
         is_free[piv] = False
-        free = _np.flatnonzero(is_free)
+        free = np.flatnonzero(is_free)
         if free.size == 0:
             break  # the span is full
         block = rows[lo : lo + _EXTEND_BLOCK]
@@ -694,16 +713,16 @@ def _extend_m61(vectors, pivots, rows):
         new: list[int] = []
         cols: list[int] = []
         for i in range(len(w)):
-            nz = _np.flatnonzero(w[i])
+            nz = np.flatnonzero(w[i])
             if nz.size == 0:
                 continue
             c = nz[0]
             lead = int(w[i, c])
             leads.append((int(free[c]), lead))
-            w[i] = _np_mulmod(w[i], _np.int64(pow(lead, -1, p)))
+            w[i] = _np_mulmod(w[i], np.int64(pow(lead, -1, p)))
             f = w[:, c].copy()
             f[i] = 0
-            hit = _np.flatnonzero(f)
+            hit = np.flatnonzero(f)
             w[hit] = _sub_m61(w[hit], _np_mulmod(f[hit, None], w[i]))
             new.append(i)
             cols.append(c)
@@ -714,11 +733,11 @@ def _extend_m61(vectors, pivots, rows):
             basis[:, free] = _sub_m61(
                 basis[:, free], _matmul_m61(basis[:, free[cols]], fresh)
             )
-        grown = _np.zeros((len(new), n_cols), dtype=_np.int64)
+        grown = np.zeros((len(new), n_cols), dtype=np.int64)
         grown[:, free] = fresh
-        piv = _np.concatenate([piv, free[cols]])
-        order = _np.argsort(piv)
-        basis, piv = _np.concatenate([basis, grown])[order], piv[order]
+        piv = np.concatenate([piv, free[cols]])
+        order = np.argsort(piv)
+        basis, piv = np.concatenate([basis, grown])[order], piv[order]
         accepted += [lo + i for i in new]
     return basis, piv, accepted, leads
 

@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import Infeasible, InvalidInput, InvalidModulus, InvalidWord, TooLarge
 from .exactalg import (
     _EXTEND_BLOCK,
@@ -49,6 +47,18 @@ LENGTH_MAX_N = 48
 # `_insert` fold: one g = 2 chain (CLI wall time, 2 cores) takes 5-7 s at
 # n = 18 and 10-16 s at n = 20, growing as ~n^6.
 LENGTH_FOLD_MAX_N = 18
+
+# Largest n that certification accepts modulo 2^61 - 1.  A trial's
+# determinant has n^2 rows of n^2 entries: one g = 2 trial (CLI wall time /
+# max RSS, 2 cores) takes 3.9 s / 294 MB at n = 36, 5.2 s / 429 MB at
+# n = 40, 10 s / 611 MB at n = 44 and 13 s / 733 MB at n = 48, growing as
+# ~n^6 in time and ~n^4 in memory.  g = 3 costs the same at n = 40.
+CERTIFY_MAX_N = 40
+# Largest n modulo every other prime, where words are evaluated with
+# Python-int products and the determinant is the pure-Python `_insert` fold:
+# one g = 2 trial modulo 2^61 - 31 takes 2.6 s at n = 16, 5.3 s at n = 18
+# and 11 s at n = 20, with at most 54 MB.
+CERTIFY_FOLD_MAX_N = 18
 
 
 def derive_trial_seed(seed: int, counter: int) -> int:
@@ -131,6 +141,20 @@ class CertificationReport:
         }
 
 
+def check_certify_size(n: int, p: int = DEFAULT_PRIME) -> None:
+    """Raise TooLarge when n exceeds the certification cap of the prime.
+
+    The cap is CERTIFY_MAX_N modulo 2^61 - 1 (p = DEFAULT_PRIME) and
+    CERTIFY_FOLD_MAX_N modulo any other prime.
+    """
+    cap = CERTIFY_MAX_N if p == DEFAULT_PRIME else CERTIFY_FOLD_MAX_N
+    if n > cap:
+        raise TooLarge(
+            f"certification is capped at n = {cap} (n <= {CERTIFY_MAX_N} "
+            f"modulo 2^61 - 1, n <= {CERTIFY_FOLD_MAX_N} otherwise); got n = {n}"
+        )
+
+
 def is_locally_linearly_independent(
     words: list[Word],
     n: int,
@@ -144,8 +168,10 @@ def is_locally_linearly_independent(
 
     One nonzero trial certifies that the words evaluate to a linearly
     independent family somewhere; zero successes are inconclusive (over a
-    finite field only the positive direction is sound).
+    finite field only the positive direction is sound).  Raises TooLarge,
+    before sampling, when n exceeds the cap of `check_certify_size`.
     """
+    check_certify_size(n, p)
     if len(words) != n * n:
         raise InvalidWord(f"need exactly {n * n} words, got {len(words)}")
     for w in words:
@@ -246,6 +272,8 @@ def subspace_length(
     `echelon_extend` one elimination block (_EXTEND_BLOCK rows) at a time,
     which bounds the memory that products and reductions hold at once.
     """
+    import numpy as np
+
     n, nn, ring = t.n, t.n * t.n, t.ring
     if max_k is None:
         max_k = nn + 1
@@ -390,7 +418,12 @@ def grid_certification(
     symmetric: bool = False,
     inject_duplicate: bool = False,
 ) -> CertificationReport:
-    """Certify the flattened word grid for (n, g); the usual entry point."""
+    """Certify the flattened word grid for (n, g); the usual entry point.
+
+    Raises TooLarge, before building the grid, when n exceeds the cap of
+    `check_certify_size`.
+    """
+    check_certify_size(n, p)
     grid = build_word_grid(n, g, d)
     words = grid.flatten()
     if inject_duplicate and len(words) >= 2:
@@ -414,8 +447,10 @@ def random_words_certification(
     Whether arbitrary word selections of this degree always certify is an
     open matter; this samples one selection per seed and reports what the
     discriminant says, nothing more.  The word sample draws its seed from
-    counter = trials, after the per-trial counters.
+    counter = trials, after the per-trial counters.  Raises TooLarge, before
+    sampling any word, when n exceeds the cap of `check_certify_size`.
     """
+    check_certify_size(n, p)
     if d is None:
         d = degree_exponent(n, g)
     s = 2 * d

@@ -2,9 +2,14 @@ import contextlib
 import io
 import json
 
-from sweepwords import cli, graphs, witness
+from sweepwords import cli, genericity, graphs, witness
 from sweepwords.cli import main
-from sweepwords.genericity import LENGTH_FOLD_MAX_N, LENGTH_MAX_N
+from sweepwords.genericity import (
+    CERTIFY_FOLD_MAX_N,
+    CERTIFY_MAX_N,
+    LENGTH_FOLD_MAX_N,
+    LENGTH_MAX_N,
+)
 from sweepwords.witness import WITNESS_MAX_N
 
 
@@ -64,6 +69,14 @@ class TestWordsCommand:
         assert out == ""
         assert json.loads(target.read_text())["command"] == "words"
 
+    def test_out_under_missing_directory_exits_2(self, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(["words", "--n", "2", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot write" in err
+        assert not target.parent.exists()
+
 
 class TestCertifyCommand:
     def test_certified_run_exits_0(self):
@@ -111,6 +124,22 @@ class TestCertifyCommand:
         lines = out.splitlines()
         assert lines[0] == "n,g,seed,trial,nonzero"
         assert len(lines) == 3
+
+    def test_size_above_cap_exits_2(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a grid or tuple before the size check")
+
+        monkeypatch.setattr(genericity, "build_word_grid", refuse)
+        monkeypatch.setattr(genericity, "sample_tuple", refuse)
+        for argv in (
+            ["--n", str(CERTIFY_MAX_N + 1)],
+            ["--n", str(CERTIFY_MAX_N + 1), "--random-words"],
+            ["--n", str(CERTIFY_FOLD_MAX_N + 1), "--prime", str((1 << 61) - 31)],
+        ):
+            code, out, err = run(["certify", *argv])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
 
 class TestGraphCommand:
@@ -164,6 +193,21 @@ class TestGraphCommand:
         code, _, _ = run(["graph", "--g", "2", "--d", "1", "--dot", str(target)])
         assert code == 0
         assert target.read_text().startswith("digraph")
+
+    def test_dot_under_missing_directory_exits_2(self, monkeypatch, tmp_path):
+        # refused before the graph is built, let alone searched
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the graph before the path check")
+
+        monkeypatch.setattr(cli, "build_graph", refuse)
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(
+            ["graph", "--g", "2", "--d", "2", "--enumerate", "--dot", str(target)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot write" in err
+        assert not target.parent.exists()
 
     def test_csv_edges(self):
         code, out, _ = run(["graph", "--g", "2", "--d", "1", "--format", "csv"])

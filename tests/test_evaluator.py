@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from sweepwords.exactalg import (
     Matrix,
     MatrixTuple,
     _matmul_m61,
-    _np,
     big_integer,
     evaluate_word,
     prime_field,
@@ -128,7 +128,7 @@ def test_matmul_m61_across_the_chunk_boundary(k):
     a[0] = [p - 1] * k  # largest limbs: the exactness bound is tightest here
     for row in b:
         row[0] = p - 1
-    got = _matmul_m61(_np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64))
+    got = _matmul_m61(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     expected = [
         [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(4)]
         for i in range(3)
@@ -141,7 +141,7 @@ def test_matmul_m61_stacked():
     p = MERSENNE61
     a = [[[rng.randrange(p) for _ in range(6)] for _ in range(2)] for _ in range(5)]
     b = [[[rng.randrange(p) for _ in range(3)] for _ in range(6)] for _ in range(5)]
-    got = _matmul_m61(_np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64))
+    got = _matmul_m61(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     for s in range(5):
         for i in range(2):
             for j in range(3):

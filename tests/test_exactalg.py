@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,6 @@ from sweepwords.exactalg import (
     _det_bareiss,
     _det_block_triangular,
     _det_echelon,
-    _np,
     _np_mulmod,
     _perm_sign,
     big_integer,
@@ -527,14 +527,13 @@ class _DeterminantCases:
         assert sizes == [BLOCK]
 
 
-@pytest.mark.skipif(_np is None, reason="numpy not installed")
 class TestMersenneKernel(_DeterminantCases):
     def test_elementwise_mulmod_fuzz(self):
         rng = random.Random(9)
         xs = [rng.randrange(MERSENNE61) for _ in range(4096)]
         ys = [rng.randrange(MERSENNE61) for _ in range(4096)]
-        a = _np.array(xs, dtype=_np.int64)
-        b = _np.array(ys, dtype=_np.int64)
+        a = np.array(xs, dtype=np.int64)
+        b = np.array(ys, dtype=np.int64)
         out = _np_mulmod(a, b)
         for i in range(0, 4096, 97):
             assert int(out[i]) == xs[i] * ys[i] % MERSENNE61

@@ -15,9 +15,12 @@ from sweepwords.errors import (
 )
 from sweepwords.exactalg import Matrix, MatrixTuple, _insert, evaluate_word, rank
 from sweepwords.genericity import (
+    CERTIFY_FOLD_MAX_N,
+    CERTIFY_MAX_N,
     DEFAULT_PRIME,
     LENGTH_FOLD_MAX_N,
     LENGTH_MAX_N,
+    check_certify_size,
     check_length_size,
     derive_trial_seed,
     evaluate_words,
@@ -309,6 +312,42 @@ class TestLengthCap:
         t = MatrixTuple((Matrix.zeros(n, fp101), Matrix.zeros(n, fp101)))
         with pytest.raises(TooLarge):
             subspace_length(t)
+
+
+class TestCertifyCap:
+    def _forbid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for name in (
+            "build_word_grid", "sample_tuple", "sample_matrix", "evaluate_words"
+        ):
+            monkeypatch.setattr(genericity, name, refuse)
+
+    def test_cap_is_inclusive(self):
+        check_certify_size(CERTIFY_MAX_N)
+        with pytest.raises(TooLarge):
+            check_certify_size(CERTIFY_MAX_N + 1)
+
+    def test_fold_cap_is_inclusive(self):
+        # every prime but 2^61 - 1 evaluates and eliminates in pure Python
+        check_certify_size(CERTIFY_FOLD_MAX_N + 1)
+        check_certify_size(CERTIFY_FOLD_MAX_N, (1 << 61) - 31)
+        with pytest.raises(TooLarge):
+            check_certify_size(CERTIFY_FOLD_MAX_N + 1, (1 << 61) - 31)
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(CERTIFY_MAX_N + 1, DEFAULT_PRIME), (CERTIFY_FOLD_MAX_N + 1, (1 << 61) - 31)],
+    )
+    def test_refused_before_grid_or_tuple(self, monkeypatch, n, p):
+        self._forbid(monkeypatch)
+        with pytest.raises(TooLarge):
+            grid_certification(n, 2, p=p, trials=1)
+        with pytest.raises(TooLarge):
+            random_words_certification(n, 2, p=p, trials=1)
+        with pytest.raises(TooLarge):
+            is_locally_linearly_independent([w([1])] * (n * n), n, 2, p=p, trials=1)
 
 
 class TestExperiment:

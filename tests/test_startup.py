@@ -1,0 +1,82 @@
+"""numpy loads only when an array kernel runs.
+
+Each case runs a fresh interpreter, so modules that earlier tests imported
+cannot leak into it, and reports whether numpy is in sys.modules at the end.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from sweepwords.genericity import CERTIFY_MAX_N, LENGTH_MAX_N
+from sweepwords.witness import WITNESS_MAX_N
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+_PROBE = """
+import contextlib, io, json, sys
+import sweepwords, sweepwords.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = sweepwords.cli.main(argv)
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def probe(argv=None) -> tuple[int | None, bool]:
+    """(exit code, numpy loaded) after importing sweepwords and sweepwords.cli
+    and then, when argv is given, running cli.main(argv)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, loaded = json.loads(proc.stdout)
+    return code, loaded
+
+
+def test_import_loads_no_numpy():
+    assert probe() == (None, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--g", "2", "--d", "2", "--enumerate"],
+        ["words", "--n", "8"],
+    ],
+)
+def test_combinatorial_commands_load_no_numpy(argv):
+    assert probe(argv) == (0, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "3", "--prime", "4"],
+        ["certify", "--n", str(CERTIFY_MAX_N + 1)],
+        ["length", "--n", str(LENGTH_MAX_N + 1)],
+        ["witness", "--n", str(WITNESS_MAX_N + 1)],
+    ],
+)
+def test_refusals_load_no_numpy(argv):
+    assert probe(argv) == (2, False)
+
+
+def test_unwritable_out_loads_no_numpy(tmp_path):
+    target = tmp_path / "missing" / "x"
+    assert probe(["certify", "--n", "3", "--out", str(target)]) == (2, False)
+
+
+def test_certify_loads_numpy():
+    # the probe can tell: a kernel call does load numpy
+    assert probe(["certify", "--n", "3", "--trials", "1"]) == (0, True)
