@@ -262,6 +262,8 @@ def _cmd_length(args) -> tuple[RunConfig, dict, int]:
     # refuse the whole range before running any of it
     if args.trials < 1:
         raise InvalidInput("need at least one trial")
+    if args.g < 2:
+        raise InvalidInput(f"need g >= 2 matrices, got g = {args.g}")
     for n in sizes:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")

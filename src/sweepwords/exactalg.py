@@ -8,12 +8,14 @@ functions, so results may be shared freely across threads.
 Modulo the default prime 2^61 - 1, matrix products run through one exact
 BLAS kernel (`_matmul_m61`): entries split into 21-bit limbs, the limb
 products are float64 matmuls that stay below 2^53, and the partial sums
-recombine mod 2^61 - 1.  Two things are built on it:
+recombine mod 2^61 - 1.  Every other ring multiplies exact Python ints on
+flat row-major tuples (`_int_matmul`), reduced mod p over the other prime
+fields.  `letter_stack` picks the storage and product of the ring, and two
+things are built on it and on the kernel:
 
 - `evaluate_words`, the one word evaluator: every word splits into two
   halves, the distinct halves are built through a prefix trie, and all
-  words are one batched product head @ tail.  Other rings take the same
-  route with exact Python-int products (`letter_stack` picks the product).
+  words are one batched product head @ tail.
 - `_extend_m61`, blocked echelon extension: candidate rows go into an
   int64 RREF basis in blocks, each reduced against the basis by one kernel
   product.
@@ -36,19 +38,21 @@ times the product of the block determinants, each by fraction-free
 (Bareiss) elimination.  The witness grids split into blocks of at most
 32 x 32; a dense matrix is one block.
 
-numpy is imported inside the functions that run array code (`letter_stack`,
-`_prefix_products`, `_extend_m61` and the kernel helpers), not at module
-scope.  Importing the package, the `words` and `graph` commands and every
-input refused with exit 2 run without it; `certify`, `length` and `witness`
-load it at their first kernel call (`witness` for its object-dtype integer
-products).
+numpy is imported inside the functions that run array code (the
+F_(2^61-1) branch of `letter_stack`, `_extend_m61` and the kernel helpers),
+not at module scope, so only work modulo 2^61 - 1 loads it: `certify` and
+`length` at the default prime.  Importing the package, `words`, `graph`,
+`witness`, `certify` and `length` at any other prime, and every input
+refused with exit 2 run without it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -320,7 +324,7 @@ def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
     batched product per trie level, and then all words are one batched
     product head @ tail.  On the n x n grid the halves are exactly the v_i
     and the rev(v_j), so n^2 words cost about 2n small products plus the
-    final one.  Products are those of `letter_stack`.
+    final one.  Storage and products are those of `letter_stack`.
     """
     for w in words:
         if w.degree == 0:
@@ -332,67 +336,111 @@ def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
     if not words:
         return []
     n, ring = t.n, t.ring
-    letters, mul = letter_stack(t)
+    st = letter_stack(t)
     cuts = [(w.degree + 1) // 2 for w in words]
     heads = [w.letters[:c] for w, c in zip(words, cuts)]
     tails = [w.letters[c:] for w, c in zip(words, cuts)]
-    index, stack = _prefix_products(set(heads) | set(tails), letters, mul)
-    prod = mul(
-        stack[[index[h] for h in heads]], stack[[index[h] for h in tails]]
+    index, stack = _prefix_products(set(heads) | set(tails), st)
+    prod = st.mul(
+        st.take(stack, [index[h] for h in heads]),
+        st.take(stack, [index[h] for h in tails]),
     )
-    return [
-        Matrix(n, n, tuple(entries), ring)
-        for entries in prod.reshape(len(words), n * n).tolist()
-    ]
+    return [Matrix(n, n, tuple(entries), ring) for entries in st.entries(prod)]
 
 
-def letter_stack(t: MatrixTuple):
-    """(letters, mul): t's matrices as one (g, n, n) array, and the ring's product.
+class RingStack(NamedTuple):
+    """Stacks of n x n matrices over one ring: their storage and product.
 
-    `mul(a, b)` is the exact (stacked) product of such arrays.  Over
-    F_(2^61-1) the arrays are int64 and products run through `_matmul_m61`;
-    every other ring multiplies exact Python ints (object dtype), reduced
-    mod p over other prime fields.
+    A stack holds its matrices as flat row-major rows, which is the form
+    `echelon_extend` takes: an int64 array of shape (k, n^2) over
+    F_(2^61-1), a list of k tuples of Python ints over every other ring.
     """
-    import numpy as np
 
-    ring = t.ring
+    letters: Any  # the tuple's matrices, in order
+    eye: Any  # the identity, as a stack of one
+    mul: Callable  # mul(a, b): the products a[i] @ b[i], as a stack
+    take: Callable  # take(a, idx): the stack of a[i] for i in idx
+    join: Callable  # join(stacks): the stacks one after another, as one
+    entries: Callable  # entries(a): the rows as sequences of Python ints
+
+
+def letter_stack(t: MatrixTuple) -> RingStack:
+    """The `RingStack` of t's ring, with t's matrices as its letters.
+
+    Over F_(2^61-1) the stacks are int64 arrays and every product is one
+    batched `_matmul_m61` call; this is the only branch that loads numpy.
+    Every other ring multiplies exact Python ints (`_int_matmul`), reduced
+    mod p over the other prime fields.
+    """
+    ring, n = t.ring, t.n
+    letters = [tuple(ring.canon(x) for x in m.entries) for m in t.matrices]
+    eye = [tuple(1 if i == j else 0 for i in range(n) for j in range(n))]
     if ring.kind == "prime_field" and ring.p == MERSENNE61:
-        dtype, mul = np.int64, _matmul_m61
-    else:
-        dtype = object
+        import numpy as np
 
         def mul(a, b):
-            c = np.matmul(a, b)
-            return c % ring.p if ring.kind == "prime_field" else c
+            prod = _matmul_m61(a.reshape(-1, n, n), b.reshape(-1, n, n))
+            return prod.reshape(-1, n * n)
 
-    letters = np.array(
-        [[ring.canon(x) for x in m.entries] for m in t.matrices], dtype=dtype
-    ).reshape(t.g, t.n, t.n)
-    return letters, mul
+        return RingStack(
+            np.array(letters, dtype=np.int64),
+            np.array(eye, dtype=np.int64),
+            mul,
+            lambda a, idx: a[idx],
+            np.concatenate,
+            lambda a: a.tolist(),
+        )
+    return RingStack(
+        letters,
+        eye,
+        _int_matmul(n, ring.p),
+        lambda a, idx: [a[i] for i in idx],
+        lambda stacks: [row for s in stacks for row in s],
+        lambda a: a,
+    )
 
 
-def _prefix_products(halves, letters, mul):
+def _int_matmul(n: int, p: int | None):
+    """Row-wise product of lists of flat row-major n x n Python-int tuples.
+
+    Entries are exact dot products of a row of the left factor and a column
+    of the right one, reduced mod p when p is given.
+    """
+
+    def mul(a, b):
+        out = []
+        for x, y in zip(a, b):
+            rows = [x[i : i + n] for i in range(0, n * n, n)]
+            cols = [y[j::n] for j in range(n)]
+            dots = [sum(map(operator.mul, r, c)) for r in rows for c in cols]
+            out.append(tuple(dots) if p is None else tuple(v % p for v in dots))
+        return out
+
+    return mul
+
+
+def _prefix_products(halves, st: RingStack):
     """Evaluate letter tuples (the empty one included) through their prefix trie.
 
-    Returns (index, stack) with stack[index[h]] the product for h.  Trie
-    level l (the distinct length-l prefixes) is one batched product of
+    Returns (index, stack) with row index[h] of stack the product for h.
+    Trie level l (the distinct length-l prefixes) is one batched product of
     level l-1 rows by letter matrices; level 0 is the identity.
     """
-    import numpy as np
-
     index = {(): 0}
-    levels = [np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
+    levels = [st.eye]
     start = 0  # row of the stack where the last level begins
     for depth in range(1, max(map(len, halves)) + 1):
         level = sorted({h[:depth] for h in halves if len(h) >= depth})
         parents = [index[pre[:-1]] - start for pre in level]
         start += len(levels[-1])
         levels.append(
-            mul(levels[-1][parents], letters[[pre[-1] - 1 for pre in level]])
+            st.mul(
+                st.take(levels[-1], parents),
+                st.take(st.letters, [pre[-1] - 1 for pre in level]),
+            )
         )
         index.update((pre, start + i) for i, pre in enumerate(level))
-    return index, np.concatenate(levels)
+    return index, st.join(levels)
 
 
 def vectorize(m: Matrix) -> tuple[int, ...]:
@@ -508,6 +556,8 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
         return _extend_m61(vectors, pivots, rows)
     accepted, leads = [], []
     for i, row in enumerate(rows):
+        if len(vectors) == len(row):
+            break  # the span is full
         lead, pos = _insert(vectors, pivots, row, ring)
         if lead is not None:
             accepted.append(i)

@@ -43,9 +43,10 @@ _MASK64 = (1 << 64) - 1
 # peaks at ~260 MB (n = 40: ~5 s, ~125 MB), growing as ~n^6 in time, ~n^4 in
 # memory.
 LENGTH_MAX_N = 48
-# Largest n over every other ring, where span growth is the pure-Python
-# `_insert` fold: one g = 2 chain (CLI wall time, 2 cores) takes 5-7 s at
-# n = 18 and 10-16 s at n = 20, growing as ~n^6.
+# Largest n over every other ring, where products are Python-int products
+# and span growth is the pure-Python `_insert` fold: one g = 2 chain modulo
+# 2^61 - 31 (CLI wall time / max RSS, 2 cores, no numpy loaded) takes
+# 8.7-9.4 s / 25 MB at n = 18, growing as ~n^6.
 LENGTH_FOLD_MAX_N = 18
 
 # Largest n that certification accepts modulo 2^61 - 1.  A trial's
@@ -56,9 +57,18 @@ LENGTH_FOLD_MAX_N = 18
 CERTIFY_MAX_N = 40
 # Largest n modulo every other prime, where words are evaluated with
 # Python-int products and the determinant is the pure-Python `_insert` fold:
-# one g = 2 trial modulo 2^61 - 31 takes 2.6 s at n = 16, 5.3 s at n = 18
-# and 11 s at n = 20, with at most 54 MB.
+# one g = 2 trial modulo 2^61 - 31 (CLI wall time / max RSS, 2 cores, no
+# numpy loaded) takes 8.5-8.8 s / 28 MB at n = 18, nearly all of it in the
+# fold (the products take ~0.44 s), growing as ~n^6.
 CERTIFY_FOLD_MAX_N = 18
+
+# Largest word count g^(2d) that `rosenthal_check` accepts (n is capped as
+# in certification).  All words are evaluated and held at once.  Measured
+# per check (in-process time / max RSS, 2 cores): 2,025 words (g = 45,
+# d = 1) take 4.8 s / 508 MB at n = 40 modulo 2^61 - 1 and 8.6 s / 32 MB at
+# n = 18 modulo 2^61 - 31; 4,096 words (g = 2, d = 6) take 6.5 s / 895 MB at
+# n = 40.  At n = 4, g = 2 the cost grows ~4x per unit of d.
+ROSENTHAL_MAX_WORDS = 2048
 
 
 def derive_trial_seed(seed: int, counter: int) -> int:
@@ -267,28 +277,23 @@ def subspace_length(
     excluded unless requested (products of length zero are not counted).
     The length is None when max_k is hit before stabilization.
 
-    The letters, the fresh products and the echelon rows stay ring arrays
-    (`letter_stack`); each step's products are formed and go through
+    The letters, the fresh products and the echelon rows are stacks of
+    `letter_stack`; each step's products are formed and go through
     `echelon_extend` one elimination block (_EXTEND_BLOCK rows) at a time,
     which bounds the memory that products and reductions hold at once.
     """
-    import numpy as np
-
     n, nn, ring = t.n, t.n * t.n, t.ring
     if max_k is None:
         max_k = nn + 1
     if max_k < 1:
         raise InvalidInput(f"max_k must be >= 1, got {max_k}")
     check_length_size(n, ring.p)
-    letters, mul = letter_stack(t)
+    st = letter_stack(t)
     vectors, pivots = [], []
     if include_identity:
-        identity = np.eye(n, dtype=letters.dtype).reshape(1, nn)
-        vectors, pivots, _, _ = echelon_extend(vectors, pivots, identity, ring)
-    vectors, pivots, accepted, _ = echelon_extend(
-        vectors, pivots, letters.reshape(t.g, nn), ring
-    )
-    fresh = letters[accepted]
+        vectors, pivots, _, _ = echelon_extend(vectors, pivots, st.eye, ring)
+    vectors, pivots, accepted, _ = echelon_extend(vectors, pivots, st.letters, ring)
+    fresh = st.take(st.letters, accepted)
     dims = [len(vectors)]
     length = None
     for k in range(1, max_k + 1):
@@ -299,17 +304,20 @@ def subspace_length(
         for lo in range(0, pairs, _EXTEND_BLOCK):
             if len(vectors) == nn:
                 break  # a full span takes no more rows
-            ab = np.arange(lo, min(lo + _EXTEND_BLOCK, pairs))
-            prods = mul(letters[ab // len(fresh)], fresh[ab % len(fresh)])
-            vectors, pivots, accepted, _ = echelon_extend(
-                vectors, pivots, prods.reshape(len(ab), nn), ring
+            ab = range(lo, min(lo + _EXTEND_BLOCK, pairs))
+            prods = st.mul(
+                st.take(st.letters, [i // len(fresh) for i in ab]),
+                st.take(fresh, [i % len(fresh) for i in ab]),
             )
-            found.append(prods[accepted])
+            vectors, pivots, accepted, _ = echelon_extend(
+                vectors, pivots, prods, ring
+            )
+            found.append(st.take(prods, accepted))
         dims.append(len(vectors))
         if dims[-1] == dims[-2]:
             length = k
             break
-        fresh = np.concatenate(found)
+        fresh = st.join(found)
     return LengthReport(
         n=n,
         g=t.g,
@@ -359,9 +367,14 @@ def generic_length_experiment(
     symmetric: bool = False,
     include_identity: bool = False,
 ) -> LengthExperimentSummary:
-    """Sample tuples and check the length against both bounds per trial."""
+    """Sample tuples and check the length against both bounds per trial.
+
+    Raises InvalidInput or TooLarge before sampling anything.
+    """
     if trials < 1:
         raise InvalidInput("need at least one trial")
+    if g < 2:
+        raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
     check_length_size(n, p)
     ring = prime_field(p)
     reports = []
@@ -381,6 +394,24 @@ def generic_length_experiment(
     )
 
 
+def check_rosenthal_size(n: int, g: int, d: int, p: int = DEFAULT_PRIME) -> None:
+    """Raise TooLarge when `rosenthal_check` would exceed a cap.
+
+    n is capped as in `check_certify_size`, and the word count g^(2d) at
+    ROSENTHAL_MAX_WORDS.  The count is multiplied up one letter at a time,
+    so a huge d is refused without forming g^(2d).
+    """
+    check_certify_size(n, p)
+    count = 1
+    for _ in range(2 * d):
+        count *= g
+        if count > ROSENTHAL_MAX_WORDS:
+            raise TooLarge(
+                f"the all-words check is capped at g^(2d) <= {ROSENTHAL_MAX_WORDS} "
+                f"words; got g = {g}, d = {d}"
+            )
+
+
 def rosenthal_check(
     n: int, g: int, d: int, p: int = DEFAULT_PRIME, seed: int = 0
 ) -> bool:
@@ -390,8 +421,12 @@ def rosenthal_check(
     general position, where gbar is the smallest integer with gbar^d >= n
     (g^(2d) >= n^2 already forces gbar <= g); the remaining matrices are
     arbitrary, and the check pads with zero matrices to demonstrate that
-    the spanning never depends on them.
+    the spanning never depends on them.  Raises TooLarge, before any word
+    or matrix exists, past the caps of `check_rosenthal_size`.
     """
+    if g < 2:
+        raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
+    check_rosenthal_size(n, g, d, p)
     if g ** (2 * d) < n * n:
         raise Infeasible(
             f"g^(2d) = {g ** (2 * d)} < n^2 = {n * n}: no spanning is possible"

@@ -38,12 +38,12 @@ from .words import (
 )
 
 
-# Largest n that `build_and_verify` accepts.  Nearly all of a job is
-# `_det_bareiss` on the discriminant's diagonal blocks (eight, of at most
-# 32 x 32, at g = 2 and 10 <= n <= 16).  One g = 2 CLI job (2 cores) takes
-# ~3 s at n = 9, ~7 s at n = 14 and ~27 s at n = 16, and it ran past 150 s
-# at n = 17, where the grid degree grows from 8 to 10.  g = 3 stays near
-# 1 s up to n = 16.
+# Largest n that `build_and_verify` accepts.  Past n = 8 nearly all of a
+# job is `_det_bareiss` on the discriminant's diagonal blocks (eight, of at
+# most 32 x 32, at g = 2 and 10 <= n <= 16).  One g = 2 CLI job (2 cores,
+# no numpy loaded) takes 0.18 s at n = 8, 2.7 s at n = 9, 3.1 s at n = 12
+# and 27 s at n = 16, and it ran past 150 s at n = 17, where the grid
+# degree grows from 8 to 10.  g = 3 stays near 1 s up to n = 16.
 WITNESS_MAX_N = 16
 
 

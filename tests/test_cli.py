@@ -272,6 +272,19 @@ class TestLengthCommand:
                 assert out == ""
                 assert "at least one trial" in err
 
+    def test_unary_alphabet_exits_2(self, monkeypatch):
+        # refused before the first size of a range runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an experiment before the alphabet check")
+
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes in ["3", "2..4"]:
+            for g in ["1", "0"]:
+                code, out, err = run(["length", "--n", sizes, "--g", g])
+                assert code == 2
+                assert out == ""
+                assert "need g >= 2" in err
+
     def test_fold_size_above_cap_exits_2(self, monkeypatch):
         # off the default prime the cap is lower, and is checked the same way
         def refuse(*args, **kwargs):

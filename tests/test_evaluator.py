@@ -1,8 +1,10 @@
-"""Differential tests of the word evaluator and the F_(2^61-1) matmul kernel.
+"""Differential tests of the word evaluator, its two product backends and the
+span growth of `subspace_length`.
 
-The oracle evaluates one word at a time through a prefix cache of
-left-to-right pure-Python `Matrix.mul` products; it shares nothing with the
-evaluator under test but `Matrix`.
+Over F_(2^61-1) products run through the `_matmul_m61` kernel; over every
+other ring they are Python-int products.  The oracle evaluates one word at
+a time through a prefix cache of left-to-right pure-Python `Matrix.mul`
+products; it shares nothing with the evaluator under test but `Matrix`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from sweepwords.exactalg import (
     big_integer,
     evaluate_word,
     prime_field,
+    rank,
 )
-from sweepwords.genericity import evaluate_words
-from sweepwords.words import Word, build_word_grid
+from sweepwords.genericity import evaluate_words, subspace_length
+from sweepwords.witness import build_witness
+from sweepwords.words import Word, all_words, build_word_grid
 
 RINGS = {
     "mersenne61": prime_field(MERSENNE61),
@@ -112,6 +116,76 @@ def test_word_lists_match_oracle(case, n, ring_name, seed):
     expected = oracle_evaluate_words(words, t)
     assert evaluate_words(words, t) == expected
     assert [evaluate_word(w, t) for w in words] == expected
+
+
+# --- the Python-int backend, at the sizes it serves -------------------------
+
+
+def negated(t: MatrixTuple, rng: random.Random) -> MatrixTuple:
+    """t with a random half of its entries negated."""
+    return MatrixTuple(
+        tuple(
+            Matrix(m.n_rows, m.n_cols, tuple(-x if rng.random() < 0.5 else x
+                                             for x in m.entries), m.ring)
+            for m in t.matrices
+        )
+    )
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_integer_grid_matches_oracle(n, g):
+    rng = random.Random(100 * n + g)
+    words = build_word_grid(n, g).flatten()
+    _, witness = build_witness(n, g)
+    for t in (
+        witness,
+        negated(witness, rng),
+        random_tuple(n, g, RINGS["integers"], rng),
+    ):
+        assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8, 14])
+@pytest.mark.parametrize("p", [101, (1 << 61) - 31], ids=["p101", "p61m31"])
+def test_prime_grid_matches_oracle(n, g, p):
+    ring = prime_field(p)
+    words = build_word_grid(n, g).flatten()
+    t = random_tuple(n, g, ring, random.Random(10 * n + g))
+    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+
+
+def oracle_dims(t: MatrixTuple, include_identity: bool) -> list[int]:
+    """rank of the words of length <= k, for k = 1, 2, .. up to the first
+    repeat, the words evaluated by the oracle."""
+    evals = [Matrix.identity(t.n, t.ring)] if include_identity else []
+    dims: list[int] = []
+    for k in range(1, t.n * t.n + 2):
+        evals += oracle_evaluate_words(all_words(t.g, k), t)
+        dims.append(rank(evals))
+        if len(dims) > 1 and dims[-1] == dims[-2]:
+            return dims
+    raise AssertionError("the chain did not stabilize")
+
+
+@pytest.mark.parametrize("include_identity", [False, True])
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subspace_length_dims_match_oracle(n, g, include_identity):
+    # over F_101 entries drawn from {0, 1} give degenerate chains, and from
+    # {0, .., 100} generic ones
+    ring = prime_field(101)
+    rng = random.Random(1000 * n + 10 * g + include_identity)
+    for hi in (2, 101, 2, 101):
+        t = MatrixTuple(
+            tuple(
+                Matrix(n, n, tuple(rng.randrange(hi) for _ in range(n * n)), ring)
+                for _ in range(g)
+            )
+        )
+        report = subspace_length(t, include_identity=include_identity)
+        assert list(report.dims) == oracle_dims(t, include_identity)
 
 
 def test_empty_word_list():

@@ -20,8 +20,10 @@ from sweepwords.genericity import (
     DEFAULT_PRIME,
     LENGTH_FOLD_MAX_N,
     LENGTH_MAX_N,
+    ROSENTHAL_MAX_WORDS,
     check_certify_size,
     check_length_size,
+    check_rosenthal_size,
     derive_trial_seed,
     evaluate_words,
     generic_length_experiment,
@@ -363,6 +365,16 @@ class TestExperiment:
         assert summary.reports[0].paz_bound == 8
         assert summary.reports[0].log_bound == 6
 
+    @pytest.mark.parametrize("g", [1, 0])
+    def test_unary_alphabet_is_refused_before_sampling(self, monkeypatch, g):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the alphabet check")
+
+        for name in ("sample_tuple", "sample_matrix", "subspace_length"):
+            monkeypatch.setattr(genericity, name, refuse)
+        with pytest.raises(InvalidInput, match="need g >= 2"):
+            generic_length_experiment(3, g, trials=1)
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_is_refused(self, trials):
         # an empty report list would claim every bound holds
@@ -382,3 +394,43 @@ class TestRosenthal:
     def test_infeasible_when_too_few_words(self):
         with pytest.raises(Infeasible):
             rosenthal_check(4, 2, 1)
+
+    def test_unary_alphabet_is_refused(self):
+        with pytest.raises(InvalidInput, match="need g >= 2"):
+            rosenthal_check(1, 1, 1)
+
+
+class TestRosenthalCap:
+    def _forbid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for name in ("all_words", "sample_matrix", "sample_tuple", "evaluate_words"):
+            monkeypatch.setattr(genericity, name, refuse)
+
+    def test_word_cap_is_inclusive(self):
+        # g^(2d) is a square: 45^2 = 2025 <= 2048 < 46^2
+        assert 45**2 <= ROSENTHAL_MAX_WORDS < 46**2
+        check_rosenthal_size(4, 45, 1)
+        with pytest.raises(TooLarge):
+            check_rosenthal_size(4, 46, 1)
+
+    def test_huge_degree_is_refused_at_once(self):
+        with pytest.raises(TooLarge):
+            check_rosenthal_size(4, 2, 10**18)
+
+    @pytest.mark.parametrize(
+        "n, g, d, p",
+        [
+            # too many words: 4^6 = 4096
+            (4, 2, 6, DEFAULT_PRIME),
+            # n above the certification caps, with few enough words
+            (CERTIFY_MAX_N + 1, CERTIFY_MAX_N + 1, 1, DEFAULT_PRIME),
+            (CERTIFY_FOLD_MAX_N + 1, 2, 5, (1 << 61) - 31),
+        ],
+    )
+    def test_refused_before_words_or_matrices(self, monkeypatch, n, g, d, p):
+        assert g ** (2 * d) >= n * n  # feasible: the cap is what refuses
+        self._forbid(monkeypatch)
+        with pytest.raises(TooLarge):
+            rosenthal_check(n, g, d, p=p)

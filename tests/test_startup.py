@@ -1,4 +1,4 @@
-"""numpy loads only when an array kernel runs.
+"""numpy loads only when an array kernel runs, that is modulo 2^61 - 1.
 
 Each case runs a fresh interpreter, so modules that earlier tests imported
 cannot leak into it, and reports whether numpy is in sys.modules at the end.
@@ -59,6 +59,22 @@ def test_combinatorial_commands_load_no_numpy(argv):
     assert probe(argv) == (0, False)
 
 
+# every ring but F_(2^61-1) multiplies and eliminates with Python ints
+P61M31 = str((1 << 61) - 31)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--n", "8"],
+        ["certify", "--n", "3", "--trials", "1", "--prime", P61M31],
+        ["length", "--n", "3", "--trials", "1", "--prime", P61M31],
+    ],
+)
+def test_python_int_rings_load_no_numpy(argv):
+    assert probe(argv) == (0, False)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -80,3 +96,8 @@ def test_unwritable_out_loads_no_numpy(tmp_path):
 def test_certify_loads_numpy():
     # the probe can tell: a kernel call does load numpy
     assert probe(["certify", "--n", "3", "--trials", "1"]) == (0, True)
+
+
+def test_length_loads_numpy():
+    # and so does span growth modulo 2^61 - 1
+    assert probe(["length", "--n", "3", "--trials", "1"]) == (0, True)
