@@ -32,7 +32,7 @@ from .graphs import (
     verify_partition,
 )
 from .witness import build_and_verify, reported_constants
-from .words import build_word_grid
+from .words import build_word_grid, check_alphabet_size
 
 _CLAIMS = {
     "words": [
@@ -264,6 +264,7 @@ def _cmd_length(args) -> tuple[RunConfig, dict, int]:
         raise InvalidInput("need at least one trial")
     if args.g < 2:
         raise InvalidInput(f"need g >= 2 matrices, got g = {args.g}")
+    check_alphabet_size(args.g)
     for n in sizes:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")

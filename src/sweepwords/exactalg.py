@@ -63,11 +63,6 @@ from .errors import (
 )
 from .words import Word
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - optional accelerator
-    _mpz = int
-
 MERSENNE61 = (1 << 61) - 1
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -913,9 +908,9 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     `_det_block_triangular` calls it on each irreducible diagonal block.
     """
     n = len(rows)
-    m = [[_mpz(x) for x in r] for r in rows]
+    m = [list(r) for r in rows]
     sign = 1
-    prev = _mpz(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if m[i][k]), None)
@@ -931,7 +926,7 @@ def _det_bareiss(rows: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 ri[j] = (ri[j] * pk - fik * rk[j]) // prev
         prev = pk
-    return sign * int(m[n - 1][n - 1])
+    return sign * m[n - 1][n - 1]
 
 
 # --- incremental span maintenance -------------------------------------------

@@ -33,7 +33,15 @@ from .exactalg import (
     rank,
     span_insert,  # noqa: F401 - re-exported; perfbench/tracer.py wraps it here
 )
-from .words import Word, all_words, build_word_grid, degree_exponent
+from .words import (
+    Word,
+    all_words,
+    build_word_grid,
+    check_alphabet_size,
+    check_grid_size,
+    degree_exponent,
+    least_alphabet,
+)
 
 DEFAULT_PRIME = (1 << 61) - 1
 _MASK64 = (1 << 64) - 1
@@ -179,7 +187,8 @@ def is_locally_linearly_independent(
     One nonzero trial certifies that the words evaluate to a linearly
     independent family somewhere; zero successes are inconclusive (over a
     finite field only the positive direction is sound).  Raises TooLarge,
-    before sampling, when n exceeds the cap of `check_certify_size`.
+    before sampling, when n exceeds the cap of `check_certify_size`, and
+    InvalidInput when the words have no string form for the digest (g > 26).
     """
     check_certify_size(n, p)
     if len(words) != n * n:
@@ -192,6 +201,7 @@ def is_locally_linearly_independent(
     ring = prime_field(p)
     if trials < 1:
         raise InvalidInput("need at least one trial")
+    digest = words_digest(words)
     flags = []
     for trial in range(trials):
         rng = random.Random(derive_trial_seed(seed, trial))
@@ -202,7 +212,7 @@ def is_locally_linearly_independent(
         n=n,
         g=g,
         d=max(w.degree for w in words),
-        word_digest=words_digest(words),
+        word_digest=digest,
         trials=trials,
         successes=sum(flags),
         p=p,
@@ -375,6 +385,7 @@ def generic_length_experiment(
         raise InvalidInput("need at least one trial")
     if g < 2:
         raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
+    check_alphabet_size(g)
     check_length_size(n, p)
     ring = prime_field(p)
     reports = []
@@ -431,16 +442,12 @@ def rosenthal_check(
         raise Infeasible(
             f"g^(2d) = {g ** (2 * d)} < n^2 = {n * n}: no spanning is possible"
         )
-    gbar = 1
-    while gbar**d < n:
-        gbar += 1
+    gbar = least_alphabet(n, d)
     ring = prime_field(p)
     rng = random.Random(derive_trial_seed(seed, 0))
     matrices = [sample_matrix(n, ring, rng) for _ in range(gbar)]
     matrices += [Matrix.zeros(n, ring) for _ in range(g - gbar)]
-    t = MatrixTuple(tuple(matrices))
-    words = all_words(g, 2 * d)
-    return rank(evaluate_words(words, t)) == n * n
+    return sweep_check(all_words(g, 2 * d), MatrixTuple(tuple(matrices)))
 
 
 def grid_certification(
@@ -483,11 +490,13 @@ def random_words_certification(
     open matter; this samples one selection per seed and reports what the
     discriminant says, nothing more.  The word sample draws its seed from
     counter = trials, after the per-trial counters.  Raises TooLarge, before
-    sampling any word, when n exceeds the cap of `check_certify_size`.
+    sampling any word, past the caps of `check_certify_size` and
+    `check_grid_size`.
     """
     check_certify_size(n, p)
     if d is None:
         d = degree_exponent(n, g)
+    check_grid_size(n, g, d)
     s = 2 * d
     if g**s < n * n:
         raise InvalidInput(

@@ -34,7 +34,9 @@ from .words import (
     WordGrid,
     build_word_grid,
     certificate_monomial,
+    check_alphabet_size,
     degree_exponent,
+    least_alphabet,
 )
 
 
@@ -53,30 +55,9 @@ def check_witness_size(n: int) -> None:
         raise TooLarge(f"witnesses are capped at n = {WITNESS_MAX_N}; got n = {n}")
 
 
-def _variable_level(var: VarId, g: int) -> int:
-    """Recursion level at which a support variable first appears.
-
-    For letter 1 the diagonal variable (1, i, i) first occurs once the
-    half-grid reaches i, i.e. at the smallest s with i <= g**(s-1).  For a
-    letter k >= 2 the pair (i, j) satisfies |i - j| = (k-1) * g**(s-1).
-    """
-    k, i, j = var
-    if k == 1:
-        s = 1
-        while g ** (s - 1) < i:
-            s += 1
-        return s
-    gap, s = abs(i - j), 1
-    while (k - 1) * g ** (s - 1) != gap:
-        s += 1
-        if (k - 1) * g ** (s - 1) > gap:
-            raise InvalidInput(f"variable {var} is not on the support lattice")
-    return s
-
-
-def _support_order_key(var: VarId, g: int) -> tuple[int, int, int, int]:
-    k, i, j = var
-    return (k, _variable_level(var, g), i, j)
+def _m_constant(n: int, d: int) -> int:
+    """The reported comparison constant M = n! * (n^(2d-1))^n."""
+    return math.factorial(n) * (n ** (2 * d - 1)) ** n
 
 
 @dataclass(frozen=True)
@@ -116,8 +97,16 @@ def build_witness(
     if n < 2 or g < 2:
         raise InvalidInput(f"need n >= 2 and g >= 2, got n={n}, g={g}")
     d = degree_exponent(n, g)
-    mono = certificate_monomial(n, g)
-    variables = sorted(mono.exponents, key=lambda v: _support_order_key(v, g))
+
+    def order(var: VarId) -> tuple[int, int, int, int]:
+        # the chain step at level s, counted from the innermost, has width
+        # g^(s-1): a loop (1, i, i) first occurs once i <= g^(s-1), and a
+        # letter k >= 2 moves |i - j| = (k-1) * g^(s-1)
+        k, i, j = var
+        level = 1 + degree_exponent(i if k == 1 else abs(i - j) // (k - 1), g)
+        return k, level, i, j
+
+    variables = sorted(certificate_monomial(n, g).exponents, key=order)
     support = {var: e for e, var in enumerate(variables)}
     if base_override is not None:
         if base_override < 2:
@@ -136,7 +125,7 @@ def build_witness(
         d=d,
         base=base,
         support=support,
-        m_constant=math.factorial(n) * (n ** (2 * d - 1)) ** n,
+        m_constant=_m_constant(n, d),
     )
     return spec, t
 
@@ -183,9 +172,11 @@ def build_and_verify(
 ) -> tuple[WitnessReport, MatrixTuple]:
     """Build a witness and verify it, squaring the base on a zero result.
 
-    Raises TooLarge, before building anything, when n > WITNESS_MAX_N.
+    Raises TooLarge, before building anything, when n > WITNESS_MAX_N or g
+    exceeds the alphabet cap (words.MAX_G).
     """
     check_witness_size(n)
+    check_alphabet_size(g)
     grid = build_word_grid(n, g)
     spec, t = build_witness(n, g, base_hint, base_override)
     escalations = 0
@@ -206,9 +197,7 @@ def reported_constants(n: int, g: int) -> dict:
     original exponent tables).
     """
     d = degree_exponent(n, g)
-    gbar = 1
-    while gbar**d < n:
-        gbar += 1
+    gbar = least_alphabet(n, d)
     c_values = []
     for s in range(1, d + 1):
         if s == 1:
@@ -216,7 +205,7 @@ def reported_constants(n: int, g: int) -> dict:
         else:
             c_values.append(2 * gbar ** (s - 1) * (gbar - 1) + gbar ** (s - 2))
     return {
-        "m_constant": str(math.factorial(n) * (n ** (2 * d - 1)) ** n),
+        "m_constant": str(_m_constant(n, d)),
         "gbar": gbar,
         "c_values": c_values,
         "c_sum": sum(c_values),

@@ -86,6 +86,39 @@ def all_words(g: int, s: int) -> list[Word]:
     return [Word(t, g) for t in itertools.product(range(1, g + 1), repeat=s)]
 
 
+# Largest n that `build_word_grid` accepts; the grid holds n^2 words.  A
+# `words --n N` CLI job (wall time / max RSS, 2 cores) takes 0.37 s / 43 MB
+# at N = 256, 1.4 s / 79 MB at N = 400 and 6.1 s / 266 MB at N = 800.
+WORDS_MAX_N = 256
+# Largest half-degree d of grid words, natural or overridden (the natural d
+# stays within it, since WORDS_MAX_N = 2^8).  The costliest command it
+# admits, `certify --n 40 --g 26 --d 8 --random-words --trials 1`, takes
+# 13-16 s / 937 MB, and `certify --n 2 --d 20000` took 27 s.
+WORDS_MAX_D = 8
+# Largest alphabet size g that any command accepts.  The letters are held
+# and printed whether or not a word uses them: `witness --n 16` takes 2.8 s
+# / 32 MB at g = 256 and 14 s / 68 MB at g = 1024, and `witness --n 2 --g
+# 100000` took 29 s.  `length --n 48` costs the same at g = 256 as at g = 2.
+MAX_G = 256
+
+
+def check_alphabet_size(g: int) -> None:
+    """Raise TooLarge when g exceeds MAX_G."""
+    if g > MAX_G:
+        raise TooLarge(f"alphabets are capped at g = {MAX_G}; got g = {g}")
+
+
+def check_grid_size(n: int, g: int, d: int) -> None:
+    """Raise TooLarge when n, g or the half-degree d exceeds its cap."""
+    check_alphabet_size(g)
+    if n > WORDS_MAX_N:
+        raise TooLarge(f"word grids are capped at n = {WORDS_MAX_N}; got n = {n}")
+    if d > WORDS_MAX_D:
+        raise TooLarge(
+            f"grid words are capped at half-degree d = {WORDS_MAX_D}; got d = {d}"
+        )
+
+
 def degree_exponent(n: int, g: int) -> int:
     """Smallest d with g**d >= n (the half-degree of the grid words)."""
     if g < 2 and n >= 2:
@@ -96,6 +129,17 @@ def degree_exponent(n: int, g: int) -> int:
         power *= g
         d += 1
     return d
+
+
+def least_alphabet(n: int, d: int) -> int:
+    """Smallest gbar with gbar**d >= n (the fewest letters whose degree-d
+    words number at least n)."""
+    if d < 1 and n > 1:
+        raise InvalidInput(f"no alphabet has n={n} words of degree {d}")
+    gbar = 1
+    while gbar**d < n:
+        gbar += 1
+    return gbar
 
 
 @dataclass(frozen=True)
@@ -140,7 +184,8 @@ def build_word_grid(n: int, g: int, d: int | None = None) -> WordGrid:
     equivalently entry (i, j) = outer(i) * middle(i_d, j_d) * outer(j) with
     outer(i) the letter ceil(i / g**(d-1)) and (i_d, j_d) the residues of
     (i, j) in [1, g**(d-1)].  For n < g**d the leading principal n-by-n
-    subgrid is returned.  An explicit d must satisfy g**d >= n.
+    subgrid is returned.  An explicit d must satisfy g**d >= n.  Raises
+    TooLarge, before any word exists, past the caps of `check_grid_size`.
     """
     if n < 2 or g < 2:
         raise InvalidInput(f"need n >= 2 and g >= 2, got n={n}, g={g}")
@@ -149,6 +194,7 @@ def build_word_grid(n: int, g: int, d: int | None = None) -> WordGrid:
         d = d_min
     elif d < d_min:
         raise InvalidInput(f"d={d} too small: g**d must be >= n={n}")
+    check_grid_size(n, g, d)
     # only the first n of the g**d degree-d words are ever referenced
     heads = itertools.islice(itertools.product(range(1, g + 1), repeat=d), n)
     v = [Word(t, g) for t in heads]

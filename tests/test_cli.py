@@ -2,7 +2,7 @@ import contextlib
 import io
 import json
 
-from sweepwords import cli, genericity, graphs, witness
+from sweepwords import cli, genericity, graphs, witness, words
 from sweepwords.cli import main
 from sweepwords.genericity import (
     CERTIFY_FOLD_MAX_N,
@@ -10,7 +10,13 @@ from sweepwords.genericity import (
     LENGTH_FOLD_MAX_N,
     LENGTH_MAX_N,
 )
+from sweepwords.graphs import GRAPH_MAX_VERTICES
 from sweepwords.witness import WITNESS_MAX_N
+from sweepwords.words import MAX_G, WORDS_MAX_D, WORDS_MAX_N
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the size check")
 
 
 def run(argv):
@@ -68,6 +74,18 @@ class TestWordsCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["command"] == "words"
+
+    def test_size_above_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(words, "Word", refuse)
+        for argv in (
+            ["--n", str(WORDS_MAX_N + 1)],
+            ["--n", "2", "--d", str(WORDS_MAX_D + 1)],
+            ["--n", "2", "--g", str(MAX_G + 1)],
+        ):
+            code, out, err = run(["words", *argv])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
     def test_out_under_missing_directory_exits_2(self, tmp_path):
         target = tmp_path / "missing" / "x"
@@ -141,6 +159,34 @@ class TestCertifyCommand:
             assert out == ""
             assert "capped" in err
 
+    def test_degree_and_alphabet_above_cap_exit_2(self, monkeypatch):
+        for owner in (words, genericity):
+            monkeypatch.setattr(owner, "Word", refuse)
+        monkeypatch.setattr(genericity, "sample_tuple", refuse)
+        for argv in (
+            ["--d", str(WORDS_MAX_D + 1)],
+            ["--d", "20000"],
+            ["--g", str(MAX_G + 1)],
+        ):
+            for mode in ([], ["--random-words"]):
+                code, out, err = run(["certify", "--n", "2", *argv, *mode])
+                assert code == 2
+                assert out == ""
+                assert "capped" in err
+
+    def test_alphabet_without_string_form_exits_2_before_sampling(
+        self, monkeypatch
+    ):
+        # the word digest needs letters a..z; it is taken before any trial
+        monkeypatch.setattr(genericity, "sample_tuple", refuse)
+        for mode in ([], ["--random-words"]):
+            code, out, err = run(
+                ["certify", "--n", "20", "--g", "27", "--trials", "3", *mode]
+            )
+            assert code == 2
+            assert out == ""
+            assert "g <= 26" in err
+
 
 class TestGraphCommand:
     def test_enumerate_level_two(self):
@@ -178,6 +224,21 @@ class TestGraphCommand:
         assert code == 2
         assert out == ""
         assert "candidate walks" in err
+
+    def test_size_above_cap_exits_2(self, monkeypatch):
+        # g = 2, d = 17 has 2 * GRAPH_MAX_VERTICES vertices
+        monkeypatch.setattr(graphs, "Counter", refuse)
+        monkeypatch.setattr(graphs, "LabeledMultigraph", refuse)
+        assert 2**17 == 2 * GRAPH_MAX_VERTICES
+        for argv in (
+            ["--g", "2", "--d", "17"],
+            ["--g", "2", "--d", str(10**18), "--enumerate"],
+            ["--g", str(MAX_G + 1), "--d", "1"],
+        ):
+            code, out, err = run(["graph", *argv])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
     def test_edge_dump_matches_level_one_multiplicities(self):
         code, env, _ = run_json(["graph", "--g", "2", "--d", "1"])
@@ -298,6 +359,15 @@ class TestLengthCommand:
             assert "capped" in err
 
 
+    def test_alphabet_above_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes in ["3", "2..4"]:
+            code, out, err = run(["length", "--n", sizes, "--g", str(MAX_G + 1)])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
+
+
 class TestWitnessCommand:
     def test_base_ten_fixture(self):
         code, env, _ = run_json(["witness", "--n", "2", "--base", "10"])
@@ -343,6 +413,14 @@ class TestWitnessCommand:
             assert code == 2
             assert out == ""
             assert "capped" in err
+
+    def test_alphabet_above_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(witness, "build_word_grid", refuse)
+        monkeypatch.setattr(witness, "build_witness", refuse)
+        code, out, err = run(["witness", "--n", "2", "--g", str(MAX_G + 1)])
+        assert code == 2
+        assert out == ""
+        assert "capped" in err
 
 
 class TestTextFormat:

@@ -1,11 +1,14 @@
 import pytest
 
-from sweepwords.errors import BudgetExceeded, InvalidInput
+from sweepwords import graphs
+from sweepwords.errors import BudgetExceeded, InvalidInput, TooLarge
 from sweepwords.graphs import (
+    GRAPH_MAX_VERTICES,
     LabeledMultigraph,
     Walk,
     WalkPartition,
     build_graph,
+    check_graph_size,
     derive_walks_from_certificate,
     enumerate_partitions,
     scale_partition,
@@ -13,7 +16,30 @@ from sweepwords.graphs import (
     walk_partition_matches_certificate,
     word_of_walk,
 )
-from sweepwords.words import Word, build_word_grid
+from sweepwords.words import MAX_G, Word, build_word_grid
+
+# every (g, d) with d >= 1 and g^d <= 64
+SMALL_LEVELS = [
+    (g, d) for g in range(2, 65) for d in range(1, 7) if g**d <= 64
+]
+
+
+def _walk_steps(d: int, i: int, j: int, g: int) -> list[tuple[int, int]]:
+    """The walk from i to j at level d, as its own recursion.
+
+    Oracle for `derive_walks_from_certificate`, which unfolds the certificate
+    chain instead: the walk opens i -> i_d with label ceil(i / g^(d-1)),
+    closes j_d -> j with label ceil(j / g^(d-1)), and recurses on the
+    residues (i_d, j_d) in between.
+    """
+    if d == 0:
+        return []
+    h = g ** (d - 1)
+    a = (i - 1) // h + 1
+    b = (j - 1) // h + 1
+    i2 = (i - 1) % h + 1
+    j2 = (j - 1) % h + 1
+    return [(i2, a)] + _walk_steps(d - 1, i2, j2, g) + [(j, b)]
 
 
 class TestBuildGraph:
@@ -119,6 +145,42 @@ class TestDeriveWalks:
     def test_level_two_usage_matches_graph_multiplicities(self):
         part = derive_walks_from_certificate(4, 2)
         assert part.edge_usage() == build_graph(2, 2).edges
+
+    @pytest.mark.parametrize("g,d", SMALL_LEVELS)
+    def test_unfolded_chain_matches_walk_recursion(self, g, d):
+        n = g**d
+        part = derive_walks_from_certificate(n, g)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert part.walks[(i, j)] == (Walk(i, tuple(_walk_steps(d, i, j, g))),)
+
+
+class TestGraphCap:
+    def test_vertex_cap_is_inclusive(self):
+        assert GRAPH_MAX_VERTICES == 2**16
+        check_graph_size(2, 16)
+        check_graph_size(256, 2)
+        with pytest.raises(TooLarge):
+            check_graph_size(2, 17)
+
+    def test_alphabet_cap_is_inclusive(self):
+        check_graph_size(MAX_G, 1)
+        with pytest.raises(TooLarge):
+            check_graph_size(MAX_G + 1, 0)
+
+    def test_huge_level_is_refused_at_once(self):
+        with pytest.raises(TooLarge):
+            check_graph_size(2, 10**18)
+
+    def test_refused_before_any_edge(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built edges before the size check")
+
+        monkeypatch.setattr(graphs, "Counter", refuse)
+        monkeypatch.setattr(graphs, "LabeledMultigraph", refuse)
+        for g, d in [(2, 17), (256, 3), (MAX_G + 1, 0), (2, 10**18)]:
+            with pytest.raises(TooLarge):
+                build_graph(g, d)
 
 
 class TestVerifyPartition:

@@ -14,7 +14,28 @@ from sweepwords.witness import (
     reported_constants,
     verify_witness,
 )
-from sweepwords.words import build_word_grid
+from sweepwords.words import MAX_G, build_word_grid, certificate_monomial
+
+
+def _variable_level(var, g):
+    """Recursion level at which a support variable first appears, by search.
+
+    Oracle for the closed form in `build_witness`.  For letter 1 the
+    diagonal variable (1, i, i) first occurs once the half-grid reaches i,
+    i.e. at the smallest s with i <= g**(s-1).  For a letter k >= 2 the pair
+    (i, j) satisfies |i - j| = (k-1) * g**(s-1).
+    """
+    k, i, j = var
+    if k == 1:
+        s = 1
+        while g ** (s - 1) < i:
+            s += 1
+        return s
+    gap, s = abs(i - j), 1
+    while (k - 1) * g ** (s - 1) != gap:
+        s += 1
+        assert (k - 1) * g ** (s - 1) <= gap, f"{var} is off the support lattice"
+    return s
 
 
 class TestBuildWitness:
@@ -45,9 +66,17 @@ class TestBuildWitness:
             exps = list(spec.support.values())
             assert sorted(exps) == list(range(len(exps)))
 
-    def test_support_positions_match_certificate_variables(self):
-        from sweepwords.words import certificate_monomial
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_exponents_follow_letter_level_position(self, g):
+        for n in range(2, 17):
+            variables = sorted(
+                certificate_monomial(n, g).exponents,
+                key=lambda v: (v[0], _variable_level(v, g), v[1], v[2]),
+            )
+            spec, _ = build_witness(n, g)
+            assert spec.support == {var: e for e, var in enumerate(variables)}
 
+    def test_support_positions_match_certificate_variables(self):
         for n in (3, 4, 6):
             spec, _ = build_witness(n, 2)
             assert set(spec.support) == set(certificate_monomial(n, 2).exponents)
@@ -136,6 +165,15 @@ class TestWitnessCap:
         for g in (2, 3):
             with pytest.raises(TooLarge):
                 build_and_verify(WITNESS_MAX_N + 1, g, _verifier=refuse)
+
+    def test_alphabet_above_cap_is_refused_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the alphabet check")
+
+        for name in ("build_word_grid", "build_witness", "verify_witness"):
+            monkeypatch.setattr(witness, name, refuse)
+        with pytest.raises(TooLarge):
+            build_and_verify(2, MAX_G + 1, _verifier=refuse)
 
     def test_cap_is_inclusive(self):
         check_witness_size(WITNESS_MAX_N)

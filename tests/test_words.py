@@ -2,16 +2,22 @@ import itertools
 
 import pytest
 
+from sweepwords import words
 from sweepwords.errors import InvalidInput, InvalidWord, TooLarge
 from sweepwords.words import (
+    MAX_G,
+    WORDS_MAX_D,
+    WORDS_MAX_N,
     CommMonomial,
     Word,
     WordGrid,
     all_words,
     build_word_grid,
     certificate_monomial,
+    check_grid_size,
     degree_exponent,
     entry_variable_chain,
+    least_alphabet,
     monomial_coefficient_bruteforce,
 )
 
@@ -76,6 +82,55 @@ class TestDegreeExponent:
         # g^d never reaches n >= 2, so the search for d would not end
         with pytest.raises(InvalidInput):
             degree_exponent(3, g)
+
+
+class TestLeastAlphabet:
+    @pytest.mark.parametrize(
+        "n,d,gbar",
+        [(1, 0, 1), (2, 1, 2), (4, 2, 2), (5, 2, 3), (9, 2, 3), (10, 2, 4), (8, 3, 2)],
+    )
+    def test_smallest_letter_count(self, n, d, gbar):
+        assert least_alphabet(n, d) == gbar
+
+    def test_inverts_degree_exponent(self):
+        # gbar letters reach n words at degree d, gbar - 1 letters do not
+        for n in range(2, 40):
+            for d in range(1, 5):
+                gbar = least_alphabet(n, d)
+                assert gbar**d >= n > (gbar - 1) ** d
+                assert degree_exponent(n, gbar) <= d
+
+    def test_degree_zero_is_refused(self):
+        with pytest.raises(InvalidInput):
+            least_alphabet(2, 0)
+
+
+class TestGridCaps:
+    def test_caps_are_inclusive(self):
+        # the natural half-degree of every admitted n stays within the d cap
+        assert degree_exponent(WORDS_MAX_N, 2) <= WORDS_MAX_D
+        check_grid_size(WORDS_MAX_N, MAX_G, WORDS_MAX_D)
+        for n, g, d in [
+            (WORDS_MAX_N + 1, 2, 9),
+            (2, MAX_G + 1, 1),
+            (2, 2, WORDS_MAX_D + 1),
+        ]:
+            with pytest.raises(TooLarge):
+                check_grid_size(n, g, d)
+
+    def test_refused_before_any_word(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a word before the size check")
+
+        monkeypatch.setattr(words, "Word", refuse)
+        for n, g, d in [
+            (WORDS_MAX_N + 1, 2, None),
+            (2, 2, WORDS_MAX_D + 1),
+            (2, 2, 10**18),
+            (2, MAX_G + 1, None),
+        ]:
+            with pytest.raises(TooLarge):
+                build_word_grid(n, g, d)
 
 
 class TestWordGrid:
