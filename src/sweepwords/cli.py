@@ -20,6 +20,7 @@ from .errors import BudgetExceeded, InvalidInput, SweepwordsError
 from .genericity import (
     DEFAULT_PRIME,
     check_length_size,
+    check_trials,
     generic_length_experiment,
     grid_certification,
     random_words_certification,
@@ -260,8 +261,7 @@ def _cmd_graph(args) -> tuple[RunConfig, dict, int]:
 def _cmd_length(args) -> tuple[RunConfig, dict, int]:
     sizes = _parse_n_range(args.n)
     # refuse the whole range before running any of it
-    if args.trials < 1:
-        raise InvalidInput("need at least one trial")
+    check_trials(args.trials)
     if args.g < 2:
         raise InvalidInput(f"need g >= 2 matrices, got g = {args.g}")
     check_alphabet_size(args.g)

@@ -13,9 +13,11 @@ flat row-major tuples (`_int_matmul`), reduced mod p over the other prime
 fields.  `letter_stack` picks the storage and product of the ring, and two
 things are built on it and on the kernel:
 
-- `evaluate_words`, the one word evaluator: every word splits into two
-  halves, the distinct halves are built through a prefix trie, and all
-  words are one batched product head @ tail.
+- `word_blocks`, the one word evaluator: every word splits into two
+  halves, the distinct halves are built once through a prefix trie, and
+  the words come out in blocks of _EXTEND_BLOCK rows, each one batched
+  product head @ tail formed only when it is asked for.
+  `evaluate_words` joins the blocks into a list of matrices.
 - `_extend_m61`, blocked echelon extension: candidate rows go into an
   int64 RREF basis in blocks, each reduced against the basis by one kernel
   product.
@@ -28,6 +30,11 @@ that fold would.  `rank`, the span growth of `genericity.subspace_length`
 and every prime-field determinant are built on `echelon_extend`; a
 determinant is the product of the leads it reports times the sign of the
 pivot order (`_det_echelon`).  `span_insert` is `_insert` itself.
+Block evaluation feeds elimination directly: `_det_echelon` and
+`_rank_echelon` take the blocks of `word_blocks` one at a time, so
+certification holds one block of products besides the echelon rows, and
+stops evaluating at the first dependent block (or, for a rank, once the
+span is full).
 
 An integer determinant (`_det_block_triangular`) is split along the
 block-triangular form of its nonzero pattern: a perfect row -> column
@@ -312,35 +319,53 @@ def evaluate_word(w: Word, t: MatrixTuple) -> Matrix:
 
 
 def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
-    """Evaluate nonempty words at the tuple t; the package's one evaluator.
+    """Evaluate nonempty words at the tuple t, as one list of matrices.
 
-    Every word splits at ceil(deg/2) into a head and a (possibly empty)
-    tail.  The distinct halves are built through their prefix trie, one
-    batched product per trie level, and then all words are one batched
+    The blocks of `word_blocks`, the package's one evaluator, joined; for
+    callers that need every product at once, such as the integer
+    discriminant of a witness.
+    """
+    st = letter_stack(t)
+    n, ring = t.n, t.ring
+    return [
+        Matrix(n, n, tuple(entries), ring)
+        for block in word_blocks(words, st)
+        for entries in st.entries(block)
+    ]
+
+
+def word_blocks(words: list[Word], st: RingStack):
+    """Yield the evaluations of nonempty words, in order, _EXTEND_BLOCK at a time.
+
+    Each block is a stack of `st` (the `letter_stack` of the tuple), so it
+    goes straight into `echelon_extend`; a block is formed only when the
+    consumer asks for it.  Every word splits at ceil(deg/2) into a head and
+    a (possibly empty) tail.  The distinct halves are built once through
+    their prefix trie (`_prefix_products`), and each block is one batched
     product head @ tail.  On the n x n grid the halves are exactly the v_i
     and the rev(v_j), so n^2 words cost about 2n small products plus the
-    final one.  Storage and products are those of `letter_stack`.
+    blocks.  Raises InvalidWord at the first block on a word that is empty
+    or uses a letter outside the tuple.
     """
+    g = len(st.letters)
     for w in words:
         if w.degree == 0:
             raise InvalidWord("cannot evaluate the empty word")
-        if any(not 1 <= letter <= t.g for letter in w.letters):
-            raise InvalidWord(
-                f"word uses letters outside [1, {t.g}]: {w.letters}"
-            )
+        if any(not 1 <= letter <= g for letter in w.letters):
+            raise InvalidWord(f"word uses letters outside [1, {g}]: {w.letters}")
     if not words:
-        return []
-    n, ring = t.n, t.ring
-    st = letter_stack(t)
+        return
     cuts = [(w.degree + 1) // 2 for w in words]
     heads = [w.letters[:c] for w, c in zip(words, cuts)]
     tails = [w.letters[c:] for w, c in zip(words, cuts)]
     index, stack = _prefix_products(set(heads) | set(tails), st)
-    prod = st.mul(
-        st.take(stack, [index[h] for h in heads]),
-        st.take(stack, [index[h] for h in tails]),
-    )
-    return [Matrix(n, n, tuple(entries), ring) for entries in st.entries(prod)]
+    head_rows = [index[h] for h in heads]
+    tail_rows = [index[h] for h in tails]
+    for lo in range(0, len(words), _EXTEND_BLOCK):
+        hi = lo + _EXTEND_BLOCK
+        yield st.mul(
+            st.take(stack, head_rows[lo:hi]), st.take(stack, tail_rows[lo:hi])
+        )
 
 
 class RingStack(NamedTuple):
@@ -414,28 +439,31 @@ def _int_matmul(n: int, p: int | None):
     return mul
 
 
-def _prefix_products(halves, st: RingStack):
+def _prefix_products(halves: set, st: RingStack):
     """Evaluate letter tuples (the empty one included) through their prefix trie.
 
-    Returns (index, stack) with row index[h] of stack the product for h.
-    Trie level l (the distinct length-l prefixes) is one batched product of
-    level l-1 rows by letter matrices; level 0 is the identity.
+    Returns (index, stack) with row index[h] of stack the product for each
+    h in halves.  Trie level l (the distinct length-l prefixes) is one
+    batched product of level l-1 rows by letter matrices; level 0 is the
+    identity.  Only the live level and the rows of the halves are held.
     """
-    index = {(): 0}
-    levels = [st.eye]
-    start = 0  # row of the stack where the last level begins
-    for depth in range(1, max(map(len, halves)) + 1):
-        level = sorted({h[:depth] for h in halves if len(h) >= depth})
-        parents = [index[pre[:-1]] - start for pre in level]
-        start += len(levels[-1])
-        levels.append(
-            st.mul(
-                st.take(levels[-1], parents),
+    index: dict = {}
+    kept = []
+    level, rows = [()], st.eye
+    for depth in range(max(map(len, halves)) + 1):
+        if depth:
+            parent = {pre: i for i, pre in enumerate(level)}
+            level = sorted({h[:depth] for h in halves if len(h) >= depth})
+            rows = st.mul(
+                st.take(rows, [parent[pre[:-1]] for pre in level]),
                 st.take(st.letters, [pre[-1] - 1 for pre in level]),
             )
-        )
-        index.update((pre, start + i) for i, pre in enumerate(level))
-    return index, st.join(levels)
+        done = [i for i, pre in enumerate(level) if pre in halves]
+        if done:
+            base = len(index)
+            index.update((level[i], base + k) for k, i in enumerate(done))
+            kept.append(st.take(rows, done))
+    return index, st.join(kept)
 
 
 def vectorize(m: Matrix) -> tuple[int, ...]:
@@ -478,24 +506,26 @@ def discriminant(ms: list[Matrix]) -> int:
     rows = [m.entries for m in ms]
     if ring.kind == "big_integer":
         return _det_block_triangular(rows)
-    return _det_echelon(rows, ring)
+    return _det_echelon(
+        (rows[lo : lo + _EXTEND_BLOCK] for lo in range(0, nn, _EXTEND_BLOCK)), ring
+    )
 
 
-def _det_echelon(rows, ring: ScalarRing) -> int:
-    """Determinant of a square matrix over a prime field, via `echelon_extend`.
+def _det_echelon(blocks, ring: ScalarRing) -> int:
+    """Determinant over a prime field of the square matrix whose rows come in blocks.
 
-    The rows go in slices of _EXTEND_BLOCK, and the first slice with a
-    rejected row means the determinant is 0.  Otherwise each row i, when
-    accepted, has been reduced by adding multiples of earlier rows (which
-    keeps the determinant) to a row with leading value lead_i in column c_i
-    and zeros in every earlier pivot column.  Those reduced rows, with
-    column c_i moved to place i, form an upper triangular matrix, so the
-    determinant is sign(i -> c_i) times the product of the leads.
+    Each block (a nonempty stack of rows, such as `word_blocks` yields) goes
+    through `echelon_extend`, and the first block with a rejected row means
+    the determinant is 0: no later block is asked for.  Otherwise each row
+    i, when accepted, has been reduced by adding multiples of earlier rows
+    (which keeps the determinant) to a row with leading value lead_i in
+    column c_i and zeros in every earlier pivot column.  Those reduced rows,
+    with column c_i moved to place i, form an upper triangular matrix, so
+    the determinant is sign(i -> c_i) times the product of the leads.
     """
     p = ring.p
     vectors, pivots, leads = [], [], []
-    for lo in range(0, len(rows), _EXTEND_BLOCK):
-        block = rows[lo : lo + _EXTEND_BLOCK]
+    for block in blocks:
         vectors, pivots, accepted, new = echelon_extend(vectors, pivots, block, ring)
         if len(accepted) < len(block):
             return 0
@@ -524,7 +554,19 @@ def _perm_sign(perm) -> int:
 def rank(ms: list[Matrix]) -> int:
     """Rank of the vectorized collection; equals n^2 iff the span is full."""
     _, ring = _check_uniform(ms)
-    vectors, _, _, _ = echelon_extend([], [], [m.entries for m in ms], ring)
+    return _rank_echelon([[m.entries for m in ms]], ring)
+
+
+def _rank_echelon(blocks, ring: ScalarRing) -> int:
+    """Rank of the rows that come in blocks, as `_det_echelon` takes them.
+
+    Once the span is full no later block is asked for.
+    """
+    vectors, pivots = [], []
+    for block in blocks:
+        vectors, pivots, _, _ = echelon_extend(vectors, pivots, block, ring)
+        if len(vectors) == len(block[0]):
+            break  # a full span takes no more rows
     return len(vectors)
 
 
@@ -662,6 +704,9 @@ def _sub_m61(a, b):
 # BLAS picks.  512 is the largest power of two under the bound 2^53 / (3 *
 # 2^42) ~ 682.
 _M61_CHUNK = 512
+# Matrix pairs per batched kernel call; see `_matmul_m61`.  One call makes
+# about 15 temporaries the size of its stack.
+_M61_BATCH = 256
 _LIMB_MASK = (1 << 21) - 1
 
 
@@ -689,10 +734,19 @@ def _matmul_m61(a, b):
     the limbs concatenated along the inner axis, exact per the chunk bound
     above.  Diagonal s carries weight 2^(21 s) == 2^(21 s mod 61), so the
     five sums recombine by 61-bit rotations by 0, 21, 42, 2 and 23 bits.
-    The inner dimension must be at least 1.
+    A stack of more than _M61_BATCH matrix pairs is multiplied
+    _M61_BATCH pairs at a time, which bounds the temporaries (limbs,
+    concatenations, diagonal sums) to that many matrices.  The inner
+    dimension must be at least 1.
     """
     import numpy as np
 
+    if a.ndim == 3 and len(a) > _M61_BATCH:
+        out = np.empty((len(a), a.shape[1], b.shape[2]), dtype=np.int64)
+        for lo in range(0, len(a), _M61_BATCH):
+            hi = lo + _M61_BATCH
+            out[lo:hi] = _matmul_m61(a[lo:hi], b[lo:hi])
+        return out
     k = a.shape[-1]
     acc = None
     for c in range(0, k, _M61_CHUNK):

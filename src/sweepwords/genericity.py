@@ -25,13 +25,15 @@ from .exactalg import (
     Matrix,
     MatrixTuple,
     ScalarRing,
-    discriminant,
+    _det_echelon,
+    _rank_echelon,
+    discriminant,  # noqa: F401 - re-exported; perfbench/tracer.py wraps it here
     echelon_extend,
-    evaluate_words,
+    evaluate_words,  # noqa: F401 - re-exported, and wrapped there too
     letter_stack,
     prime_field,
-    rank,
-    span_insert,  # noqa: F401 - re-exported; perfbench/tracer.py wraps it here
+    span_insert,  # noqa: F401 - re-exported, and wrapped there too
+    word_blocks,
 )
 from .words import (
     Word,
@@ -58,25 +60,43 @@ LENGTH_MAX_N = 48
 LENGTH_FOLD_MAX_N = 18
 
 # Largest n that certification accepts modulo 2^61 - 1.  A trial's
-# determinant has n^2 rows of n^2 entries: one g = 2 trial (CLI wall time /
-# max RSS, 2 cores) takes 3.9 s / 294 MB at n = 36, 5.2 s / 429 MB at
-# n = 40, 10 s / 611 MB at n = 44 and 13 s / 733 MB at n = 48, growing as
-# ~n^6 in time and ~n^4 in memory.  g = 3 costs the same at n = 40.
+# determinant has n^2 rows of n^2 entries, and the words are evaluated into
+# it 32 rows at a time: one g = 2 trial (CLI wall time / max RSS, 2 cores)
+# takes 0.87 s / 71 MB at n = 32, 2.3 s / 90 MB at n = 36, 2.4 s / 113 MB
+# at n = 40, 4.0 s / 149 MB at n = 44 and 6.7 s / 187 MB at n = 48, growing
+# as ~n^6 in time and ~n^4 in memory.  g = 3 costs the same at n = 40.
+# n = 48 takes 2.5x the time of n = 40, so the cap stays at 40.
 CERTIFY_MAX_N = 40
 # Largest n modulo every other prime, where words are evaluated with
 # Python-int products and the determinant is the pure-Python `_insert` fold:
 # one g = 2 trial modulo 2^61 - 31 (CLI wall time / max RSS, 2 cores, no
-# numpy loaded) takes 8.5-8.8 s / 28 MB at n = 18, nearly all of it in the
-# fold (the products take ~0.44 s), growing as ~n^6.
+# numpy loaded) takes 3.5 s / 23 MB at n = 18, nearly all of it in the
+# fold, growing as ~n^6.
 CERTIFY_FOLD_MAX_N = 18
 
 # Largest word count g^(2d) that `rosenthal_check` accepts (n is capped as
-# in certification).  All words are evaluated and held at once.  Measured
-# per check (in-process time / max RSS, 2 cores): 2,025 words (g = 45,
-# d = 1) take 4.8 s / 508 MB at n = 40 modulo 2^61 - 1 and 8.6 s / 32 MB at
-# n = 18 modulo 2^61 - 31; 4,096 words (g = 2, d = 6) take 6.5 s / 895 MB at
-# n = 40.  At n = 4, g = 2 the cost grows ~4x per unit of d.
+# in certification).  The words are evaluated and eliminated 32 at a time,
+# and evaluation stops once the span is full.  Measured per check
+# (in-process time / max RSS, 2 cores): 2,025 words (g = 45, d = 1) take
+# 2.5 s / 121 MB at n = 40 modulo 2^61 - 1 and 3.5 s / 23 MB at n = 18
+# modulo 2^61 - 31; 4,096 words (g = 2, d = 6, past the cap) take 2.3 s /
+# 115 MB at n = 40.  A word list that does not span is evaluated to its end.
 ROSENTHAL_MAX_WORDS = 2048
+
+# Largest trial count that `certify` and `length` accept.  At the n caps one
+# trial takes up to 7.6 s (CLI wall time, 2 cores: a g = 2 length chain at
+# n = 48; the pure-Python fold takes ~3.6 s at n = 18), so a run of one
+# size stays within ~8 min; `length --n 3 --trials 100000` ran past 60 s
+# before it was capped.
+TRIALS_MAX = 64
+
+
+def check_trials(trials: int) -> None:
+    """Raise InvalidInput below one trial and TooLarge above TRIALS_MAX."""
+    if trials < 1:
+        raise InvalidInput("need at least one trial")
+    if trials > TRIALS_MAX:
+        raise TooLarge(f"trials are capped at {TRIALS_MAX}; got {trials}")
 
 
 def derive_trial_seed(seed: int, counter: int) -> int:
@@ -184,13 +204,19 @@ def is_locally_linearly_independent(
 ) -> CertificationReport:
     """Sample random tuples and evaluate the discriminant of the given words.
 
-    One nonzero trial certifies that the words evaluate to a linearly
+    Per trial the words are evaluated one elimination block at a time
+    (`word_blocks`) and the blocks go straight into the determinant
+    (`_det_echelon`), so at most one block of products is held besides the
+    echelon rows; a block with a dependent row ends the trial at 0.  One
+    nonzero trial certifies that the words evaluate to a linearly
     independent family somewhere; zero successes are inconclusive (over a
     finite field only the positive direction is sound).  Raises TooLarge,
     before sampling, when n exceeds the cap of `check_certify_size`, and
     InvalidInput when the words have no string form for the digest (g > 26).
+    A trial count outside [1, TRIALS_MAX] is refused before sampling too.
     """
     check_certify_size(n, p)
+    check_trials(trials)
     if len(words) != n * n:
         raise InvalidWord(f"need exactly {n * n} words, got {len(words)}")
     for w in words:
@@ -199,14 +225,12 @@ def is_locally_linearly_independent(
     if p <= (1 << 40):
         raise InvalidModulus(f"modulus must exceed 2^40, got {p}")
     ring = prime_field(p)
-    if trials < 1:
-        raise InvalidInput("need at least one trial")
     digest = words_digest(words)
     flags = []
     for trial in range(trials):
         rng = random.Random(derive_trial_seed(seed, trial))
         t = sample_tuple(n, g, ring, rng, symmetric)
-        flags.append(discriminant(evaluate_words(words, t)) != 0)
+        flags.append(_det_echelon(word_blocks(words, letter_stack(t)), ring) != 0)
     total_degree = sum(w.degree for w in words)
     return CertificationReport(
         n=n,
@@ -223,10 +247,14 @@ def is_locally_linearly_independent(
 
 
 def sweep_check(words: list[Word], t: MatrixTuple) -> bool:
-    """True iff the word evaluations span the full n-by-n matrix algebra."""
+    """True iff the word evaluations span the full n-by-n matrix algebra.
+
+    The words are evaluated and eliminated one block at a time, and no
+    block is formed once the span is full.
+    """
     if len(words) < t.n * t.n:
         return False
-    return rank(evaluate_words(words, t)) == t.n * t.n
+    return _rank_echelon(word_blocks(words, letter_stack(t)), t.ring) == t.n * t.n
 
 
 @dataclass(frozen=True)
@@ -381,8 +409,7 @@ def generic_length_experiment(
 
     Raises InvalidInput or TooLarge before sampling anything.
     """
-    if trials < 1:
-        raise InvalidInput("need at least one trial")
+    check_trials(trials)
     if g < 2:
         raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
     check_alphabet_size(g)
@@ -463,9 +490,10 @@ def grid_certification(
     """Certify the flattened word grid for (n, g); the usual entry point.
 
     Raises TooLarge, before building the grid, when n exceeds the cap of
-    `check_certify_size`.
+    `check_certify_size` or trials that of `check_trials`.
     """
     check_certify_size(n, p)
+    check_trials(trials)
     grid = build_word_grid(n, g, d)
     words = grid.flatten()
     if inject_duplicate and len(words) >= 2:
@@ -490,10 +518,11 @@ def random_words_certification(
     open matter; this samples one selection per seed and reports what the
     discriminant says, nothing more.  The word sample draws its seed from
     counter = trials, after the per-trial counters.  Raises TooLarge, before
-    sampling any word, past the caps of `check_certify_size` and
-    `check_grid_size`.
+    sampling any word, past the caps of `check_certify_size`,
+    `check_grid_size` and `check_trials`.
     """
     check_certify_size(n, p)
+    check_trials(trials)
     if d is None:
         d = degree_exponent(n, g)
     check_grid_size(n, g, d)

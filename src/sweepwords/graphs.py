@@ -224,22 +224,6 @@ def scale_partition(partition: WalkPartition, m: int) -> WalkPartition:
     )
 
 
-def walk_partition_matches_certificate(n: int, g: int) -> bool:
-    """Edge usage of the derived partition equals the certificate exponents.
-
-    Loops (i, i, 1) correspond to diagonal variables (1, i, i); an edge
-    (u, v, k) with k >= 2 corresponds to the variable (k, u, v).
-    """
-    partition = derive_walks_from_certificate(n, g)
-    usage = partition.edge_usage()
-    expected: Counter[tuple[int, int, int]] = Counter()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for (k, a, b) in entry_variable_chain(n, g, i, j):
-                expected[(a, b, k)] += 1
-    return usage == expected
-
-
 def _partition_defect(
     graph: LabeledMultigraph, partition: WalkPartition
 ) -> str | None:
@@ -283,6 +267,12 @@ class _Saturated(Exception):
 # refuses the graph: g = 2, d = 4 stores 181,722 (~30 MB), and g = 2, d = 5
 # stops here
 CANDIDATE_WALKS_MAX = 250_000
+# walks one partition places, g^(2d) * m, that the search accepts.  It
+# recurses once per placed walk, and at the CLI under the default recursion
+# limit of 1000 frames it broke at 996 walks (g = 2, d = 1, m = 249) with a
+# RecursionError; the cap leaves callers ~230 frames and admits g = 3, d = 3
+# (729 walks).
+SEARCH_MAX_WALKS = 768
 
 # a walk as (pair index, ((edge id, uses), ...))
 _Walk = tuple[int, tuple[tuple[int, int], ...]]
@@ -357,14 +347,20 @@ def enumerate_partitions(
     expanded, i.e. one call of `extend`, leaves included.  The count
     saturates at `cap`; expanding more than `budget` nodes raises
     BudgetExceeded instead of returning a count.  A negative budget raises
-    InvalidInput, and a graph with more than CANDIDATE_WALKS_MAX candidate
-    walks raises TooLarge, both before the search.
+    InvalidInput, and a partition of more than SEARCH_MAX_WALKS walks or a
+    graph with more than CANDIDATE_WALKS_MAX candidate walks raises
+    TooLarge, all before the search.
     """
     if cap < 2:
         raise InvalidInput(f"cap must be >= 2, got {cap}")
     if budget < 0:
         raise InvalidInput(f"budget must be >= 0, got {budget}")
     m = graph.m
+    if graph.g ** (2 * graph.d) * m > SEARCH_MAX_WALKS:
+        raise TooLarge(
+            f"the partition search is capped at g^(2d) * m <= {SEARCH_MAX_WALKS} "
+            f"walks; got g = {graph.g}, d = {graph.d}, m = {m}"
+        )
     words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
     # every placed walk uses exactly its word's letters, so matching label
     # totals up front is the only label check the search needs

@@ -93,7 +93,10 @@ WORDS_MAX_N = 256
 # Largest half-degree d of grid words, natural or overridden (the natural d
 # stays within it, since WORDS_MAX_N = 2^8).  The costliest command it
 # admits, `certify --n 40 --g 26 --d 8 --random-words --trials 1`, takes
-# 13-16 s / 937 MB, and `certify --n 2 --d 20000` took 27 s.
+# 6.2 s / 245 MB (CLI wall time / max RSS, 2 cores): its ~3,200 distinct
+# half-words share few prefixes, so the evaluator's trie holds one level
+# and the finished halves, up to ~3,200 matrices.  `certify --n 2 --d
+# 20000` took 27 s.
 WORDS_MAX_D = 8
 # Largest alphabet size g that any command accepts.  The letters are held
 # and printed whether or not a word uses them: `witness --n 16` takes 2.8 s

@@ -9,6 +9,7 @@ from sweepwords.genericity import (
     CERTIFY_MAX_N,
     LENGTH_FOLD_MAX_N,
     LENGTH_MAX_N,
+    TRIALS_MAX,
 )
 from sweepwords.graphs import GRAPH_MAX_VERTICES
 from sweepwords.witness import WITNESS_MAX_N
@@ -159,6 +160,17 @@ class TestCertifyCommand:
             assert out == ""
             assert "capped" in err
 
+    def test_trials_above_cap_exit_2(self, monkeypatch):
+        monkeypatch.setattr(genericity, "build_word_grid", refuse)
+        monkeypatch.setattr(genericity, "sample_tuple", refuse)
+        for mode in ([], ["--random-words"]):
+            code, out, err = run(
+                ["certify", "--n", "3", "--trials", str(TRIALS_MAX + 1), *mode]
+            )
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
+
     def test_degree_and_alphabet_above_cap_exit_2(self, monkeypatch):
         for owner in (words, genericity):
             monkeypatch.setattr(owner, "Word", refuse)
@@ -224,6 +236,16 @@ class TestGraphCommand:
         assert code == 2
         assert out == ""
         assert "candidate walks" in err
+
+    def test_deep_scaled_search_exits_2(self):
+        # 4 * 400 walks would recurse past the interpreter's limit; the
+        # search refuses them up front, without a traceback
+        code, out, err = run(
+            ["graph", "--g", "2", "--d", "1", "--m-scale", "400", "--enumerate"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "capped" in err
 
     def test_size_above_cap_exits_2(self, monkeypatch):
         # g = 2, d = 17 has 2 * GRAPH_MAX_VERTICES vertices
@@ -332,6 +354,17 @@ class TestLengthCommand:
                 assert code == 2
                 assert out == ""
                 assert "at least one trial" in err
+
+    def test_trials_above_cap_exits_2(self, monkeypatch):
+        # refused before the first size of a range runs
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes in ["3", "2..4"]:
+            code, out, err = run(
+                ["length", "--n", sizes, "--trials", str(TRIALS_MAX + 1)]
+            )
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
     def test_unary_alphabet_exits_2(self, monkeypatch):
         # refused before the first size of a range runs

@@ -16,13 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepwords import exactalg
 from sweepwords.exactalg import (
+    _M61_BATCH,
     MERSENNE61,
     Matrix,
     MatrixTuple,
     _matmul_m61,
+    _prefix_products,
     big_integer,
     evaluate_word,
+    letter_stack,
     prime_field,
     rank,
 )
@@ -222,3 +226,51 @@ def test_matmul_m61_stacked():
                 assert int(got[s, i, j]) == sum(
                     a[s][i][t] * b[s][t][j] for t in range(6)
                 ) % p
+
+
+@pytest.mark.parametrize("k", [_M61_BATCH - 1, _M61_BATCH, _M61_BATCH + 1])
+def test_matmul_m61_batch_chunks_equal_one_call(k, monkeypatch):
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, MERSENNE61, size=(k, 3, 4), dtype=np.int64)
+    b = rng.integers(0, MERSENNE61, size=(k, 4, 2), dtype=np.int64)
+    a[-1] = MERSENNE61 - 1  # largest limbs in the last pair, past any chunk edge
+    calls = []
+    kernel = exactalg._matmul_m61
+
+    def counted(x, y):
+        calls.append(len(x))
+        return kernel(x, y)
+
+    monkeypatch.setattr(exactalg, "_matmul_m61", counted)
+    chunked = exactalg._matmul_m61(a, b)
+    # one call, or one outer call and then one per chunk
+    assert calls == ([k] if k <= _M61_BATCH else [k, _M61_BATCH, k - _M61_BATCH])
+    monkeypatch.setattr(exactalg, "_M61_BATCH", 10 * k)
+    whole = kernel(a, b)
+    assert chunked.dtype == np.int64
+    assert np.array_equal(chunked, whole)
+    for s in (0, k // 2, k - 1):
+        assert chunked[s].tolist() == [
+            [sum(int(a[s, i, t]) * int(b[s, t, j]) for t in range(4)) % MERSENNE61
+             for j in range(2)]
+            for i in range(3)
+        ]
+
+
+@pytest.mark.parametrize("ring", list(RINGS.values()), ids=list(RINGS))
+def test_prefix_products_keep_only_the_halves(ring):
+    # the trie passes through every prefix, but only the halves are kept
+    t = random_tuple(3, 3, ring, random.Random(4))
+    halves = {(), (2,), (1, 3, 2), (3, 3, 3, 1), (3, 3)}
+    index, stack = _prefix_products(halves, letter_stack(t))
+    assert sorted(index) == sorted(halves)
+    assert sorted(index.values()) == list(range(len(halves)))
+    assert len(stack) == len(halves)
+    rows = letter_stack(t).entries(stack)
+    for h, row in index.items():
+        expected = (
+            Matrix.identity(3, ring)
+            if not h
+            else oracle_evaluate_words([Word(h, 3)], t)[0]
+        )
+        assert tuple(rows[row]) == expected.entries

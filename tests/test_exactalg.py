@@ -448,14 +448,16 @@ class TestRank:
 class _DeterminantCases:
     """`_det_echelon` over F_p against the pure elimination of conftest.
 
-    Subclasses set p.  The rows go into `echelon_extend` in slices of
-    _EXTEND_BLOCK = 32, so the sizes sit on and across slice boundaries.
+    Subclasses set p.  The rows go into `_det_echelon` in slices of
+    _EXTEND_BLOCK = 32, as `discriminant` passes them, so the sizes sit on
+    and across slice boundaries.
     """
 
     p = MERSENNE61
 
     def _det(self, rows):
-        return _det_echelon(rows, prime_field(self.p))
+        slices = (rows[lo : lo + BLOCK] for lo in range(0, len(rows), BLOCK))
+        return _det_echelon(slices, prime_field(self.p))
 
     def _random_rows(self, rng, n):
         return [[rng.randrange(self.p) for _ in range(n)] for _ in range(n)]

@@ -13,7 +13,20 @@ from sweepwords.errors import (
     InvalidWord,
     TooLarge,
 )
-from sweepwords.exactalg import Matrix, MatrixTuple, _insert, evaluate_word, rank
+from sweepwords.exactalg import (
+    _EXTEND_BLOCK,
+    Matrix,
+    MatrixTuple,
+    _det_echelon,
+    _insert,
+    _rank_echelon,
+    discriminant,
+    evaluate_word,
+    letter_stack,
+    prime_field,
+    rank,
+    word_blocks,
+)
 from sweepwords.genericity import (
     CERTIFY_FOLD_MAX_N,
     CERTIFY_MAX_N,
@@ -21,9 +34,11 @@ from sweepwords.genericity import (
     LENGTH_FOLD_MAX_N,
     LENGTH_MAX_N,
     ROSENTHAL_MAX_WORDS,
+    TRIALS_MAX,
     check_certify_size,
     check_length_size,
     check_rosenthal_size,
+    check_trials,
     derive_trial_seed,
     evaluate_words,
     generic_length_experiment,
@@ -322,7 +337,11 @@ class TestCertifyCap:
             raise AssertionError("work started before the size check")
 
         for name in (
-            "build_word_grid", "sample_tuple", "sample_matrix", "evaluate_words"
+            "build_word_grid",
+            "sample_tuple",
+            "sample_matrix",
+            "evaluate_words",
+            "word_blocks",
         ):
             monkeypatch.setattr(genericity, name, refuse)
 
@@ -350,6 +369,175 @@ class TestCertifyCap:
             random_words_certification(n, 2, p=p, trials=1)
         with pytest.raises(TooLarge):
             is_locally_linearly_independent([w([1])] * (n * n), n, 2, p=p, trials=1)
+
+
+class TestTrialsCap:
+    def _forbid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the trials check")
+
+        for name in (
+            "build_word_grid",
+            "sample_tuple",
+            "sample_matrix",
+            "word_blocks",
+            "subspace_length",
+        ):
+            monkeypatch.setattr(genericity, name, refuse)
+
+    def test_cap_is_inclusive(self):
+        # the CLI defaults, 3 certify trials and 5 length trials, are admitted
+        assert TRIALS_MAX >= 5
+        check_trials(1)
+        check_trials(TRIALS_MAX)
+        with pytest.raises(TooLarge):
+            check_trials(TRIALS_MAX + 1)
+        with pytest.raises(InvalidInput, match="at least one trial"):
+            check_trials(0)
+
+    def test_refused_before_sampling(self, monkeypatch):
+        self._forbid(monkeypatch)
+        over = TRIALS_MAX + 1
+        with pytest.raises(TooLarge, match="trials"):
+            grid_certification(3, 2, trials=over)
+        with pytest.raises(TooLarge, match="trials"):
+            random_words_certification(3, 2, trials=over)
+        with pytest.raises(TooLarge, match="trials"):
+            is_locally_linearly_independent(
+                build_word_grid(3, 2).flatten(), 3, 2, trials=over
+            )
+        with pytest.raises(TooLarge, match="trials"):
+            generic_length_experiment(3, 2, trials=over)
+
+
+def _grid_tuple(n, g, ring, seed):
+    words = build_word_grid(n, g).flatten()
+    return words, sample_tuple(n, g, ring, random.Random(seed))
+
+
+def _upper_triangular_tuple(n, g, ring, rng):
+    # every word evaluates inside the upper triangular matrices, so the
+    # span has dimension at most n(n + 1)/2 < n^2
+    return MatrixTuple(
+        tuple(
+            Matrix(
+                n,
+                n,
+                tuple(
+                    rng.randrange(ring.p) if i <= j else 0
+                    for i in range(n)
+                    for j in range(n)
+                ),
+                ring,
+            )
+            for _ in range(g)
+        )
+    )
+
+
+STREAM_RINGS = [prime_field(DEFAULT_PRIME), prime_field((1 << 61) - 31)]
+
+
+def _counting_blocks(drawn):
+    """`word_blocks` that appends the size of each block it yields to drawn."""
+
+    def blocks(words, st):
+        for block in exactalg.word_blocks(words, st):
+            drawn.append(len(block))
+            yield block
+
+    return blocks
+
+
+class TestStreamedElimination:
+    """Word blocks fed straight into elimination against the joined path,
+    `discriminant` and `rank` of the whole `evaluate_words` list."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 9, 12, 17, 20])
+    def test_determinant_equals_discriminant(self, n, g):
+        ring = prime_field(DEFAULT_PRIME)
+        words, t = _grid_tuple(n, g, ring, 100 * n + g)
+        streamed = _det_echelon(word_blocks(words, letter_stack(t)), ring)
+        assert streamed == discriminant(evaluate_words(words, t))
+        assert streamed != 0
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_determinant_equals_discriminant_off_the_default_prime(self, n, g):
+        # every other prime streams lists of Python-int rows into the fold
+        ring = prime_field((1 << 61) - 31)
+        words, t = _grid_tuple(n, g, ring, 100 * n + g)
+        streamed = _det_echelon(word_blocks(words, letter_stack(t)), ring)
+        assert streamed == discriminant(evaluate_words(words, t)) != 0
+
+    def test_late_duplicate_stops_the_stream(self, monkeypatch):
+        # 144 grid words make blocks 0..4; the copy of word 5 at row 100
+        # makes block 3 dependent, so block 4 is never formed
+        n, g = 12, 2
+        drawn, products = [], []
+
+        def counted_stack(t):
+            st = exactalg.letter_stack(t)
+
+            def mul(a, b):
+                products.append(len(a))
+                return st.mul(a, b)
+
+            return st._replace(mul=mul)
+
+        monkeypatch.setattr(genericity, "word_blocks", _counting_blocks(drawn))
+        monkeypatch.setattr(genericity, "letter_stack", counted_stack)
+        words = build_word_grid(n, g).flatten()
+        assert len(words) == 4 * _EXTEND_BLOCK + 16
+        full = is_locally_linearly_independent(words, n, g, trials=1)
+        assert full.successes == 1
+        assert drawn == [_EXTEND_BLOCK] * 4 + [16]
+        full_products = len(products)
+        drawn.clear()
+        products.clear()
+        words[100] = words[5]
+        report = is_locally_linearly_independent(words, n, g, trials=1)
+        assert report.successes == 0
+        assert drawn == [_EXTEND_BLOCK] * 4
+        assert len(products) == full_products - 1
+
+    @pytest.mark.parametrize("ring", STREAM_RINGS, ids=["m61", "p61m31"])
+    def test_rank_and_sweep_on_rank_deficient_inputs(self, ring):
+        rng = random.Random(5)
+        cases = []
+        # a tuple inside a proper subalgebra, with more words than n^2
+        for n, g, degree in [(3, 2, 4), (4, 3, 3), (7, 2, 6)]:
+            t = _upper_triangular_tuple(n, g, ring, rng)
+            cases.append((all_words(g, degree), t))
+        # grid words with repeats spread across blocks
+        words, t = _grid_tuple(9, 2, ring, 9)
+        for i in range(0, len(words), 7):
+            words[i] = words[i + 1]
+        cases.append((words, t))
+        # a zero letter: only words in the other letter survive
+        n = 3
+        z = MatrixTuple(
+            (sample_tuple(n, 2, ring, rng).matrices[0], Matrix.zeros(n, ring))
+        )
+        cases.append((all_words(2, 5), z))
+        for words, t in cases:
+            expected = rank(evaluate_words(words, t))
+            assert expected < t.n * t.n
+            assert _rank_echelon(word_blocks(words, letter_stack(t)), ring) == expected
+            assert not sweep_check(words, t)
+
+    @pytest.mark.parametrize("ring", STREAM_RINGS, ids=["m61", "p61m31"])
+    def test_full_span_stops_the_stream(self, ring, monkeypatch):
+        # all 512 words of degree 9 at n = 4: the span is full after the
+        # first block, and no later block is formed
+        drawn = []
+        monkeypatch.setattr(genericity, "word_blocks", _counting_blocks(drawn))
+        words = all_words(2, 9)
+        t = sample_tuple(4, 2, ring, random.Random(3))
+        assert rank(evaluate_words(words, t)) == 16
+        assert sweep_check(words, t)
+        assert drawn == [_EXTEND_BLOCK]
 
 
 class TestExperiment:
@@ -405,7 +593,9 @@ class TestRosenthalCap:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the size check")
 
-        for name in ("all_words", "sample_matrix", "sample_tuple", "evaluate_words"):
+        for name in (
+            "all_words", "sample_matrix", "sample_tuple", "evaluate_words", "word_blocks"
+        ):
             monkeypatch.setattr(genericity, name, refuse)
 
     def test_word_cap_is_inclusive(self):

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from sweepwords import graphs
 from sweepwords.errors import BudgetExceeded, InvalidInput, TooLarge
 from sweepwords.graphs import (
     GRAPH_MAX_VERTICES,
+    SEARCH_MAX_WALKS,
     LabeledMultigraph,
     Walk,
     WalkPartition,
@@ -13,7 +16,6 @@ from sweepwords.graphs import (
     enumerate_partitions,
     scale_partition,
     verify_partition,
-    walk_partition_matches_certificate,
     word_of_walk,
 )
 from sweepwords.words import MAX_G, Word, build_word_grid
@@ -134,9 +136,12 @@ class TestDeriveWalks:
         part = derive_walks_from_certificate(g**d, g)
         assert verify_partition(build_graph(g, d), part)
 
-    @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("g,d", SMALL_LEVELS)
     def test_edge_usage_matches_certificate_exponents(self, g, d):
-        assert walk_partition_matches_certificate(g**d, g)
+        # the unfolded certificate uses every edge of the independently
+        # built graph exactly as often as its multiplicity
+        part = derive_walks_from_certificate(g**d, g)
+        assert part.edge_usage() == Counter(build_graph(g, d).edges)
 
     def test_rejects_non_powers(self):
         with pytest.raises(InvalidInput):
@@ -232,6 +237,36 @@ class TestEnumerate:
     def test_negative_budget_is_invalid(self):
         with pytest.raises(InvalidInput, match="budget"):
             enumerate_partitions(build_graph(2, 1), cap=2, budget=-1)
+
+    def test_walk_cap_is_inclusive(self):
+        # g = 2, d = 1 places 4 m walks; one copy more is refused before
+        # any candidate walk is listed
+        m = SEARCH_MAX_WALKS // 4
+        assert enumerate_partitions(build_graph(2, 1, m), cap=2, budget=10**6) == 1
+
+    def test_walk_cap_refuses_before_the_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed candidate walks before the walk cap")
+
+        monkeypatch.setattr(graphs, "_candidate_walks", refuse)
+        for g, d, m in [(2, 1, SEARCH_MAX_WALKS // 4 + 1), (2, 1, 400), (3, 3, 2)]:
+            with pytest.raises(TooLarge, match="walks"):
+                enumerate_partitions(build_graph(g, d, m), cap=2)
+
+    @pytest.mark.parametrize("g,d,m", [(2, 2, 3), (2, 4, 1), (3, 3, 1)])
+    def test_admitted_searches_start(self, g, d, m, monkeypatch):
+        # 48, 256 and 729 walks: past the cap checks, the search lists its
+        # candidate walks
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(graphs, "_candidate_walks", started)
+        assert g ** (2 * d) * m <= SEARCH_MAX_WALKS
+        with pytest.raises(Started):
+            enumerate_partitions(build_graph(g, d, m), cap=2)
 
     def test_unsatisfiable_graph_counts_zero(self):
         # remove one loop: totals no longer match the words' letter needs

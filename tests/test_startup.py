@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from sweepwords.genericity import CERTIFY_MAX_N, LENGTH_MAX_N
+from sweepwords.genericity import CERTIFY_MAX_N, LENGTH_MAX_N, TRIALS_MAX
 from sweepwords.witness import WITNESS_MAX_N
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -80,6 +80,7 @@ def test_python_int_rings_load_no_numpy(argv):
     [
         ["certify", "--n", "3", "--prime", "4"],
         ["certify", "--n", str(CERTIFY_MAX_N + 1)],
+        ["certify", "--n", "3", "--trials", str(TRIALS_MAX + 1)],
         ["length", "--n", str(LENGTH_MAX_N + 1)],
         ["witness", "--n", str(WITNESS_MAX_N + 1)],
     ],
