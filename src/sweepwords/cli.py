@@ -20,6 +20,7 @@ from .errors import BudgetExceeded, InvalidInput, SweepwordsError
 from .genericity import (
     DEFAULT_PRIME,
     check_length_size,
+    check_length_work,
     check_trials,
     generic_length_experiment,
     grid_certification,
@@ -79,14 +80,15 @@ class RunConfig:
     base: str | None = None
 
 
-def _parse_n_range(spec: str) -> list[int]:
+def _parse_n_range(spec: str) -> range:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         lo_i, hi_i = int(lo), int(hi)
         if lo_i > hi_i:
             raise InvalidInput(f"empty range {spec!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(spec)]
+        return range(lo_i, hi_i + 1)
+    n = int(spec)
+    return range(n, n + 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,6 +271,7 @@ def _cmd_length(args) -> tuple[RunConfig, dict, int]:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")
         check_length_size(n, args.prime)
+    check_length_work(sizes, args.trials, args.prime)
     summaries = []
     code = 0
     for n in sizes:

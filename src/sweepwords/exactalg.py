@@ -22,28 +22,31 @@ things are built on it and on the kernel:
   int64 RREF basis in blocks, each reduced against the basis by one kernel
   product.
 
-Every elimination over a prime field goes through `echelon_extend`: the
-blocked `_extend_m61` mod 2^61 - 1, and otherwise a fold of one
-echelon-insert routine, `_insert`, which reduces a vector against sorted
-echelon rows and inserts it in place; `_extend_m61` returns exactly what
-that fold would.  `rank`, the span growth of `genericity.subspace_length`
-and every prime-field determinant are built on `echelon_extend`; a
-determinant is the product of the leads it reports times the sign of the
-pivot order (`_det_echelon`).  `span_insert` is `_insert` itself.
+Elimination runs over prime fields only, and all of it goes through
+`echelon_extend`: the blocked `_extend_m61` mod 2^61 - 1, and over every
+other prime a fold of one echelon-insert routine, `_insert`, which reduces
+a vector against sorted echelon rows and inserts it in place;
+`_extend_m61` returns exactly what that fold would.  `rank`, the span
+growth of `genericity.subspace_length` and every prime-field determinant
+are built on `echelon_extend`; a determinant is the product of the leads
+it reports times the sign of the pivot order (`_det_echelon`).
+`span_insert` is `_insert` itself.  Over the integers `_insert` raises
+InvalidInput, so `echelon_extend`, `rank`, `span_insert` and
+`subspace_length` refuse them before eliminating anything.
 Block evaluation feeds elimination directly: `_det_echelon` and
 `_rank_echelon` take the blocks of `word_blocks` one at a time, so
 certification holds one block of products besides the echelon rows, and
 stops evaluating at the first dependent block (or, for a rank, once the
 span is full).
 
-An integer determinant (`_det_block_triangular`) is split along the
-block-triangular form of its nonzero pattern: a perfect row -> column
-matching puts nonzeros on the diagonal (none means the determinant is 0),
-the strongly connected components of the matched pattern are the
-irreducible diagonal blocks, and the determinant is the matching's sign
-times the product of the block determinants, each by fraction-free
-(Bareiss) elimination.  The witness grids split into blocks of at most
-32 x 32; a dense matrix is one block.
+The integers serve one routine, the exact determinant of a witness
+(`_det_block_triangular`).  It is split along the block-triangular form
+of its nonzero pattern: a perfect row -> column matching puts nonzeros on
+the diagonal (none means the determinant is 0), the strongly connected
+components of the matched pattern are the irreducible diagonal blocks,
+and the determinant is the matching's sign times the product of the block
+determinants, each by fraction-free (Bareiss) elimination.  The witness
+grids split into blocks of at most 32 x 32; a dense matrix is one block.
 
 numpy is imported inside the functions that run array code (the
 F_(2^61-1) branch of `letter_stack`, `_extend_m61` and the kernel helpers),
@@ -56,7 +59,6 @@ refused with exit 2 run without it.
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -93,20 +95,6 @@ def int_to_decimal(x: int) -> str:
     head = str(chunks[-1])
     rest = "".join(str(c).zfill(3000) for c in reversed(chunks[:-1]))
     return sign + head + rest
-
-
-def decimal_to_int(s: str) -> int:
-    """Inverse of int_to_decimal, likewise immune to the digit limit."""
-    s = s.strip()
-    sign = -1 if s.startswith("-") else 1
-    digits = s.lstrip("+-")
-    if len(digits) <= 4000:
-        return sign * int(digits)
-    out = 0
-    for i in range(0, len(digits), 3000):
-        chunk = digits[i : i + 3000]
-        out = out * 10 ** len(chunk) + int(chunk)
-    return sign * out
 
 
 def is_prime(n: int) -> bool:
@@ -159,12 +147,6 @@ class ScalarRing:
             return {"kind": "prime_field", "p": str(self.p)}
         return {"kind": "big_integer"}
 
-    @staticmethod
-    def from_json(data: dict) -> "ScalarRing":
-        if data["kind"] == "prime_field":
-            return ScalarRing("prime_field", int(data["p"]))
-        return ScalarRing("big_integer")
-
 
 def prime_field(p: int) -> ScalarRing:
     return ScalarRing("prime_field", p)
@@ -202,35 +184,12 @@ class Matrix:
         return Matrix(n_rows, n_cols, entries, ring)
 
     @staticmethod
-    def identity(n: int, ring: ScalarRing) -> "Matrix":
-        return Matrix(
-            n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)), ring
-        )
-
-    @staticmethod
-    def unit(n: int, i: int, j: int, ring: ScalarRing) -> "Matrix":
-        """Elementary matrix e_{ij}, 1-based indices."""
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise InvalidShape(f"unit position ({i}, {j}) outside [1, {n}]^2")
-        entries = [0] * (n * n)
-        entries[(i - 1) * n + (j - 1)] = 1
-        return Matrix(n, n, tuple(entries), ring)
-
-    @staticmethod
     def zeros(n: int, ring: ScalarRing) -> "Matrix":
         return Matrix(n, n, (0,) * (n * n), ring)
 
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
-
-    def entry(self, i: int, j: int) -> int:
-        """0-based accessor."""
-        return self.entries[i * self.n_cols + j]
-
-    def rows(self) -> list[list[int]]:
-        nc = self.n_cols
-        return [list(self.entries[r * nc : (r + 1) * nc]) for r in range(self.n_rows)]
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
@@ -270,14 +229,6 @@ class Matrix:
             "entries": [int_to_decimal(x) for x in self.entries],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "Matrix":
-        ring = ScalarRing.from_json(data["ring"])
-        n = int(data["n"])
-        return Matrix(
-            n, n, tuple(ring.canon(decimal_to_int(x)) for x in data["entries"]), ring
-        )
-
 
 @dataclass(frozen=True)
 class MatrixTuple:
@@ -311,11 +262,6 @@ class MatrixTuple:
 
     def to_json(self) -> dict:
         return {"matrices": [m.to_json() for m in self.matrices]}
-
-
-def evaluate_word(w: Word, t: MatrixTuple) -> Matrix:
-    """Product of the tuple's matrices in the order of the word's letters."""
-    return evaluate_words([w], t)[0]
 
 
 def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
@@ -466,13 +412,6 @@ def _prefix_products(halves: set, st: RingStack):
     return index, st.join(kept)
 
 
-def vectorize(m: Matrix) -> tuple[int, ...]:
-    """Row-major readout: component (i-1)*n + j holds entry (i, j)."""
-    if not m.is_square:
-        raise InvalidShape("vectorize requires a square matrix")
-    return m.entries
-
-
 def _check_uniform(ms: list[Matrix]) -> tuple[int, ScalarRing]:
     if not ms:
         raise ArityMismatch("need at least one matrix")
@@ -488,7 +427,7 @@ def _check_uniform(ms: list[Matrix]) -> tuple[int, ScalarRing]:
 
 
 def discriminant(ms: list[Matrix]) -> int:
-    """Determinant of the n^2-by-n^2 matrix whose k-th column is vectorize(ms[k]).
+    """Determinant of the n^2-by-n^2 matrix whose k-th column is ms[k].entries.
 
     Exact over both rings.  The vectorizations go in as rows (the transpose
     has the same determinant).  Over the integers the determinant is split
@@ -585,9 +524,10 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
     (`_det_echelon`).  The result equals folding `_insert` over the rows.
     Modulo 2^61 - 1 the rows go through the blocked `_extend_m61`, which
     takes any start (`[]` included) and returns `vectors` as an int64 array
-    and `pivots` as an index array; over every other ring they are the
+    and `pivots` as an index array; over every other prime they are the
     lists of `_insert`.  Either way the echelon rows passed in may be
-    changed in place: use the returned ones.
+    changed in place: use the returned ones.  Over the integers `_insert`
+    raises InvalidInput at the first row.
     """
     if ring.kind == "prime_field" and ring.p == MERSENNE61:
         return _extend_m61(vectors, pivots, rows)
@@ -608,44 +548,34 @@ def _insert(
     vec: tuple[int, ...] | list[int],
     ring: ScalarRing,
 ) -> tuple[int | None, int | None]:
-    """Reduce vec against echelon rows and insert the result, in place.
+    """Reduce vec against echelon rows over a prime field and insert it, in place.
 
     `vectors` (tuples) and `pivots` are parallel lists sorted by pivot
-    column, one pivot per row.  Over a prime field the rows are fully
-    reduced with unit pivots; over the integers they are content-normalized
-    with a positive leading entry and no pivot scaling.  Returns (lead, pos):
-    the leading entry of the reduced vector before scaling and the index of
-    its new row, or (None, None) when vec already lies in the span.
+    column, one pivot per row, fully reduced with unit pivots.  Returns
+    (lead, pos): the leading entry of the reduced vector before scaling and
+    the index of its new row, or (None, None) when vec already lies in the
+    span.  Over the integers it raises InvalidInput: elimination runs over
+    prime fields only.
     """
+    if ring.kind != "prime_field":
+        raise InvalidInput("elimination runs over prime fields only")
+    p = ring.p
     v = list(vec)
-    if ring.kind == "prime_field":
-        p = ring.p
-        for row, c in zip(vectors, pivots):
-            f = v[c] % p
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-    else:
-        for row, c in zip(vectors, pivots):
-            if v[c]:
-                a, b = row[c], v[c]
-                v = [a * x - b * y for x, y in zip(v, row)]
-                content = math.gcd(*v)
-                if content > 1:
-                    v = [x // content for x in v]
+    for row, c in zip(vectors, pivots):
+        f = v[c] % p
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
     pivot = next((c for c, x in enumerate(v) if x), None)
     if pivot is None:
         return None, None
     lead = v[pivot]
-    if ring.kind == "prime_field":
-        inv = pow(lead, -1, p)
-        v = [x * inv % p for x in v]
-        # keep reduced form: clear the new pivot column in existing rows
-        for i, row in enumerate(vectors):
-            f = row[pivot]
-            if f:
-                vectors[i] = tuple((x - f * y) % p for x, y in zip(row, v))
-    elif lead < 0:
-        v = [-x for x in v]
+    inv = pow(lead, -1, p)
+    v = [x * inv % p for x in v]
+    # keep reduced form: clear the new pivot column in existing rows
+    for i, row in enumerate(vectors):
+        f = row[pivot]
+        if f:
+            vectors[i] = tuple((x - f * y) % p for x, y in zip(row, v))
     pos = bisect.bisect(pivots, pivot)
     pivots.insert(pos, pivot)
     vectors.insert(pos, tuple(v))

@@ -262,7 +262,7 @@ class LengthReport:
     n: int
     g: int
     dims: tuple[int, ...]
-    length: int | None
+    length: int
     terminal_dim: int
     paz_bound: int
     log_bound: int
@@ -271,11 +271,11 @@ class LengthReport:
     # raw bounds are 0) the meaningful check floors the bound at 1.
     @property
     def within_log_bound(self) -> bool:
-        return self.length is not None and self.length <= max(1, self.log_bound)
+        return self.length <= max(1, self.log_bound)
 
     @property
     def within_paz_bound(self) -> bool:
-        return self.length is not None and self.length <= max(1, self.paz_bound)
+        return self.length <= max(1, self.paz_bound)
 
     def to_json(self) -> dict:
         return {
@@ -291,11 +291,11 @@ class LengthReport:
         }
 
 
-def check_length_size(n: int, p: int | None = DEFAULT_PRIME) -> None:
-    """Raise TooLarge when n exceeds the length-chain cap of the ring.
+def check_length_size(n: int, p: int = DEFAULT_PRIME) -> None:
+    """Raise TooLarge when n exceeds the length-chain cap of the prime.
 
     The cap is LENGTH_MAX_N modulo 2^61 - 1 (p = DEFAULT_PRIME) and
-    LENGTH_FOLD_MAX_N modulo any other prime or over the integers (p None).
+    LENGTH_FOLD_MAX_N modulo any other prime.
     """
     cap = LENGTH_MAX_N if p == DEFAULT_PRIME else LENGTH_FOLD_MAX_N
     if n > cap:
@@ -305,15 +305,30 @@ def check_length_size(n: int, p: int | None = DEFAULT_PRIME) -> None:
         )
 
 
-def subspace_length(
-    t: MatrixTuple, max_k: int | None = None, include_identity: bool = False
-) -> LengthReport:
+def check_length_work(sizes, trials: int, p: int = DEFAULT_PRIME) -> None:
+    """Raise TooLarge when a run of chains costs more than the costliest
+    single size: TRIALS_MAX trials at the n cap of the prime.
+
+    A chain at size n costs ~n^6, so the run costs trials * sum(n^6) of
+    those units.
+    """
+    cap = LENGTH_MAX_N if p == DEFAULT_PRIME else LENGTH_FOLD_MAX_N
+    if trials * sum(n**6 for n in sizes) > TRIALS_MAX * cap**6:
+        raise TooLarge(
+            f"a length run is capped at trials * sum(n^6) <= {TRIALS_MAX} * "
+            f"{cap}^6, the cost of {TRIALS_MAX} trials at n = {cap}"
+        )
+
+
+def subspace_length(t: MatrixTuple, include_identity: bool = False) -> LengthReport:
     """Grow the span of products of the tuple until the dimension stabilizes.
 
     Step k holds the span of all products of at most k tuple members; the
     reported chain ends with the first repeated dimension.  The identity is
     excluded unless requested (products of length zero are not counted).
-    The length is None when max_k is hit before stabilization.
+    Until it repeats the dimension rises at every step and never passes
+    n^2, so the chain ends by step n^2 + 1.  Over the integers
+    `echelon_extend` raises InvalidInput.
 
     The letters, the fresh products and the echelon rows are stacks of
     `letter_stack`; each step's products are formed and go through
@@ -321,10 +336,6 @@ def subspace_length(
     which bounds the memory that products and reductions hold at once.
     """
     n, nn, ring = t.n, t.n * t.n, t.ring
-    if max_k is None:
-        max_k = nn + 1
-    if max_k < 1:
-        raise InvalidInput(f"max_k must be >= 1, got {max_k}")
     check_length_size(n, ring.p)
     st = letter_stack(t)
     vectors, pivots = [], []
@@ -333,8 +344,7 @@ def subspace_length(
     vectors, pivots, accepted, _ = echelon_extend(vectors, pivots, st.letters, ring)
     fresh = st.take(st.letters, accepted)
     dims = [len(vectors)]
-    length = None
-    for k in range(1, max_k + 1):
+    for k in range(1, nn + 2):
         # products a @ b with one more factor, a over the letters (outer)
         # and b over the fresh members (inner); older basis members already
         # produced their successors in earlier steps
@@ -353,14 +363,13 @@ def subspace_length(
             found.append(st.take(prods, accepted))
         dims.append(len(vectors))
         if dims[-1] == dims[-2]:
-            length = k
             break
         fresh = st.join(found)
     return LengthReport(
         n=n,
         g=t.g,
         dims=tuple(dims),
-        length=length,
+        length=k,
         terminal_dim=dims[-1],
         paz_bound=2 * n - 2,
         log_bound=2 * degree_exponent(n, t.g),

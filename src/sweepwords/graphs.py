@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InvalidInput, TooLarge
 from .words import (
-    Word,
     all_words,
     check_alphabet_size,
     degree_exponent,
@@ -44,9 +43,6 @@ class LabeledMultigraph:
     def n_vertices(self) -> int:
         return self.g**self.d
 
-    def total_edges(self) -> int:
-        return sum(self.edges.values())
-
     def label_counts(self) -> Counter[int]:
         counts: Counter[int] = Counter()
         for (_, _, label), mult in self.edges.items():
@@ -63,14 +59,6 @@ class LabeledMultigraph:
                 for (u, v, label), mult in sorted(self.edges.items())
             ],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "LabeledMultigraph":
-        edges = {
-            (int(e["from"]), int(e["to"]), int(e["label"])): int(e["mult"])
-            for e in data["edges"]
-        }
-        return LabeledMultigraph(int(data["g"]), int(data["d"]), int(data["m"]), edges)
 
     def to_dot(self) -> str:
         lines = ["digraph walks {"]
@@ -150,14 +138,6 @@ class Walk:
         return usage
 
 
-def word_of_walk(w: Walk, g: int | None = None) -> Word:
-    """The word read off the walk's labels in traversal order."""
-    letters = tuple(label for _, label in w.steps)
-    if g is None:
-        g = max(letters, default=2)
-    return Word(letters, g)
-
-
 @dataclass(frozen=True)
 class WalkPartition:
     """For each ordered pair (i, j), a tuple of walks from i to j."""
@@ -173,22 +153,6 @@ class WalkPartition:
         for walk in self.all_walks():
             usage.update(walk.edge_usage())
         return usage
-
-    def to_json(self) -> dict:
-        return {
-            "n_side": self.n_side,
-            "walks": [
-                {
-                    "from": i,
-                    "to": j,
-                    "walks": [
-                        {"start": w.start, "steps": [list(s) for s in w.steps]}
-                        for w in ws
-                    ],
-                }
-                for (i, j), ws in sorted(self.walks.items())
-            ],
-        }
 
 
 def derive_walks_from_certificate(n: int, g: int) -> WalkPartition:

@@ -47,12 +47,27 @@ from .words import (
 # and 27 s at n = 16, and it ran past 150 s at n = 17, where the grid
 # degree grows from 8 to 10.  g = 3 stays near 1 s up to n = 16.
 WITNESS_MAX_N = 16
+# Most bits that a `--base` override may have (base < 2^16).  The entries
+# are powers of the base, so the discriminant's size, and with it the time
+# of every block determinant, grows with the base's bit length.  One g = 2
+# CLI job (2 cores, no numpy loaded), default base -> base 65535: n = 16
+# 27 s -> 54 s, n = 12 3.6 s -> 8.2 s, n = 8 0.19 s -> 0.22 s; n = 8 took
+# 4.0 s at the 333-bit base 10^100 + 7.
+WITNESS_MAX_BASE_BITS = 16
+# Times `build_and_verify` squares the base after a zero discriminant.
+MAX_ESCALATIONS = 3
 
 
-def check_witness_size(n: int) -> None:
-    """Raise TooLarge when n exceeds WITNESS_MAX_N."""
+def check_witness_size(n: int, base: int | None = None) -> None:
+    """Raise TooLarge when n exceeds WITNESS_MAX_N or a chosen base has
+    more than WITNESS_MAX_BASE_BITS bits."""
     if n > WITNESS_MAX_N:
         raise TooLarge(f"witnesses are capped at n = {WITNESS_MAX_N}; got n = {n}")
+    if base is not None and base.bit_length() > WITNESS_MAX_BASE_BITS:
+        raise TooLarge(
+            f"witness bases are capped at {WITNESS_MAX_BASE_BITS} bits "
+            f"(base < 2^{WITNESS_MAX_BASE_BITS}); got {base.bit_length()} bits"
+        )
 
 
 def _m_constant(n: int, d: int) -> int:
@@ -86,13 +101,13 @@ class WitnessSpec:
 
 
 def build_witness(
-    n: int, g: int, base_hint: int = 0, base_override: int | None = None
+    n: int, g: int, base_override: int | None = None
 ) -> tuple[WitnessSpec, MatrixTuple]:
     """Distinct-power integer tuple supported on the certificate variables.
 
     Exponents 0, 1, 2, .. follow the fixed order (letter, level, position);
-    the base is max(base_hint, 2d * n^2 + 1) unless overridden outright.
-    Off-support entries are zero.
+    the base is 2d * n^2 + 1 unless overridden.  Off-support entries are
+    zero.
     """
     if n < 2 or g < 2:
         raise InvalidInput(f"need n >= 2 and g >= 2, got n={n}, g={g}")
@@ -106,14 +121,14 @@ def build_witness(
         level = 1 + degree_exponent(i if k == 1 else abs(i - j) // (k - 1), g)
         return k, level, i, j
 
-    variables = sorted(certificate_monomial(n, g).exponents, key=order)
+    variables = sorted(certificate_monomial(n, g), key=order)
     support = {var: e for e, var in enumerate(variables)}
     if base_override is not None:
         if base_override < 2:
             raise InvalidInput(f"base must be >= 2, got {base_override}")
         base = base_override
     else:
-        base = max(base_hint, 2 * d * n * n + 1)
+        base = 2 * d * n * n + 1
     ring = big_integer()
     rows = [[[0] * n for _ in range(n)] for _ in range(g)]
     for (k, i, j), e in support.items():
@@ -165,25 +180,24 @@ class WitnessReport:
 def build_and_verify(
     n: int,
     g: int,
-    base_hint: int = 0,
     base_override: int | None = None,
-    max_escalations: int = 3,
     _verifier=verify_witness,
 ) -> tuple[WitnessReport, MatrixTuple]:
     """Build a witness and verify it, squaring the base on a zero result.
 
-    Raises TooLarge, before building anything, when n > WITNESS_MAX_N or g
-    exceeds the alphabet cap (words.MAX_G).
+    The base is squared at most MAX_ESCALATIONS times.  Raises TooLarge,
+    before building anything, past the caps of `check_witness_size` or
+    when g exceeds the alphabet cap (words.MAX_G).
     """
-    check_witness_size(n)
+    check_witness_size(n, base_override)
     check_alphabet_size(g)
     grid = build_word_grid(n, g)
-    spec, t = build_witness(n, g, base_hint, base_override)
+    spec, t = build_witness(n, g, base_override)
     escalations = 0
     value = _verifier(t, grid)
-    while value == 0 and escalations < max_escalations:
+    while value == 0 and escalations < MAX_ESCALATIONS:
         escalations += 1
-        spec, t = build_witness(n, g, base_hint, spec.base**2)
+        spec, t = build_witness(n, g, spec.base**2)
         value = _verifier(t, grid)
     report = WitnessReport(spec=spec, discriminant=value, escalations=escalations)
     return report, t

@@ -62,16 +62,6 @@ class Word:
             raise InvalidInput(f"string form supports g <= {len(_ALPHA)}")
         return "".join(_ALPHA[letter - 1] for letter in self.letters)
 
-    @staticmethod
-    def from_string(s: str, g: int) -> Word:
-        letters = []
-        for ch in s:
-            idx = _ALPHA.find(ch)
-            if idx < 0:
-                raise InvalidWord(f"unexpected character {ch!r}")
-            letters.append(idx + 1)
-        return Word(tuple(letters), g)
-
 
 def all_words(g: int, s: int) -> list[Word]:
     """All g**s words of degree s, in strictly decreasing lexicographic order.
@@ -154,10 +144,6 @@ class WordGrid:
     d: int
     grid: tuple[tuple[Word, ...], ...]
 
-    def entry(self, i: int, j: int) -> Word:
-        """Grid entry at 1-based position (i, j)."""
-        return self.grid[i - 1][j - 1]
-
     def flatten(self) -> list[Word]:
         """Words w_1, .., w_{n^2} with w_{(i-1)n+j} = entry (i, j)."""
         return [w for row in self.grid for w in row]
@@ -169,14 +155,6 @@ class WordGrid:
             "d": self.d,
             "grid": [[w.to_string() for w in row] for row in self.grid],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> WordGrid:
-        g = int(data["g"])
-        grid = tuple(
-            tuple(Word.from_string(s, g) for s in row) for row in data["grid"]
-        )
-        return WordGrid(int(data["n"]), g, int(data["d"]), grid)
 
 
 def build_word_grid(n: int, g: int, d: int | None = None) -> WordGrid:
@@ -206,38 +184,6 @@ def build_word_grid(n: int, g: int, d: int | None = None) -> WordGrid:
         tuple(v[i].concat(rev[j]) for j in range(n)) for i in range(n)
     )
     return WordGrid(n, g, d, grid)
-
-
-@dataclass(frozen=True)
-class CommMonomial:
-    """A commutative monomial in matrix-entry variables x^(k)_{ij}.
-
-    Keys are (k, i, j) with 1-based matrix positions; values are strictly
-    positive exponents.  Variables with k = 1 are always diagonal (i == j)
-    because the first matrix is taken diagonal in certificate bookkeeping.
-    """
-
-    exponents: dict[VarId, int]
-
-    def __post_init__(self):
-        for var, e in self.exponents.items():
-            if e <= 0:
-                raise InvalidInput(f"exponent of {var} must be positive, got {e}")
-
-    def total_degree(self) -> int:
-        return sum(self.exponents.values())
-
-    def variables(self) -> list[VarId]:
-        return sorted(self.exponents)
-
-    def to_json(self) -> dict:
-        return {
-            "exponents": [
-                {"k": k, "i": i, "j": j, "e": e}
-                for (k, i, j), e in sorted(self.exponents.items())
-            ],
-            "total_degree": self.total_degree(),
-        }
 
 
 def _residue(i: int, h: int) -> int:
@@ -282,12 +228,15 @@ def entry_variable_chain(n: int, g: int, i: int, j: int) -> list[VarId]:
     return chain
 
 
-def certificate_monomial(n: int, g: int) -> CommMonomial:
+def certificate_monomial(n: int, g: int) -> dict[VarId, int]:
     """The product over all n^2 grid positions of the recursive entry factors.
 
-    Each factor contributes one opening and one closing variable per
-    recursion level, so the factor has degree 2d and the product has total
-    degree 2d * n^2.
+    A commutative monomial in the matrix-entry variables x^(k)_{ij}, as the
+    positive exponent of each variable (k, i, j), with 1-based positions.
+    Variables with k = 1 are always diagonal (i == j), because the first
+    matrix is taken diagonal in certificate bookkeeping.  Each factor
+    contributes one opening and one closing variable per recursion level,
+    so the factor has degree 2d and the product has total degree 2d * n^2.
     """
     if n < 2 or g < 2:
         raise InvalidInput(f"need n >= 2 and g >= 2, got n={n}, g={g}")
@@ -296,100 +245,4 @@ def certificate_monomial(n: int, g: int) -> CommMonomial:
         for j in range(1, n + 1):
             for var in entry_variable_chain(n, g, i, j):
                 exps[var] += 1
-    return CommMonomial(dict(exps))
-
-
-# --- symbolic expansion over generic matrices (hard-capped at n = 2) -------
-
-Monomial = tuple[tuple[VarId, int], ...]  # sorted ((k,i,j), exponent) pairs
-
-
-def _entry_polynomial(word: Word, n: int, i: int, j: int) -> dict[Monomial, int]:
-    """Entry (i, j) of `word` evaluated at generic matrices, matrix 1 diagonal.
-
-    Expands the sum over index paths i -> .. -> j; a step with letter 1 must
-    stay in place (diagonal matrix), other letters may move anywhere.
-    """
-    states: list[tuple[int, Counter]] = [(i, Counter())]
-    for letter in word.letters:
-        nxt: list[tuple[int, Counter]] = []
-        for pos, vars_used in states:
-            if letter == 1:
-                c = vars_used.copy()
-                c[(1, pos, pos)] += 1
-                nxt.append((pos, c))
-            else:
-                for target in range(1, n + 1):
-                    c = vars_used.copy()
-                    c[(letter, pos, target)] += 1
-                    nxt.append((target, c))
-        states = nxt
-    poly: dict[Monomial, int] = {}
-    for pos, vars_used in states:
-        if pos != j:
-            continue
-        mono = tuple(sorted(vars_used.items()))
-        poly[mono] = poly.get(mono, 0) + 1
-    return poly
-
-
-def _coefficient_in_product(
-    factors: list[dict[Monomial, int]], target: Counter
-) -> int:
-    """Coefficient of `target` in the product of the factor polynomials."""
-
-    def rec(idx: int, remaining: Counter) -> int:
-        if idx == len(factors):
-            return 1 if not +remaining else 0
-        total = 0
-        for mono, c in factors[idx].items():
-            if all(remaining[v] >= e for v, e in mono):
-                nxt = remaining.copy()
-                for v, e in mono:
-                    nxt[v] -= e
-                    if nxt[v] == 0:
-                        del nxt[v]
-                total += c * rec(idx + 1, nxt)
-        return total
-
-    return rec(0, target)
-
-
-def monomial_coefficient_bruteforce(
-    grid: WordGrid, m: CommMonomial
-) -> tuple[int, int]:
-    """Search all (n^2)! column permutations of the grid's discriminant
-    expansion for the monomial m.
-
-    Returns (coefficient of m in the identity-permutation product, number of
-    non-identity permutations whose product contains m).  Hard-capped at
-    n = 2, where the sum has 24 terms.
-    """
-    n = grid.n
-    if n > 2:
-        raise TooLarge(f"permutation expansion has ({n * n})! terms; capped at n=2")
-    flat = grid.flatten()
-    nn = n * n
-    # entry_polys[k][(i, j)]: entry (i, j) of word k evaluated symbolically
-    entry_polys = [
-        {
-            (i, j): _entry_polynomial(flat[k], n, i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        }
-        for k in range(nn)
-    ]
-    positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    target = Counter(m.exponents)
-    coeff_identity = 0
-    other_hits = 0
-    for sigma in itertools.permutations(range(nn)):
-        factors = [
-            entry_polys[sigma[idx]][pos] for idx, pos in enumerate(positions)
-        ]
-        coeff = _coefficient_in_product(factors, target)
-        if sigma == tuple(range(nn)):
-            coeff_identity = coeff
-        elif coeff != 0:
-            other_hits += 1
-    return coeff_identity, other_hits
+    return dict(exps)

@@ -1,13 +1,19 @@
 """Shared oracles: small independent implementations used to pin expected
-values, kept deliberately separate from the library's code paths."""
+values, kept deliberately separate from the library's code paths, and the
+constructors and readouts that only tests need."""
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sweepwords import exactalg
+from sweepwords.errors import InvalidShape, TooLarge
+from sweepwords.graphs import Walk
+from sweepwords.words import VarId, Word, WordGrid
 
 
 def det_cofactor(rows: list[list[int]]) -> int:
@@ -82,8 +88,136 @@ def mat_scale(m: exactalg.Matrix, c: int) -> exactalg.Matrix:
     return exactalg.Matrix(m.n_rows, m.n_cols, entries, m.ring)
 
 
+def rows(m: exactalg.Matrix) -> list[list[int]]:
+    """The matrix as a list of rows."""
+    nc = m.n_cols
+    return [list(m.entries[r * nc : (r + 1) * nc]) for r in range(m.n_rows)]
+
+
 def mat_transpose(m: exactalg.Matrix) -> exactalg.Matrix:
-    return mat([list(col) for col in zip(*m.rows())], m.ring)
+    return mat([list(col) for col in zip(*rows(m))], m.ring)
+
+
+def identity(n: int, ring: exactalg.ScalarRing) -> exactalg.Matrix:
+    return mat([[int(i == j) for j in range(n)] for i in range(n)], ring)
+
+
+def unit(n: int, i: int, j: int, ring: exactalg.ScalarRing) -> exactalg.Matrix:
+    """Elementary matrix e_{ij}, 1-based indices."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise InvalidShape(f"unit position ({i}, {j}) outside [1, {n}]^2")
+    entries = [[0] * n for _ in range(n)]
+    entries[i - 1][j - 1] = 1
+    return mat(entries, ring)
+
+
+def evaluate_word(w: Word, t: exactalg.MatrixTuple) -> exactalg.Matrix:
+    """The library evaluator on one word: its letters' matrices multiplied in order."""
+    return exactalg.evaluate_words([w], t)[0]
+
+
+def word_of_walk(w: Walk, g: int | None = None) -> Word:
+    """The word read off the walk's labels in traversal order."""
+    letters = tuple(label for _, label in w.steps)
+    if g is None:
+        g = max(letters, default=2)
+    return Word(letters, g)
+
+
+# --- symbolic expansion over generic matrices (hard-capped at n = 2) -------
+
+Monomial = tuple[tuple[VarId, int], ...]  # sorted ((k,i,j), exponent) pairs
+
+
+def _entry_polynomial(word: Word, n: int, i: int, j: int) -> dict[Monomial, int]:
+    """Entry (i, j) of `word` evaluated at generic matrices, matrix 1 diagonal.
+
+    Expands the sum over index paths i -> .. -> j; a step with letter 1 must
+    stay in place (diagonal matrix), other letters may move anywhere.
+    """
+    states: list[tuple[int, Counter]] = [(i, Counter())]
+    for letter in word.letters:
+        nxt: list[tuple[int, Counter]] = []
+        for pos, vars_used in states:
+            if letter == 1:
+                c = vars_used.copy()
+                c[(1, pos, pos)] += 1
+                nxt.append((pos, c))
+            else:
+                for target in range(1, n + 1):
+                    c = vars_used.copy()
+                    c[(letter, pos, target)] += 1
+                    nxt.append((target, c))
+        states = nxt
+    poly: dict[Monomial, int] = {}
+    for pos, vars_used in states:
+        if pos != j:
+            continue
+        mono = tuple(sorted(vars_used.items()))
+        poly[mono] = poly.get(mono, 0) + 1
+    return poly
+
+
+def _coefficient_in_product(
+    factors: list[dict[Monomial, int]], target: Counter
+) -> int:
+    """Coefficient of `target` in the product of the factor polynomials."""
+
+    def rec(idx: int, remaining: Counter) -> int:
+        if idx == len(factors):
+            return 1 if not +remaining else 0
+        total = 0
+        for mono, c in factors[idx].items():
+            if all(remaining[v] >= e for v, e in mono):
+                nxt = remaining.copy()
+                for v, e in mono:
+                    nxt[v] -= e
+                    if nxt[v] == 0:
+                        del nxt[v]
+                total += c * rec(idx + 1, nxt)
+        return total
+
+    return rec(0, target)
+
+
+def monomial_coefficient_bruteforce(
+    grid: WordGrid, exponents: dict[VarId, int]
+) -> tuple[int, int]:
+    """Search all (n^2)! column permutations of the grid's discriminant
+    expansion for the monomial with these exponents.
+
+    Returns (coefficient of the monomial in the identity-permutation
+    product, number of non-identity permutations whose product contains
+    it).  Hard-capped at n = 2, where the sum has 24 terms.
+    """
+    n = grid.n
+    if n > 2:
+        raise TooLarge(f"permutation expansion has ({n * n})! terms; capped at n=2")
+    flat = grid.flatten()
+    nn = n * n
+    # entry_polys[k][(i, j)]: entry (i, j) of word k evaluated symbolically
+    entry_polys = [
+        {
+            (i, j): _entry_polynomial(flat[k], n, i, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        }
+        for k in range(nn)
+    ]
+    positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    target = Counter(exponents)
+    coeff_identity = 0
+    other_hits = 0
+    for sigma in itertools.permutations(range(nn)):
+        factors = [
+            entry_polys[sigma[idx]][pos] for idx, pos in enumerate(positions)
+        ]
+        coeff = _coefficient_in_product(factors, target)
+        if sigma == tuple(range(nn)):
+            coeff_identity = coeff
+        elif coeff != 0:
+            other_hits += 1
+    return coeff_identity, other_hits
 
 
 @pytest.fixture(scope="session")

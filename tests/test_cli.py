@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from sweepwords import cli, genericity, graphs, witness, words
 from sweepwords.cli import main
 from sweepwords.genericity import (
@@ -12,7 +14,7 @@ from sweepwords.genericity import (
     TRIALS_MAX,
 )
 from sweepwords.graphs import GRAPH_MAX_VERTICES
-from sweepwords.witness import WITNESS_MAX_N
+from sweepwords.witness import WITNESS_MAX_BASE_BITS, WITNESS_MAX_N
 from sweepwords.words import MAX_G, WORDS_MAX_D, WORDS_MAX_N
 
 
@@ -400,6 +402,37 @@ class TestLengthCommand:
             assert out == ""
             assert "capped" in err
 
+    def test_range_work_above_cap_exits_2(self, monkeypatch):
+        # a range may cost at most TRIALS_MAX trials at the prime's n cap:
+        # sum(n^6) over 2..48 is 7.37 * 48^6, so 8 trials fit and 9 do not
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes, trials, prime in [
+            (f"2..{LENGTH_MAX_N}", "9", []),
+            (f"{LENGTH_MAX_N - 1}..{LENGTH_MAX_N}", str(TRIALS_MAX), []),
+            (f"2..{LENGTH_FOLD_MAX_N}", str(TRIALS_MAX), ["--prime", "101"]),
+        ]:
+            code, out, err = run(["length", "--n", sizes, "--trials", trials, *prime])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
+
+    def test_range_work_within_cap_is_admitted(self, monkeypatch):
+        # stops at the first experiment, after every check has passed
+        class Ran(Exception):
+            pass
+
+        def ran(*args, **kwargs):
+            raise Ran
+
+        monkeypatch.setattr(cli, "generic_length_experiment", ran)
+        for argv in [
+            ["--n", f"2..{LENGTH_MAX_N}", "--trials", "8"],
+            ["--n", str(LENGTH_MAX_N), "--trials", str(TRIALS_MAX)],
+            ["--n", str(LENGTH_FOLD_MAX_N), "--trials", str(TRIALS_MAX), "--prime", "101"],
+        ]:
+            with pytest.raises(Ran):
+                main(["length", *argv])
+
 
 class TestWitnessCommand:
     def test_base_ten_fixture(self):
@@ -454,6 +487,15 @@ class TestWitnessCommand:
         assert code == 2
         assert out == ""
         assert "capped" in err
+
+    def test_base_above_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(witness, "build_word_grid", refuse)
+        monkeypatch.setattr(witness, "build_witness", refuse)
+        for n, base in [(16, 1 << WITNESS_MAX_BASE_BITS), (8, 10**100 + 7)]:
+            code, out, err = run(["witness", "--n", str(n), "--base", str(base)])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
 
 class TestTextFormat:

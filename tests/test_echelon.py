@@ -1,11 +1,11 @@
 """Differential tests for the echelon core and everything built on it.
 
-`discriminant` over every prime field and `rank` over every ring take the
-rows through `echelon_extend`, which folds `_insert` except modulo
-2^61 - 1, where it is the blocked `_extend_m61`.  `span_insert` is
-`_insert` itself.  Each is checked against the independent oracles in
-conftest; `echelon_extend` modulo 2^61 - 1, leads included, is checked
-against the `_insert` fold itself.
+`discriminant` and `rank` over every prime field take the rows through
+`echelon_extend`, which folds `_insert` except modulo 2^61 - 1, where it is
+the blocked `_extend_m61`.  `span_insert` is `_insert` itself.  Each is
+checked against the independent oracles in conftest; `echelon_extend`
+modulo 2^61 - 1, leads included, is checked against the `_insert` fold
+itself.  Over the integers every one of them refuses to eliminate.
 """
 
 import random
@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import pure_det, rank_fractions
 from sweepwords import exactalg
+from sweepwords.errors import InvalidInput
 from sweepwords.exactalg import (
     MERSENNE61,
     Matrix,
+    MatrixTuple,
     SubspaceBasis,
     _insert,
     big_integer,
@@ -28,13 +30,14 @@ from sweepwords.exactalg import (
     rank,
     span_insert,
 )
+from sweepwords.genericity import subspace_length
 
 FOLD_PRIMES = [101, (1 << 61) - 31]
 
 RINGS = {
     "fp101": prime_field(101),
     "fp_default": prime_field(MERSENNE61),
-    "zz": big_integer(),
+    "fp61m31": prime_field((1 << 61) - 31),
 }
 
 
@@ -69,7 +72,7 @@ def planted_families(draw, n_max=4):
     The r basis vectors have an r x r minor that is unit lower triangular,
     so they are independent over Q and over every prime field, and every
     other vector is an integer combination of them: the rank is r over
-    every ring.  There may be more vectors than n^2.
+    every prime field.  There may be more vectors than n^2.
     """
     n = draw(st.integers(1, n_max))
     nn = n * n
@@ -150,12 +153,12 @@ class TestRank:
     def test_random_sign_vectors(self, n, rng, data):
         # entries in {-1, 0, 1} and at most 16 columns: every minor is at
         # most 4^16 = 2^32 by Hadamard's bound, so the rank modulo
-        # 2^61 - 1 is the rational rank
+        # 2^61 - 1 and 2^61 - 31 is the rational rank
         nn = n * n
         count = data.draw(st.integers(1, nn + 4))
         vectors = [[rng.randrange(-1, 2) for _ in range(nn)] for _ in range(count)]
         expected = rank_fractions(vectors)
-        for name in ("fp_default", "zz"):
+        for name in ("fp_default", "fp61m31"):
             assert rank(_vectors(vectors, n, RINGS[name])) == expected
 
 
@@ -177,12 +180,9 @@ class TestSpanInsertFold:
         assert pivots == sorted(set(pivots))
         for row, c in zip(basis.vectors, pivots):
             assert all(x == 0 for x in row[:c])
-            if ring.kind == "prime_field":
-                assert row[c] == 1
-                # fully reduced: every other row is zero in this pivot column
-                assert sum(1 for other in basis.vectors if other[c]) == 1
-            else:
-                assert row[c] > 0
+            assert row[c] == 1
+            # fully reduced: every other row is zero in this pivot column
+            assert sum(1 for other in basis.vectors if other[c]) == 1
 
 
 BLOCK = exactalg._EXTEND_BLOCK
@@ -296,10 +296,37 @@ class TestEchelonExtend:
         _assert_extend_matches_fold([], [], late + early)
 
     def test_fold_path_for_other_rings(self):
-        # every other ring folds `_insert` in place on the caller's lists
+        # every other prime folds `_insert` in place on the caller's lists
         ring = RINGS["fp101"]
         vectors, pivots = [], []
         rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0], [0, 1, 0, 0]]
         out = echelon_extend(vectors, pivots, rows, ring)
         assert out == (vectors, pivots, [0, 3], [(0, 1), (1, 1)])
         assert pivots == [0, 1]
+
+
+class TestIntegersRefused:
+    """Elimination runs over prime fields only: over the integers each entry
+    point raises InvalidInput before it eliminates a row."""
+
+    ZZ = big_integer()
+
+    def _units(self):
+        return _vectors([[1, 0, 0, 0], [0, 1, 0, 0]], 2, self.ZZ)
+
+    def test_echelon_extend(self):
+        with pytest.raises(InvalidInput, match="prime fields only"):
+            echelon_extend([], [], [[1, 0, 0, 0], [0, 1, 0, 0]], self.ZZ)
+
+    def test_rank(self):
+        with pytest.raises(InvalidInput, match="prime fields only"):
+            rank(self._units())
+
+    def test_span_insert(self):
+        basis = SubspaceBasis.empty(2, self.ZZ)
+        with pytest.raises(InvalidInput, match="prime fields only"):
+            span_insert(basis, self._units()[0])
+
+    def test_subspace_length(self):
+        with pytest.raises(InvalidInput, match="prime fields only"):
+            subspace_length(MatrixTuple(tuple(self._units())))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate_word, identity
 from sweepwords import exactalg
 from sweepwords.exactalg import (
     _M61_BATCH,
@@ -25,7 +26,6 @@ from sweepwords.exactalg import (
     _matmul_m61,
     _prefix_products,
     big_integer,
-    evaluate_word,
     letter_stack,
     prime_field,
     rank,
@@ -163,7 +163,7 @@ def test_prime_grid_matches_oracle(n, g, p):
 def oracle_dims(t: MatrixTuple, include_identity: bool) -> list[int]:
     """rank of the words of length <= k, for k = 1, 2, .. up to the first
     repeat, the words evaluated by the oracle."""
-    evals = [Matrix.identity(t.n, t.ring)] if include_identity else []
+    evals = [identity(t.n, t.ring)] if include_identity else []
     dims: list[int] = []
     for k in range(1, t.n * t.n + 2):
         evals += oracle_evaluate_words(all_words(t.g, k), t)
@@ -269,7 +269,7 @@ def test_prefix_products_keep_only_the_halves(ring):
     rows = letter_stack(t).entries(stack)
     for h, row in index.items():
         expected = (
-            Matrix.identity(3, ring)
+            identity(3, ring)
             if not h
             else oracle_evaluate_words([Word(h, 3)], t)[0]
         )

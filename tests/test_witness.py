@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from conftest import identity, rows
 from sweepwords import witness
 from sweepwords.errors import InvalidInput, TooLarge
 from sweepwords.exactalg import Matrix, MatrixTuple, big_integer, prime_field
 from sweepwords.genericity import DEFAULT_PRIME
 from sweepwords.witness import (
+    MAX_ESCALATIONS,
+    WITNESS_MAX_BASE_BITS,
     WITNESS_MAX_N,
     build_and_verify,
     build_witness,
@@ -45,14 +48,8 @@ class TestBuildWitness:
         assert spec.base == 9  # 2 * d * n^2 + 1 with d = 1
         assert spec.m_constant == 8  # 2! * (2^1)^2
         x, y = t.matrices
-        assert x.rows() == [[1, 0], [0, 0]]
-        assert y.rows() == [[0, 9], [81, 0]]
-
-    def test_base_hint_respected(self):
-        spec, _ = build_witness(2, 2, base_hint=10)
-        assert spec.base == 10
-        spec, _ = build_witness(2, 2, base_hint=5)
-        assert spec.base == 9
+        assert rows(x) == [[1, 0], [0, 0]]
+        assert rows(y) == [[0, 9], [81, 0]]
 
     def test_base_override_bypasses_formula(self):
         spec, _ = build_witness(2, 2, base_override=2)
@@ -70,7 +67,7 @@ class TestBuildWitness:
     def test_exponents_follow_letter_level_position(self, g):
         for n in range(2, 17):
             variables = sorted(
-                certificate_monomial(n, g).exponents,
+                certificate_monomial(n, g),
                 key=lambda v: (v[0], _variable_level(v, g), v[1], v[2]),
             )
             spec, _ = build_witness(n, g)
@@ -79,12 +76,12 @@ class TestBuildWitness:
     def test_support_positions_match_certificate_variables(self):
         for n in (3, 4, 6):
             spec, _ = build_witness(n, 2)
-            assert set(spec.support) == set(certificate_monomial(n, 2).exponents)
+            assert set(spec.support) == set(certificate_monomial(n, 2))
 
 
 class TestVerifyWitness:
     def test_n2_base_ten_discriminant(self):
-        spec, t = build_witness(2, 2, base_hint=10)
+        spec, t = build_witness(2, 2, base_override=10)
         value = verify_witness(t, build_word_grid(2, 2))
         # upper-triangular evaluation: product of B^0*B^0, B^0*B^1,
         # B^0*B^2, B^1*B^2 = B^6
@@ -101,7 +98,7 @@ class TestVerifyWitness:
 
     def test_requires_integer_ring(self):
         ring = prime_field(101)
-        t = MatrixTuple((Matrix.identity(2, ring), Matrix.identity(2, ring)))
+        t = MatrixTuple((identity(2, ring), identity(2, ring)))
         with pytest.raises(InvalidInput):
             verify_witness(t, build_word_grid(2, 2))
 
@@ -127,10 +124,11 @@ class TestBuildAndVerify:
 
     def test_gives_up_after_max_escalations(self):
         report, _ = build_and_verify(
-            2, 2, base_override=10, max_escalations=2, _verifier=lambda t, g: 0
+            2, 2, base_override=10, _verifier=lambda t, g: 0
         )
         assert not report.certified
-        assert report.escalations == 2
+        assert report.escalations == MAX_ESCALATIONS == 3
+        assert report.spec.base == 10**8  # squared three times
 
     def test_reproducible_byte_for_byte(self):
         a, _ = build_and_verify(4, 2)
@@ -145,7 +143,7 @@ class TestBuildAndVerify:
         for n in (2, 3, 4):
             report, t = build_and_verify(n, 2)
             reduced = MatrixTuple(
-                tuple(Matrix.from_rows(m.rows(), pring) for m in t.matrices)
+                tuple(Matrix.from_rows(rows(m), pring) for m in t.matrices)
             )
             grid = build_word_grid(n, 2)
             from sweepwords.exactalg import discriminant
@@ -179,6 +177,25 @@ class TestWitnessCap:
         check_witness_size(WITNESS_MAX_N)
         with pytest.raises(TooLarge):
             check_witness_size(WITNESS_MAX_N + 1)
+
+    def test_base_cap_is_inclusive(self):
+        largest = (1 << WITNESS_MAX_BASE_BITS) - 1
+        check_witness_size(WITNESS_MAX_N, largest)
+        with pytest.raises(TooLarge):
+            check_witness_size(2, largest + 1)
+        # the benchmark's witness-n8 bases, and the bases the tests pass
+        for base in [*range(385, 401), 2, 9, 10, 2049]:
+            check_witness_size(8, base)
+
+    def test_base_above_cap_is_refused_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the base check")
+
+        for name in ("build_word_grid", "build_witness", "verify_witness"):
+            monkeypatch.setattr(witness, name, refuse)
+        for base in (1 << WITNESS_MAX_BASE_BITS, 10**100 + 7):
+            with pytest.raises(TooLarge, match="bases are capped"):
+                build_and_verify(2, 2, base_override=base, _verifier=refuse)
 
 
 class TestReportedConstants:
