@@ -5,36 +5,61 @@ json, csv, or text form.  Identical (command, config, seed) produce
 byte-identical output; there are no timestamps.  Exit codes: 0 when the
 run's claims hold, 1 when a claim is violated, 2 on invalid input, 3 when
 an exhaustive search exceeds its node budget.
+
+Importing this module loads no other sweepwords module but `errors`, so
+`--help`, argument errors and an unwritable `--out` load nothing more.  Each
+command imports only the modules it runs: `words` loads `words`, `graph`
+adds `graphs`, `witness` adds `exactalg` and `witness`, and `certify` and
+`length` add `exactalg` and `genericity`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceeded, InvalidInput, SweepwordsError
-from .genericity import (
-    DEFAULT_PRIME,
-    check_length_size,
-    check_length_work,
-    check_trials,
-    generic_length_experiment,
-    grid_certification,
-    random_words_certification,
-)
-from .graphs import (
-    build_graph,
-    derive_walks_from_certificate,
-    enumerate_partitions,
-    scale_partition,
-    verify_partition,
-)
-from .witness import build_and_verify, reported_constants
-from .words import build_word_grid, check_alphabet_size
+
+# Each name the handlers call, with the sweepwords module that defines it.
+# The module is imported when the name is first read from this module (PEP
+# 562 `__getattr__`), so a command loads only the modules it runs.  Handlers
+# read the names as attributes of `_cli`, never as bare globals, so a wrapper
+# set with `setattr(cli, name, ...)` is what they call.
+_HOME = {
+    "DEFAULT_PRIME": "genericity",
+    "check_length_size": "genericity",
+    "check_length_work": "genericity",
+    "check_trials": "genericity",
+    "generic_length_experiment": "genericity",
+    "grid_certification": "genericity",
+    "random_words_certification": "genericity",
+    "build_graph": "graphs",
+    "derive_walks_from_certificate": "graphs",
+    "enumerate_partitions": "graphs",
+    "scale_partition": "graphs",
+    "verify_partition": "graphs",
+    "build_and_verify": "witness",
+    "reported_constants": "witness",
+    "build_word_grid": "words",
+    "check_alphabet_size": "words",
+}
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# this module itself; under `python -m sweepwords.cli` that is `__main__`
+_cli = sys.modules[__name__]
 
 _CLAIMS = {
     "words": [
@@ -60,24 +85,25 @@ _CLAIMS = {
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: str | None = None
-    g: int | None = None
-    d: int | None = None
-    d_overridden: bool = False
-    prime: str | None = None
-    seed: int | None = None
-    trials: int | None = None
-    format: str = "json"
-    budget: int | None = None
-    out: str | None = None
-    symmetric: bool = False
-    include_identity: bool = False
-    enumerate: bool = False
-    m_scale: int | None = None
-    base: str | None = None
+# the envelope's `config`: every key, with the value a command leaves unset
+_CONFIG_DEFAULTS = {
+    "command": None,
+    "n": None,
+    "g": None,
+    "d": None,
+    "d_overridden": False,
+    "prime": None,
+    "seed": None,
+    "trials": None,
+    "format": "json",
+    "budget": None,
+    "out": None,
+    "symmetric": False,
+    "include_identity": False,
+    "enumerate": False,
+    "m_scale": None,
+    "base": None,
+}
 
 
 def _parse_n_range(spec: str) -> range:
@@ -112,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--g", type=int, default=2)
     p_cert.add_argument("--d", type=int, default=None)
-    p_cert.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p_cert.add_argument("--prime", type=int, default=None, help="default 2^61 - 1")
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--trials", type=int, default=3)
     p_cert.add_argument("--symmetric", action="store_true")
@@ -148,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_len = sub.add_parser("length", help="length chains at random tuples")
     p_len.add_argument("--n", required=True, help="a size like 8 or a sweep like 2..10")
     p_len.add_argument("--g", type=int, default=2)
-    p_len.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p_len.add_argument("--prime", type=int, default=None, help="default 2^61 - 1")
     p_len.add_argument("--seed", type=int, default=0)
     p_len.add_argument("--trials", type=int, default=5)
     p_len.add_argument("--symmetric", action="store_true")
@@ -169,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_words(args) -> tuple[RunConfig, dict, int]:
-    grid = build_word_grid(args.n, args.g, args.d)
-    config = RunConfig(
+def _cmd_words(args) -> tuple[dict, dict, int]:
+    grid = _cli.build_word_grid(args.n, args.g, args.d)
+    config = dict(
+        _CONFIG_DEFAULTS,
         command="words",
         n=str(args.n),
         g=args.g,
@@ -183,35 +210,37 @@ def _cmd_words(args) -> tuple[RunConfig, dict, int]:
     return config, {"grid": grid.to_json()}, 0
 
 
-def _cmd_certify(args) -> tuple[RunConfig, dict, int]:
+def _cmd_certify(args) -> tuple[dict, dict, int]:
+    prime = _cli.DEFAULT_PRIME if args.prime is None else args.prime
     if args.random_words:
-        report = random_words_certification(
+        report = _cli.random_words_certification(
             args.n,
             args.g,
-            p=args.prime,
+            p=prime,
             trials=args.trials,
             seed=args.seed,
             d=args.d,
             symmetric=args.symmetric,
         )
     else:
-        report = grid_certification(
+        report = _cli.grid_certification(
             args.n,
             args.g,
-            p=args.prime,
+            p=prime,
             trials=args.trials,
             seed=args.seed,
             d=args.d,
             symmetric=args.symmetric,
             inject_duplicate=args.inject_duplicate,
         )
-    config = RunConfig(
+    config = dict(
+        _CONFIG_DEFAULTS,
         command="certify",
         n=str(args.n),
         g=args.g,
         d=report.d // 2,
         d_overridden=args.d is not None,
-        prime=str(args.prime),
+        prime=str(prime),
         seed=args.seed,
         trials=args.trials,
         symmetric=args.symmetric,
@@ -221,22 +250,22 @@ def _cmd_certify(args) -> tuple[RunConfig, dict, int]:
     return config, {"certification": report.to_json()}, 0 if report.certified else 1
 
 
-def _cmd_graph(args) -> tuple[RunConfig, dict, int]:
-    graph = build_graph(args.g, args.d, args.m_scale)
+def _cmd_graph(args) -> tuple[dict, dict, int]:
+    graph = _cli.build_graph(args.g, args.d, args.m_scale)
     result: dict = {"graph": graph.to_json()}
     code = 0
     side = args.g**args.d
     # the canonical-partition self-check stays cheap; skip it on big graphs
     if 1 <= args.d and side <= 32 and args.m_scale <= 8:
-        derived = scale_partition(
-            derive_walks_from_certificate(side, args.g), args.m_scale
+        derived = _cli.scale_partition(
+            _cli.derive_walks_from_certificate(side, args.g), args.m_scale
         )
-        passes = verify_partition(graph, derived)
+        passes = _cli.verify_partition(graph, derived)
         result["derived_partition_passes"] = passes
         if not passes:
             code = 1
     if args.enumerate:
-        count = enumerate_partitions(graph, cap=2, budget=args.budget)
+        count = _cli.enumerate_partitions(graph, cap=2, budget=args.budget)
         result["enumeration"] = {
             "count": count,
             "saturated_at_cap": count >= 2,
@@ -247,7 +276,8 @@ def _cmd_graph(args) -> tuple[RunConfig, dict, int]:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph.to_dot() + "\n")
-    config = RunConfig(
+    config = dict(
+        _CONFIG_DEFAULTS,
         command="graph",
         g=args.g,
         d=args.d,
@@ -260,25 +290,26 @@ def _cmd_graph(args) -> tuple[RunConfig, dict, int]:
     return config, result, code
 
 
-def _cmd_length(args) -> tuple[RunConfig, dict, int]:
+def _cmd_length(args) -> tuple[dict, dict, int]:
     sizes = _parse_n_range(args.n)
+    prime = _cli.DEFAULT_PRIME if args.prime is None else args.prime
     # refuse the whole range before running any of it
-    check_trials(args.trials)
+    _cli.check_trials(args.trials)
     if args.g < 2:
         raise InvalidInput(f"need g >= 2 matrices, got g = {args.g}")
-    check_alphabet_size(args.g)
+    _cli.check_alphabet_size(args.g)
     for n in sizes:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")
-        check_length_size(n, args.prime)
-    check_length_work(sizes, args.trials, args.prime)
+        _cli.check_length_size(n, prime)
+    _cli.check_length_work(sizes, args.trials, prime)
     summaries = []
     code = 0
     for n in sizes:
-        summary = generic_length_experiment(
+        summary = _cli.generic_length_experiment(
             n,
             args.g,
-            p=args.prime,
+            p=prime,
             trials=args.trials,
             seed=args.seed,
             symmetric=args.symmetric,
@@ -287,11 +318,12 @@ def _cmd_length(args) -> tuple[RunConfig, dict, int]:
         summaries.append(summary)
         if not summary.all_within_bounds:
             code = 1
-    config = RunConfig(
+    config = dict(
+        _CONFIG_DEFAULTS,
         command="length",
         n=args.n,
         g=args.g,
-        prime=str(args.prime),
+        prime=str(prime),
         seed=args.seed,
         trials=args.trials,
         symmetric=args.symmetric,
@@ -302,12 +334,13 @@ def _cmd_length(args) -> tuple[RunConfig, dict, int]:
     return config, {"experiments": [s.to_json() for s in summaries]}, code
 
 
-def _cmd_witness(args) -> tuple[RunConfig, dict, int]:
-    report, t = build_and_verify(args.n, args.g, base_override=args.base)
+def _cmd_witness(args) -> tuple[dict, dict, int]:
+    report, t = _cli.build_and_verify(args.n, args.g, base_override=args.base)
     result = {"witness": report.to_json(), "matrices": t.to_json()}
     if args.paper_constants:
-        result["reported_constants"] = reported_constants(args.n, args.g)
-    config = RunConfig(
+        result["reported_constants"] = _cli.reported_constants(args.n, args.g)
+    config = dict(
+        _CONFIG_DEFAULTS,
         command="witness",
         n=str(args.n),
         g=args.g,
@@ -428,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     envelope = {
         "command": args.command,
-        "config": asdict(config),
+        "config": config,
         "result": result,
         "paper_refs": _CLAIMS[args.command],
     }

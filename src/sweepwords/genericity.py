@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import Infeasible, InvalidInput, InvalidModulus, InvalidWord, TooLarge
 from .exactalg import (
     _EXTEND_BLOCK,
+    MERSENNE61,
     Matrix,
     MatrixTuple,
     ScalarRing,
@@ -45,7 +46,7 @@ from .words import (
     least_alphabet,
 )
 
-DEFAULT_PRIME = (1 << 61) - 1
+DEFAULT_PRIME = MERSENNE61
 _MASK64 = (1 << 64) - 1
 
 # Largest n that `subspace_length` accepts modulo 2^61 - 1.  Its echelon

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +110,8 @@ class TestCertifyCommand:
         cert = env["result"]["certification"]
         assert cert["successes"] == 3
         assert cert["status"] == "certified"
+        # --prime defaults to 2^61 - 1, resolved when the command runs
+        assert env["config"]["prime"] == "2305843009213693951"
 
     def test_duplicate_injection_exits_1(self):
         code, env, _ = run_json(
@@ -306,6 +312,7 @@ class TestLengthCommand:
         assert code == 0
         reports = env["result"]["experiments"][0]["reports"]
         assert all(r["within_log_bound"] for r in reports)
+        assert env["config"]["prime"] == "2305843009213693951"
 
     def test_n1_edge_case(self):
         code, env, _ = run_json(["length", "--n", "1", "--trials", "2"])
@@ -503,3 +510,84 @@ class TestTextFormat:
         code, out, _ = run(["words", "--n", "2", "--format", "text"])
         assert code == 0
         assert "command: words" in out
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# the cli names that perfbench/tracer.py wraps, with the module defining each
+TRACED = {
+    "build_word_grid": "words",
+    "grid_certification": "genericity",
+    "generic_length_experiment": "genericity",
+    "build_graph": "graphs",
+    "derive_walks_from_certificate": "graphs",
+    "verify_partition": "graphs",
+    "enumerate_partitions": "graphs",
+    "build_and_verify": "witness",
+}
+
+_RESOLVE = """
+import importlib, json, sys
+from sweepwords import cli
+name, home = sys.argv[1:]
+home = "sweepwords." + home
+before = home in sys.modules
+fn = getattr(cli, name)
+print(json.dumps([
+    before,
+    fn is getattr(importlib.import_module(home), name),
+    vars(cli).get(name) is fn,
+]))
+"""
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        check=True,
+    )
+
+
+class TestLazyNames:
+    @pytest.mark.parametrize("name", sorted(TRACED))
+    def test_name_resolves_to_its_home_function(self, name):
+        # in a fresh interpreter: the home module loads on first access, and
+        # the function is then kept as a cli global
+        out = _python("-c", _RESOLVE, name, TRACED[name]).stdout
+        assert json.loads(out) == [False, True, True]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            cli.no_such_name
+
+    def test_main_calls_wrappers_set_on_cli(self, monkeypatch):
+        calls = []
+        for name in ("enumerate_partitions", "build_and_verify"):
+            real = getattr(cli, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert run(["graph", "--g", "2", "--d", "1", "--enumerate"])[0] == 0
+        assert run(["witness", "--n", "4"])[0] == 0
+        assert calls == ["enumerate_partitions", "build_and_verify"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["words", "--n", "4"],
+            ["certify", "--n", "4", "--trials", "1"],
+            ["graph", "--g", "2", "--d", "2", "--enumerate"],
+            ["length", "--n", "4", "--trials", "1"],
+            ["witness", "--n", "4"],
+        ],
+    )
+    def test_module_run_prints_what_main_prints(self, argv):
+        # under `python -m sweepwords.cli` the module is __main__
+        code, out, _ = run(argv)
+        assert code == 0
+        assert _python("-m", "sweepwords.cli", *argv).stdout == out.encode()

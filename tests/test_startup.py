@@ -1,7 +1,10 @@
-"""numpy loads only when an array kernel runs, that is modulo 2^61 - 1.
+"""Each command loads only what it runs.
 
-Each case runs a fresh interpreter, so modules that earlier tests imported
-cannot leak into it, and reports whether numpy is in sys.modules at the end.
+numpy loads only when an array kernel runs, that is modulo 2^61 - 1, and of
+the sweepwords modules a command loads only those it calls into.  Each case
+runs a fresh interpreter, so modules that earlier tests imported cannot leak
+into it, and reports whether numpy is in sys.modules at the end and which
+sweepwords modules are.
 """
 
 import json
@@ -14,6 +17,7 @@ import pytest
 
 from sweepwords.genericity import CERTIFY_MAX_N, LENGTH_MAX_N, TRIALS_MAX
 from sweepwords.witness import WITNESS_MAX_N
+from sweepwords.words import WORDS_MAX_N
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -26,13 +30,26 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         with contextlib.redirect_stderr(io.StringIO()):
             code = sweepwords.cli.main(argv)
-print(json.dumps([code, "numpy" in sys.modules]))
+loaded = sorted(m for m in sys.modules if m.startswith("sweepwords."))
+print(json.dumps([code, "numpy" in sys.modules, loaded]))
 """
 
+# the sweepwords modules loaded by importing sweepwords.cli, and by each
+# command on top of those
+BASE = {"errors", "cli"}
+LOADS = {
+    "words": BASE | {"words"},
+    "graph": BASE | {"words", "graphs"},
+    "witness": BASE | {"words", "exactalg", "witness"},
+    "certify": BASE | {"words", "exactalg", "genericity"},
+    "length": BASE | {"words", "exactalg", "genericity"},
+}
 
-def probe(argv=None) -> tuple[int | None, bool]:
-    """(exit code, numpy loaded) after importing sweepwords and sweepwords.cli
-    and then, when argv is given, running cli.main(argv)."""
+
+def probe(argv=None) -> tuple[int | None, bool, set[str]]:
+    """(exit code, numpy loaded, sweepwords submodules loaded) after
+    importing sweepwords and sweepwords.cli and then, when argv is given,
+    running cli.main(argv)."""
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -40,12 +57,26 @@ def probe(argv=None) -> tuple[int | None, bool]:
         text=True,
         check=True,
     )
-    code, loaded = json.loads(proc.stdout)
-    return code, loaded
+    code, numpy_loaded, loaded = json.loads(proc.stdout)
+    return code, numpy_loaded, {m.removeprefix("sweepwords.") for m in loaded}
 
 
 def test_import_loads_no_numpy():
-    assert probe() == (None, False)
+    assert probe() == (None, False, BASE)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["certify", "--help"], 0),
+        (["words"], 2),
+        (["graph", "--d", "two"], 2),
+        (["launch"], 2),
+    ],
+)
+def test_help_and_argument_errors_load_only_the_cli(argv, code):
+    assert probe(argv) == (code, False, BASE)
 
 
 @pytest.mark.parametrize(
@@ -56,7 +87,7 @@ def test_import_loads_no_numpy():
     ],
 )
 def test_combinatorial_commands_load_no_numpy(argv):
-    assert probe(argv) == (0, False)
+    assert probe(argv) == (0, False, LOADS[argv[0]])
 
 
 # every ring but F_(2^61-1) multiplies and eliminates with Python ints
@@ -72,7 +103,7 @@ P61M31 = str((1 << 61) - 31)
     ],
 )
 def test_python_int_rings_load_no_numpy(argv):
-    assert probe(argv) == (0, False)
+    assert probe(argv) == (0, False, LOADS[argv[0]])
 
 
 @pytest.mark.parametrize(
@@ -83,22 +114,26 @@ def test_python_int_rings_load_no_numpy(argv):
         ["certify", "--n", "3", "--trials", str(TRIALS_MAX + 1)],
         ["length", "--n", str(LENGTH_MAX_N + 1)],
         ["witness", "--n", str(WITNESS_MAX_N + 1)],
+        ["words", "--n", str(WORDS_MAX_N + 1)],
+        ["graph", "--g", "2", "--d", "17"],  # 2^17 vertices, twice the cap
     ],
 )
 def test_refusals_load_no_numpy(argv):
-    assert probe(argv) == (2, False)
+    # a refusal loads its own command's modules and no other command's
+    assert probe(argv) == (2, False, LOADS[argv[0]])
 
 
 def test_unwritable_out_loads_no_numpy(tmp_path):
     target = tmp_path / "missing" / "x"
-    assert probe(["certify", "--n", "3", "--out", str(target)]) == (2, False)
+    argv = ["certify", "--n", "3", "--out", str(target)]
+    assert probe(argv) == (2, False, BASE)
 
 
 def test_certify_loads_numpy():
     # the probe can tell: a kernel call does load numpy
-    assert probe(["certify", "--n", "3", "--trials", "1"]) == (0, True)
+    assert probe(["certify", "--n", "3", "--trials", "1"]) == (0, True, LOADS["certify"])
 
 
 def test_length_loads_numpy():
     # and so does span growth modulo 2^61 - 1
-    assert probe(["length", "--n", "3", "--trials", "1"]) == (0, True)
+    assert probe(["length", "--n", "3", "--trials", "1"]) == (0, True, LOADS["length"])
