@@ -301,8 +301,8 @@ def _cmd_length(args) -> tuple[dict, dict, int]:
     for n in sizes:
         if n < 1:
             raise InvalidInput(f"n must be >= 1, got {n}")
-        _cli.check_length_size(n, prime)
-    _cli.check_length_work(sizes, args.trials, prime)
+        _cli.check_length_size(n)
+    _cli.check_length_work(sizes, args.trials)
     summaries = []
     code = 0
     for n in sizes:

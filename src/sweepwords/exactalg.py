@@ -5,39 +5,37 @@ in [0, p), integer work never leaves the integers (fraction-free
 elimination).  All values are immutable and all operations are pure
 functions, so results may be shared freely across threads.
 
-Modulo the default prime 2^61 - 1, matrix products run through one exact
-BLAS kernel (`_matmul_m61`): entries split into 21-bit limbs, the limb
-products are float64 matmuls that stay below 2^53, and the partial sums
-recombine mod 2^61 - 1.  Every other ring multiplies exact Python ints on
-flat row-major tuples (`_int_matmul`), reduced mod p over the other prime
-fields.  `letter_stack` picks the storage and product of the ring, and two
-things are built on it and on the kernel:
+Over every prime field F_p (p < 2^62) matrices are int64 arrays, and their
+products run through one exact BLAS kernel (`_matmul`): entries split into
+21-bit limbs, the limb products are float64 matmuls that stay below 2^53,
+and the partial sums recombine mod p.  Only that recombination
+(`_recombine`) and the elementwise product by multipliers known in advance
+(`_mulmod`) depend on p: modulo 2^61 - 1 they reduce by 61-bit rotations,
+modulo every other prime by Shoup's precomputed-quotient multiplication.
+Over the integers products are exact Python ints on flat row-major tuples
+(`_int_matmul`).  `letter_stack` picks the storage and product of the
+ring, and two things are built on it and on the kernel:
 
 - `word_blocks`, the one word evaluator: every word splits into two
   halves, the distinct halves are built once through a prefix trie, and
   the words come out in blocks of _EXTEND_BLOCK rows, each one batched
   product head @ tail formed only when it is asked for.
   `evaluate_words` joins the blocks into a list of matrices.
-- `_extend_m61`, blocked echelon extension: candidate rows go into an
+- `echelon_extend`, blocked echelon extension: candidate rows go into an
   int64 RREF basis in blocks, each reduced against the basis by one kernel
   product.
 
 Elimination runs over prime fields only, and all of it goes through
-`echelon_extend`: the blocked `_extend_m61` mod 2^61 - 1, and over every
-other prime a fold of one echelon-insert routine, `_insert`, which reduces
-a vector against sorted echelon rows and inserts it in place;
-`_extend_m61` returns exactly what that fold would.  `rank`, the span
-growth of `genericity.subspace_length` and every prime-field determinant
-are built on `echelon_extend`; a determinant is the product of the leads
-it reports times the sign of the pivot order (`_det_echelon`).
-`span_insert` is `_insert` itself.  Over the integers `_insert` raises
-InvalidInput, so `echelon_extend`, `rank`, `span_insert` and
-`subspace_length` refuse them before eliminating anything.
-Block evaluation feeds elimination directly: `_det_echelon` and
-`_rank_echelon` take the blocks of `word_blocks` one at a time, so
-certification holds one block of products besides the echelon rows, and
-stops evaluating at the first dependent block (or, for a rank, once the
-span is full).
+`echelon_extend`: `rank`, `span_insert`, the span growth of
+`genericity.subspace_length` and every prime-field determinant, which is
+the product of the leads it reports times the sign of the pivot order
+(`_det_echelon`).  Over the integers `echelon_extend` raises InvalidInput,
+so `rank`, `span_insert` and `subspace_length` refuse them before
+eliminating anything.  Block evaluation feeds elimination directly:
+`_det_echelon` and `_rank_echelon` take the blocks of `word_blocks` one at
+a time, so certification holds one block of products besides the echelon
+rows, and stops evaluating at the first dependent block (or, for a rank,
+once the span is full).
 
 The integers serve one routine, the exact determinant of a witness
 (`_det_block_triangular`).  It is split along the block-triangular form
@@ -49,16 +47,14 @@ determinants, each by fraction-free (Bareiss) elimination.  The witness
 grids split into blocks of at most 32 x 32; a dense matrix is one block.
 
 numpy is imported inside the functions that run array code (the
-F_(2^61-1) branch of `letter_stack`, `_extend_m61` and the kernel helpers),
-not at module scope, so only work modulo 2^61 - 1 loads it: `certify` and
-`length` at the default prime.  Importing the package, `words`, `graph`,
-`witness`, `certify` and `length` at any other prime, and every input
-refused with exit 2 run without it.
+prime-field branch of `letter_stack`, `echelon_extend` and the kernel
+helpers), not at module scope, so only prime-field work loads it: `certify`
+and `length`.  Importing the package, `words`, `graph`, `witness` (over the
+integers) and every input refused with exit 2 run without it.
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -201,19 +197,11 @@ class Matrix:
         n, mid, m = self.n_rows, self.n_cols, other.n_cols
         a, b = self.entries, other.entries
         out = []
-        if self.ring.kind == "prime_field":
-            p = self.ring.p
-            for i in range(n):
-                arow = a[i * mid : (i + 1) * mid]
-                for j in range(m):
-                    out.append(
-                        sum(arow[k] * b[k * m + j] for k in range(mid)) % p
-                    )
-        else:
-            for i in range(n):
-                arow = a[i * mid : (i + 1) * mid]
-                for j in range(m):
-                    out.append(sum(arow[k] * b[k * m + j] for k in range(mid)))
+        for i in range(n):
+            arow = a[i * mid : (i + 1) * mid]
+            for j in range(m):
+                dot = sum(arow[k] * b[k * m + j] for k in range(mid))
+                out.append(self.ring.canon(dot))
         return Matrix(n, m, tuple(out), self.ring)
 
     def _check_compatible(self, other: "Matrix"):
@@ -318,8 +306,8 @@ class RingStack(NamedTuple):
     """Stacks of n x n matrices over one ring: their storage and product.
 
     A stack holds its matrices as flat row-major rows, which is the form
-    `echelon_extend` takes: an int64 array of shape (k, n^2) over
-    F_(2^61-1), a list of k tuples of Python ints over every other ring.
+    `echelon_extend` takes: an int64 array of shape (k, n^2) over a prime
+    field, a list of k tuples of Python ints over the integers.
     """
 
     letters: Any  # the tuple's matrices, in order
@@ -333,19 +321,18 @@ class RingStack(NamedTuple):
 def letter_stack(t: MatrixTuple) -> RingStack:
     """The `RingStack` of t's ring, with t's matrices as its letters.
 
-    Over F_(2^61-1) the stacks are int64 arrays and every product is one
-    batched `_matmul_m61` call; this is the only branch that loads numpy.
-    Every other ring multiplies exact Python ints (`_int_matmul`), reduced
-    mod p over the other prime fields.
+    Over a prime field the stacks are int64 arrays and every product is one
+    batched `_matmul` call; this is the only branch that loads numpy.  The
+    integers multiply exact Python ints (`_int_matmul`).
     """
     ring, n = t.ring, t.n
     letters = [tuple(ring.canon(x) for x in m.entries) for m in t.matrices]
     eye = [tuple(1 if i == j else 0 for i in range(n) for j in range(n))]
-    if ring.kind == "prime_field" and ring.p == MERSENNE61:
+    if ring.kind == "prime_field":
         import numpy as np
 
         def mul(a, b):
-            prod = _matmul_m61(a.reshape(-1, n, n), b.reshape(-1, n, n))
+            prod = _matmul(a.reshape(-1, n, n), b.reshape(-1, n, n), ring.p)
             return prod.reshape(-1, n * n)
 
         return RingStack(
@@ -359,18 +346,18 @@ def letter_stack(t: MatrixTuple) -> RingStack:
     return RingStack(
         letters,
         eye,
-        _int_matmul(n, ring.p),
+        _int_matmul(n),
         lambda a, idx: [a[i] for i in idx],
         lambda stacks: [row for s in stacks for row in s],
         lambda a: a,
     )
 
 
-def _int_matmul(n: int, p: int | None):
+def _int_matmul(n: int):
     """Row-wise product of lists of flat row-major n x n Python-int tuples.
 
-    Entries are exact dot products of a row of the left factor and a column
-    of the right one, reduced mod p when p is given.
+    Entries are exact integer dot products of a row of the left factor and
+    a column of the right one.
     """
 
     def mul(a, b):
@@ -378,8 +365,7 @@ def _int_matmul(n: int, p: int | None):
         for x, y in zip(a, b):
             rows = [x[i : i + n] for i in range(0, n * n, n)]
             cols = [y[j::n] for j in range(n)]
-            dots = [sum(map(operator.mul, r, c)) for r in rows for c in cols]
-            out.append(tuple(dots) if p is None else tuple(v % p for v in dots))
+            out.append(tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols))
         return out
 
     return mul
@@ -519,71 +505,84 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
     grown span, the indices, in order, of the rows that were not in the
     span of the echelon rows and the rows before them, and for each
     accepted row its (pivot column, lead), the lead being the row's
-    leading value once reduced, before it is scaled to a unit pivot.  Over
-    a prime field these give the determinant of a full-rank square matrix
-    (`_det_echelon`).  The result equals folding `_insert` over the rows.
-    Modulo 2^61 - 1 the rows go through the blocked `_extend_m61`, which
-    takes any start (`[]` included) and returns `vectors` as an int64 array
-    and `pivots` as an index array; over every other prime they are the
-    lists of `_insert`.  Either way the echelon rows passed in may be
-    changed in place: use the returned ones.  Over the integers `_insert`
-    raises InvalidInput at the first row.
-    """
-    if ring.kind == "prime_field" and ring.p == MERSENNE61:
-        return _extend_m61(vectors, pivots, rows)
-    accepted, leads = [], []
-    for i, row in enumerate(rows):
-        if len(vectors) == len(row):
-            break  # the span is full
-        lead, pos = _insert(vectors, pivots, row, ring)
-        if lead is not None:
-            accepted.append(i)
-            leads.append((pivots[pos], lead))
-    return vectors, pivots, accepted, leads
+    leading value once reduced, before it is scaled to a unit pivot
+    (`_det_echelon` takes a determinant from them).  Entries are canonical,
+    in [0, p).  The echelon rows (RREF, unit pivots, sorted by pivot) may
+    start as `[]` and come back as an int64 array, with `pivots` as an
+    index array; an array passed in may be changed in place.  Over the
+    integers it raises InvalidInput: elimination runs over prime fields
+    only.
 
-
-def _insert(
-    vectors: list[tuple[int, ...]],
-    pivots: list[int],
-    vec: tuple[int, ...] | list[int],
-    ring: ScalarRing,
-) -> tuple[int | None, int | None]:
-    """Reduce vec against echelon rows over a prime field and insert it, in place.
-
-    `vectors` (tuples) and `pivots` are parallel lists sorted by pivot
-    column, one pivot per row, fully reduced with unit pivots.  Returns
-    (lead, pos): the leading entry of the reduced vector before scaling and
-    the index of its new row, or (None, None) when vec already lies in the
-    span.  Over the integers it raises InvalidInput: elimination runs over
-    prime fields only.
+    Per block of at most _EXTEND_BLOCK candidate rows: one kernel product
+    reduces the block against the basis, on the free (non-pivot) columns
+    only; a first-nonzero Gauss-Jordan elimination inside the block
+    accepts rows in order; one more kernel product clears the new pivot
+    columns from the old rows.  RREF is unique, so rows, pivots and leads
+    equal those of inserting the rows one at a time.
     """
     if ring.kind != "prime_field":
         raise InvalidInput("elimination runs over prime fields only")
-    p = ring.p
-    v = list(vec)
-    for row, c in zip(vectors, pivots):
-        f = v[c] % p
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    pivot = next((c for c, x in enumerate(v) if x), None)
-    if pivot is None:
-        return None, None
-    lead = v[pivot]
-    inv = pow(lead, -1, p)
-    v = [x * inv % p for x in v]
-    # keep reduced form: clear the new pivot column in existing rows
-    for i, row in enumerate(vectors):
-        f = row[pivot]
-        if f:
-            vectors[i] = tuple((x - f * y) % p for x, y in zip(row, v))
-    pos = bisect.bisect(pivots, pivot)
-    pivots.insert(pos, pivot)
-    vectors.insert(pos, tuple(v))
-    return lead, pos
+    import numpy as np
 
+    p = ring.p
+    rows = np.asarray(rows, dtype=np.int64)
+    n_cols = rows.shape[1]
+    basis = np.asarray(vectors, dtype=np.int64).reshape(-1, n_cols)
+    piv = np.asarray(pivots, dtype=np.intp)
+    accepted: list[int] = []
+    leads: list[tuple[int, int]] = []
+    for lo in range(0, len(rows), _EXTEND_BLOCK):
+        is_free = np.ones(n_cols, dtype=bool)
+        is_free[piv] = False
+        free = np.flatnonzero(is_free)
+        if free.size == 0:
+            break  # the span is full
+        block = rows[lo : lo + _EXTEND_BLOCK]
+        w = block[:, free]
+        if piv.size:
+            w = _sub_mod(w, _matmul(block[:, piv], basis[:, free], p), p)
+        new: list[int] = []
+        cols: list[int] = []
+        for i in range(len(w)):
+            nz = np.flatnonzero(w[i])
+            if nz.size == 0:
+                continue
+            c = nz[0]
+            lead = int(w[i, c])
+            leads.append((int(free[c]), lead))
+            w[i] = _mulmod(w[i], np.int64(pow(lead, -1, p)), p)
+            f = w[:, c].copy()
+            f[i] = 0
+            hit = np.flatnonzero(f)
+            w[hit] = _sub_mod(w[hit], _mulmod(w[i], f[hit, None], p), p)
+            new.append(i)
+            cols.append(c)
+        if not new:
+            continue
+        fresh = w[new]
+        if piv.size:
+            basis[:, free] = _sub_mod(
+                basis[:, free], _matmul(basis[:, free[cols]], fresh, p), p
+            )
+        grown = np.zeros((len(new), n_cols), dtype=np.int64)
+        grown[:, free] = fresh
+        piv = np.concatenate([piv, free[cols]])
+        order = np.argsort(piv)
+        basis, piv = np.concatenate([basis, grown])[order], piv[order]
+        accepted += [lo + i for i in new]
+    return basis, piv, accepted, leads
+
+
+# Rows per block of `echelon_extend`.  A block is one reduction product
+# against the basis, so it bounds the transient memory of the reduction;
+# `genericity.subspace_length` forms its products in blocks of this size
+# too.  Unblocked, a process running one n = 14 chain peaked at 38.5 MB
+# max RSS, against 34.7 MB in blocks of 32 (2-core x86-64, numpy 2.4).
+_EXTEND_BLOCK = 32
 
 _M61_LOW31 = (1 << 31) - 1
 _M61_LOW30 = (1 << 30) - 1
+_LOW32 = (1 << 32) - 1
 
 
 def _np_fold(v):
@@ -618,12 +617,44 @@ def _np_mulmod(a, b):
     return np.where(s >= MERSENNE61, s - MERSENNE61, s)
 
 
-def _sub_m61(a, b):
-    """a - b mod 2^61-1 for entries in [0, 2^61-1)."""
+def _shoup(x, w, p: int):
+    """x * w mod p plus 0 or p, a value in [0, 2p), for a uint64 array x.
+
+    w is an int or an int64 array of multipliers in [0, p) that broadcasts
+    against x.  With w' = floor(w * 2^64 / p), precomputed from the few
+    multipliers, and q the high word of x * w' (on 32-bit halves, so no
+    partial sum reaches 2^64), x*w - q*p lies in [0, 2p) (Shoup; Harvey,
+    J. Symb. Comput. 60, 2014), so it is exact taken mod 2^64.
+    """
+    import numpy as np
+
+    w = np.asarray(w)
+    wq = np.array([(int(v) << 64) // p for v in w.flat], dtype=np.uint64)
+    wq = wq.reshape(w.shape)
+    y0, y1 = wq & _LOW32, wq >> 32
+    x0, x1 = x & _LOW32, x >> 32
+    t = x1 * y0 + ((x0 * y0) >> 32)
+    u = x0 * y1 + (t & _LOW32)
+    q = x1 * y1 + (t >> 32) + (u >> 32)
+    return x * w.astype(np.uint64) - q * np.uint64(p)
+
+
+def _mulmod(x, w, p: int):
+    """x * w mod p for an int64 array x in [0, p), w as in `_shoup`."""
+    if p == MERSENNE61:
+        return _np_mulmod(x, w)
+    import numpy as np
+
+    r = _shoup(x.view(np.uint64), w, p)
+    return np.where(r >= p, r - p, r).view(np.int64)
+
+
+def _sub_mod(a, b, p: int):
+    """a - b mod p for int64 arrays with entries in [0, p)."""
     import numpy as np
 
     d = a - b
-    return np.where(d < 0, d + MERSENNE61, d)
+    return np.where(d < 0, d + p, d)
 
 
 # Limb products are below 2^42, and one limb-diagonal sum adds at most three
@@ -633,15 +664,15 @@ def _sub_m61(a, b):
 # chunk of k <= 512 (3 * 2^9 * 2^42 < 2^53) is exact in any summation order
 # BLAS picks.  512 is the largest power of two under the bound 2^53 / (3 *
 # 2^42) ~ 682.
-_M61_CHUNK = 512
-# Matrix pairs per batched kernel call; see `_matmul_m61`.  One call makes
+_CHUNK = 512
+# Matrix pairs per batched kernel call; see `_matmul`.  One call makes
 # about 15 temporaries the size of its stack.
-_M61_BATCH = 256
+_BATCH = 256
 _LIMB_MASK = (1 << 21) - 1
 
 
 def _limbs(x):
-    """int64 entries in [0, 2^61) as three float64 limbs of 21 bits."""
+    """int64 entries in [0, 2^62) as three float64 limbs of 21 bits."""
     import numpy as np
 
     return [
@@ -656,119 +687,78 @@ def _rot61(x, e):
     return ((x & ((1 << (61 - e)) - 1)) << e) + (x >> (61 - e))
 
 
-def _matmul_m61(a, b):
-    """Exact a @ b mod 2^61-1 for (stacked) int64 arrays with entries in [0, 2^61).
+def _matmul(a, b, p: int):
+    """Exact a @ b mod p for (stacked) int64 arrays with entries in [0, p).
 
     Entries split into three 21-bit limbs; limb-diagonal s of the product,
     sum over i + j = s of limb_i(a) @ limb_j(b), is one float64 matmul with
     the limbs concatenated along the inner axis, exact per the chunk bound
-    above.  Diagonal s carries weight 2^(21 s) == 2^(21 s mod 61), so the
-    five sums recombine by 61-bit rotations by 0, 21, 42, 2 and 23 bits.
-    A stack of more than _M61_BATCH matrix pairs is multiplied
-    _M61_BATCH pairs at a time, which bounds the temporaries (limbs,
-    concatenations, diagonal sums) to that many matrices.  The inner
-    dimension must be at least 1.
+    above, and carries weight 2^(21 s) (`_recombine`).  A stack of more
+    than _BATCH matrix pairs is multiplied _BATCH pairs at a time, which
+    bounds the temporaries (limbs, concatenations, diagonal sums) to that
+    many matrices.  The inner dimension must be at least 1.
     """
     import numpy as np
 
-    if a.ndim == 3 and len(a) > _M61_BATCH:
+    if a.ndim == 3 and len(a) > _BATCH:
         out = np.empty((len(a), a.shape[1], b.shape[2]), dtype=np.int64)
-        for lo in range(0, len(a), _M61_BATCH):
-            hi = lo + _M61_BATCH
-            out[lo:hi] = _matmul_m61(a[lo:hi], b[lo:hi])
+        for lo in range(0, len(a), _BATCH):
+            hi = lo + _BATCH
+            out[lo:hi] = _matmul(a[lo:hi], b[lo:hi], p)
         return out
-    k = a.shape[-1]
-    acc = None
-    for c in range(0, k, _M61_CHUNK):
-        la = _limbs(a[..., c : c + _M61_CHUNK])
-        lb = _limbs(b[..., c : c + _M61_CHUNK, :])
-        diag = []
-        for s in range(5):
-            pairs = range(max(0, s - 2), min(s, 2) + 1)
-            diag.append(
-                np.matmul(
-                    np.concatenate([la[i] for i in pairs], axis=-1),
-                    np.concatenate([lb[s - i] for i in pairs], axis=-2),
-                ).astype(np.int64)
-            )
-        # each term is below 2^61, so a sum of three stays below 2^63
-        part = _np_fold(diag[0] + _rot61(diag[1], 21) + _rot61(diag[3], 2))
-        part = _np_fold(part + _rot61(diag[2], 42) + _rot61(diag[4], 23))
-        acc = part if acc is None else _np_fold(acc + part)
-    acc = _np_fold(acc)
-    return np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
+    chunks = (
+        _limb_diagonals(a[..., c : c + _CHUNK], b[..., c : c + _CHUNK, :])
+        for c in range(0, a.shape[-1], _CHUNK)
+    )
+    return _recombine(chunks, p)
 
 
-# Rows per block of `_extend_m61`.  A block is one reduction product
-# against the basis, so it bounds the transient memory of the reduction;
-# `genericity.subspace_length` forms its products in blocks of this size
-# too.  Unblocked, a process running one n = 14 chain peaked at 38.5 MB
-# max RSS, against 34.7 MB in blocks of 32 (2-core x86-64, numpy 2.4).
-_EXTEND_BLOCK = 32
+def _limb_diagonals(a, b):
+    """The five limb-diagonal sums of a @ b, as exact int64 arrays."""
+    import numpy as np
+
+    la, lb = _limbs(a), _limbs(b)
+    diag = []
+    for s in range(5):
+        pairs = range(max(0, s - 2), min(s, 2) + 1)
+        diag.append(
+            np.matmul(
+                np.concatenate([la[i] for i in pairs], axis=-1),
+                np.concatenate([lb[s - i] for i in pairs], axis=-2),
+            ).astype(np.int64)
+        )
+    return diag
 
 
-def _extend_m61(vectors, pivots, rows):
-    """Blocked `_insert` fold mod 2^61-1; see `echelon_extend`.
+def _recombine(chunks, p: int):
+    """Sum over the chunks of sum_s D_s * 2^(21 s) mod p, in [0, p).
 
-    The echelon rows are an int64 array in RREF with unit pivots, sorted by
-    pivot.  Per block of at most _EXTEND_BLOCK candidate rows: one kernel
-    product reduces the block against the basis, on the free (non-pivot)
-    columns only, since the pivot columns of a reduced row are 0; a
-    first-nonzero Gauss-Jordan elimination inside the block accepts rows in
-    order; one more kernel product clears the new pivot columns from the
-    old rows.  RREF is unique, so rows and pivots equal the `_insert` fold,
-    and so do the leads: a row's lead is read just before it is scaled, when
-    it has been reduced against every earlier row.
+    Each chunk is the five limb-diagonal sums D_s of `_limb_diagonals`,
+    entries below 2^53.  Modulo 2^61 - 1, 2^(21 s) == 2^(21 s mod 61), so
+    the weights are 61-bit rotations by 0, 21, 42, 2 and 23 bits; modulo
+    every other p, Horner's rule in 2^21 with one `_shoup` product a step.
     """
     import numpy as np
 
-    p = MERSENNE61
-    rows = np.asarray(rows, dtype=np.int64)
-    n_cols = rows.shape[1]
-    basis = np.asarray(vectors, dtype=np.int64).reshape(-1, n_cols)
-    piv = np.asarray(pivots, dtype=np.intp)
-    accepted: list[int] = []
-    leads: list[tuple[int, int]] = []
-    for lo in range(0, len(rows), _EXTEND_BLOCK):
-        is_free = np.ones(n_cols, dtype=bool)
-        is_free[piv] = False
-        free = np.flatnonzero(is_free)
-        if free.size == 0:
-            break  # the span is full
-        block = rows[lo : lo + _EXTEND_BLOCK]
-        w = block[:, free]
-        if piv.size:
-            w = _sub_m61(w, _matmul_m61(block[:, piv], basis[:, free]))
-        new: list[int] = []
-        cols: list[int] = []
-        for i in range(len(w)):
-            nz = np.flatnonzero(w[i])
-            if nz.size == 0:
-                continue
-            c = nz[0]
-            lead = int(w[i, c])
-            leads.append((int(free[c]), lead))
-            w[i] = _np_mulmod(w[i], np.int64(pow(lead, -1, p)))
-            f = w[:, c].copy()
-            f[i] = 0
-            hit = np.flatnonzero(f)
-            w[hit] = _sub_m61(w[hit], _np_mulmod(f[hit, None], w[i]))
-            new.append(i)
-            cols.append(c)
-        if not new:
-            continue
-        fresh = w[new]
-        if piv.size:
-            basis[:, free] = _sub_m61(
-                basis[:, free], _matmul_m61(basis[:, free[cols]], fresh)
-            )
-        grown = np.zeros((len(new), n_cols), dtype=np.int64)
-        grown[:, free] = fresh
-        piv = np.concatenate([piv, free[cols]])
-        order = np.argsort(piv)
-        basis, piv = np.concatenate([basis, grown])[order], piv[order]
-        accepted += [lo + i for i in new]
-    return basis, piv, accepted, leads
+    acc = None
+    if p == MERSENNE61:
+        for d in chunks:
+            # each term is below 2^61, so a sum of three stays below 2^63
+            part = _np_fold(d[0] + _rot61(d[1], 21) + _rot61(d[3], 2))
+            part = _np_fold(part + _rot61(d[2], 42) + _rot61(d[4], 23))
+            acc = part if acc is None else _np_fold(acc + part)
+        acc = _np_fold(acc)
+        return np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
+    shift = pow(2, 21, p)
+    for d in chunks:
+        # Horner in 2^21: each step is below 2p + 2^53, and a sum of two
+        # chunks below 4p, both under 2^64
+        part = d[4].view(np.uint64)
+        for x in d[3::-1]:
+            part = _shoup(part, shift, p) + x.view(np.uint64)
+        part = _shoup(part, 1, p)
+        acc = part if acc is None else _shoup(acc + part, 1, p)
+    return np.where(acc >= p, acc - p, acc).view(np.int64)
 
 
 def _det_block_triangular(rows) -> int:
@@ -921,8 +911,8 @@ class SubspaceBasis:
     """Span of n-by-n matrices kept as echelonized vectorizations.
 
     `matrices` lists the independent representatives in insertion order;
-    `vectors` and `pivots` are the echelon rows that `_insert` maintains,
-    sorted by pivot column.
+    `vectors` and `pivots` are the echelon rows of `echelon_extend`, as
+    tuples, in RREF with unit pivots and sorted by pivot column.
     """
 
     n: int
@@ -946,11 +936,10 @@ def span_insert(b: SubspaceBasis, m: Matrix) -> tuple[SubspaceBasis, bool]:
         raise InvalidInput(f"expected {b.n}x{b.n} matrix")
     if m.ring != b.ring:
         raise InvalidInput("ring mismatch")
-    vectors, pivots = list(b.vectors), list(b.pivots)
-    lead, _ = _insert(vectors, pivots, m.entries, b.ring)
-    if lead is None:
-        return b, False
-    return (
-        SubspaceBasis(b.n, b.ring, b.matrices + (m,), tuple(vectors), tuple(pivots)),
-        True,
+    vectors, pivots, accepted, _ = echelon_extend(
+        b.vectors, b.pivots, [m.entries], b.ring
     )
+    if not accepted:
+        return b, False
+    vectors, pivots = tuple(map(tuple, vectors.tolist())), tuple(pivots.tolist())
+    return SubspaceBasis(b.n, b.ring, b.matrices + (m,), vectors, pivots), True

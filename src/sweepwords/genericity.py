@@ -49,46 +49,34 @@ from .words import (
 DEFAULT_PRIME = MERSENNE61
 _MASK64 = (1 << 64) - 1
 
-# Largest n that `subspace_length` accepts modulo 2^61 - 1.  Its echelon
-# rows hold n^4 entries: on 2 cores one g = 2 chain at n = 48 takes ~13 s and
-# peaks at ~260 MB (n = 40: ~5 s, ~125 MB), growing as ~n^6 in time, ~n^4 in
-# memory.
+# Largest n that `subspace_length` accepts, at every prime.  Its echelon
+# rows hold n^4 entries, so time grows as ~n^6 and memory as ~n^4.  One
+# g = 2 chain at n = 48 (CLI wall time / max RSS, 2 cores) takes 14.2 s /
+# 210 MB modulo 2^61 - 1 and 20.4 s / 243 MB modulo 2^61 - 31.
 LENGTH_MAX_N = 48
-# Largest n over every other ring, where products are Python-int products
-# and span growth is the pure-Python `_insert` fold: one g = 2 chain modulo
-# 2^61 - 31 (CLI wall time / max RSS, 2 cores, no numpy loaded) takes
-# 8.7-9.4 s / 25 MB at n = 18, growing as ~n^6.
-LENGTH_FOLD_MAX_N = 18
 
-# Largest n that certification accepts modulo 2^61 - 1.  A trial's
+# Largest n that certification accepts, at every prime.  A trial's
 # determinant has n^2 rows of n^2 entries, and the words are evaluated into
-# it 32 rows at a time: one g = 2 trial (CLI wall time / max RSS, 2 cores)
-# takes 0.87 s / 71 MB at n = 32, 2.3 s / 90 MB at n = 36, 2.4 s / 113 MB
-# at n = 40, 4.0 s / 149 MB at n = 44 and 6.7 s / 187 MB at n = 48, growing
-# as ~n^6 in time and ~n^4 in memory.  g = 3 costs the same at n = 40.
-# n = 48 takes 2.5x the time of n = 40, so the cap stays at 40.
+# it 32 rows at a time, so time grows as ~n^6 and memory as ~n^4.  One
+# g = 2 trial at n = 40 (CLI wall time / max RSS, 2 cores) takes 5.8 s /
+# 111 MB modulo 2^61 - 1 and 7.6 s / 125 MB modulo 2^61 - 31.  n = 48 takes
+# ~2.5x the time of n = 40, so the cap stays at 40.
 CERTIFY_MAX_N = 40
-# Largest n modulo every other prime, where words are evaluated with
-# Python-int products and the determinant is the pure-Python `_insert` fold:
-# one g = 2 trial modulo 2^61 - 31 (CLI wall time / max RSS, 2 cores, no
-# numpy loaded) takes 3.5 s / 23 MB at n = 18, nearly all of it in the
-# fold, growing as ~n^6.
-CERTIFY_FOLD_MAX_N = 18
 
 # Largest word count g^(2d) that `rosenthal_check` accepts (n is capped as
 # in certification).  The words are evaluated and eliminated 32 at a time,
-# and evaluation stops once the span is full.  Measured per check
-# (in-process time / max RSS, 2 cores): 2,025 words (g = 45, d = 1) take
-# 2.5 s / 121 MB at n = 40 modulo 2^61 - 1 and 3.5 s / 23 MB at n = 18
-# modulo 2^61 - 31; 4,096 words (g = 2, d = 6, past the cap) take 2.3 s /
-# 115 MB at n = 40.  A word list that does not span is evaluated to its end.
+# and evaluation stops once the span is full, so 4,096 words (g = 2, d = 6,
+# past the cap) cost about what 2,025 do.  Measured per check (in-process
+# time / max RSS, 2 cores): 2,025 words (g = 45, d = 1) at n = 40 take
+# 6.3 s / 114 MB modulo 2^61 - 1 and 8.0 s / 127 MB modulo 2^61 - 31.  A
+# word list that does not span is evaluated to its end.
 ROSENTHAL_MAX_WORDS = 2048
 
 # Largest trial count that `certify` and `length` accept.  At the n caps one
-# trial takes up to 7.6 s (CLI wall time, 2 cores: a g = 2 length chain at
-# n = 48; the pure-Python fold takes ~3.6 s at n = 18), so a run of one
-# size stays within ~8 min; `length --n 3 --trials 100000` ran past 60 s
-# before it was capped.
+# trial takes up to 20.4 s (CLI wall time, 2 cores: a g = 2 length chain at
+# n = 48 modulo 2^61 - 31; 14.2 s modulo 2^61 - 1), so a run of one size
+# stays within ~22 min; `length --n 3 --trials 100000` ran past 60 s before
+# it was capped.
 TRIALS_MAX = 64
 
 
@@ -180,18 +168,10 @@ class CertificationReport:
         }
 
 
-def check_certify_size(n: int, p: int = DEFAULT_PRIME) -> None:
-    """Raise TooLarge when n exceeds the certification cap of the prime.
-
-    The cap is CERTIFY_MAX_N modulo 2^61 - 1 (p = DEFAULT_PRIME) and
-    CERTIFY_FOLD_MAX_N modulo any other prime.
-    """
-    cap = CERTIFY_MAX_N if p == DEFAULT_PRIME else CERTIFY_FOLD_MAX_N
-    if n > cap:
-        raise TooLarge(
-            f"certification is capped at n = {cap} (n <= {CERTIFY_MAX_N} "
-            f"modulo 2^61 - 1, n <= {CERTIFY_FOLD_MAX_N} otherwise); got n = {n}"
-        )
+def check_certify_size(n: int) -> None:
+    """Raise TooLarge when n exceeds CERTIFY_MAX_N."""
+    if n > CERTIFY_MAX_N:
+        raise TooLarge(f"certification is capped at n = {CERTIFY_MAX_N}; got n = {n}")
 
 
 def is_locally_linearly_independent(
@@ -216,7 +196,7 @@ def is_locally_linearly_independent(
     InvalidInput when the words have no string form for the digest (g > 26).
     A trial count outside [1, TRIALS_MAX] is refused before sampling too.
     """
-    check_certify_size(n, p)
+    check_certify_size(n)
     check_trials(trials)
     if len(words) != n * n:
         raise InvalidWord(f"need exactly {n * n} words, got {len(words)}")
@@ -292,32 +272,23 @@ class LengthReport:
         }
 
 
-def check_length_size(n: int, p: int = DEFAULT_PRIME) -> None:
-    """Raise TooLarge when n exceeds the length-chain cap of the prime.
-
-    The cap is LENGTH_MAX_N modulo 2^61 - 1 (p = DEFAULT_PRIME) and
-    LENGTH_FOLD_MAX_N modulo any other prime.
-    """
-    cap = LENGTH_MAX_N if p == DEFAULT_PRIME else LENGTH_FOLD_MAX_N
-    if n > cap:
-        raise TooLarge(
-            f"length chains are capped at n = {cap} (n <= {LENGTH_MAX_N} "
-            f"modulo 2^61 - 1, n <= {LENGTH_FOLD_MAX_N} otherwise); got n = {n}"
-        )
+def check_length_size(n: int) -> None:
+    """Raise TooLarge when n exceeds LENGTH_MAX_N."""
+    if n > LENGTH_MAX_N:
+        raise TooLarge(f"length chains are capped at n = {LENGTH_MAX_N}; got n = {n}")
 
 
-def check_length_work(sizes, trials: int, p: int = DEFAULT_PRIME) -> None:
+def check_length_work(sizes, trials: int) -> None:
     """Raise TooLarge when a run of chains costs more than the costliest
-    single size: TRIALS_MAX trials at the n cap of the prime.
+    single size: TRIALS_MAX trials at n = LENGTH_MAX_N.
 
     A chain at size n costs ~n^6, so the run costs trials * sum(n^6) of
     those units.
     """
-    cap = LENGTH_MAX_N if p == DEFAULT_PRIME else LENGTH_FOLD_MAX_N
-    if trials * sum(n**6 for n in sizes) > TRIALS_MAX * cap**6:
+    if trials * sum(n**6 for n in sizes) > TRIALS_MAX * LENGTH_MAX_N**6:
         raise TooLarge(
             f"a length run is capped at trials * sum(n^6) <= {TRIALS_MAX} * "
-            f"{cap}^6, the cost of {TRIALS_MAX} trials at n = {cap}"
+            f"{LENGTH_MAX_N}^6, the cost of {TRIALS_MAX} trials at n = {LENGTH_MAX_N}"
         )
 
 
@@ -337,7 +308,7 @@ def subspace_length(t: MatrixTuple, include_identity: bool = False) -> LengthRep
     which bounds the memory that products and reductions hold at once.
     """
     n, nn, ring = t.n, t.n * t.n, t.ring
-    check_length_size(n, ring.p)
+    check_length_size(n)
     st = letter_stack(t)
     vectors, pivots = [], []
     if include_identity:
@@ -423,7 +394,7 @@ def generic_length_experiment(
     if g < 2:
         raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
     check_alphabet_size(g)
-    check_length_size(n, p)
+    check_length_size(n)
     ring = prime_field(p)
     reports = []
     for trial in range(trials):
@@ -442,14 +413,14 @@ def generic_length_experiment(
     )
 
 
-def check_rosenthal_size(n: int, g: int, d: int, p: int = DEFAULT_PRIME) -> None:
+def check_rosenthal_size(n: int, g: int, d: int) -> None:
     """Raise TooLarge when `rosenthal_check` would exceed a cap.
 
     n is capped as in `check_certify_size`, and the word count g^(2d) at
     ROSENTHAL_MAX_WORDS.  The count is multiplied up one letter at a time,
     so a huge d is refused without forming g^(2d).
     """
-    check_certify_size(n, p)
+    check_certify_size(n)
     count = 1
     for _ in range(2 * d):
         count *= g
@@ -474,7 +445,7 @@ def rosenthal_check(
     """
     if g < 2:
         raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
-    check_rosenthal_size(n, g, d, p)
+    check_rosenthal_size(n, g, d)
     if g ** (2 * d) < n * n:
         raise Infeasible(
             f"g^(2d) = {g ** (2 * d)} < n^2 = {n * n}: no spanning is possible"
@@ -502,7 +473,7 @@ def grid_certification(
     Raises TooLarge, before building the grid, when n exceeds the cap of
     `check_certify_size` or trials that of `check_trials`.
     """
-    check_certify_size(n, p)
+    check_certify_size(n)
     check_trials(trials)
     grid = build_word_grid(n, g, d)
     words = grid.flatten()
@@ -531,7 +502,7 @@ def random_words_certification(
     sampling any word, past the caps of `check_certify_size`,
     `check_grid_size` and `check_trials`.
     """
-    check_certify_size(n, p)
+    check_certify_size(n)
     check_trials(trials)
     if d is None:
         d = degree_exponent(n, g)

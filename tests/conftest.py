@@ -4,6 +4,7 @@ constructors and readouts that only tests need."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -69,6 +70,40 @@ def pure_det(rows: list[list[int]], p: int) -> int:
             if f:
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
     return det % p
+
+
+def echelon_insert(
+    vectors: list[tuple[int, ...]], pivots: list[int], vec, p: int
+) -> tuple[int | None, int | None]:
+    """Reduce vec against echelon rows over F_p and insert it, in place.
+
+    `vectors` (tuples) and `pivots` are parallel lists sorted by pivot
+    column, one pivot per row, fully reduced with unit pivots.  Returns
+    (lead, pos): the leading entry of the reduced vector before scaling and
+    the index of its new row, or (None, None) when vec already lies in the
+    span.  Folded over rows, it is the row-at-a-time oracle of
+    `exactalg.echelon_extend`.
+    """
+    v = list(vec)
+    for row, c in zip(vectors, pivots):
+        f = v[c] % p
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    pivot = next((c for c, x in enumerate(v) if x), None)
+    if pivot is None:
+        return None, None
+    lead = v[pivot]
+    inv = pow(lead, -1, p)
+    v = [x * inv % p for x in v]
+    # keep reduced form: clear the new pivot column in existing rows
+    for i, row in enumerate(vectors):
+        f = row[pivot]
+        if f:
+            vectors[i] = tuple((x - f * y) % p for x, y in zip(row, v))
+    pos = bisect.bisect(pivots, pivot)
+    pivots.insert(pos, pivot)
+    vectors.insert(pos, tuple(v))
+    return lead, pos
 
 
 def mat(rows: list[list[int]], ring: exactalg.ScalarRing) -> exactalg.Matrix:

@@ -10,16 +10,13 @@ import pytest
 
 from sweepwords import cli, genericity, graphs, witness, words
 from sweepwords.cli import main
-from sweepwords.genericity import (
-    CERTIFY_FOLD_MAX_N,
-    CERTIFY_MAX_N,
-    LENGTH_FOLD_MAX_N,
-    LENGTH_MAX_N,
-    TRIALS_MAX,
-)
+from sweepwords.genericity import CERTIFY_MAX_N, LENGTH_MAX_N, TRIALS_MAX
 from sweepwords.graphs import GRAPH_MAX_VERTICES
 from sweepwords.witness import WITNESS_MAX_BASE_BITS, WITNESS_MAX_N
 from sweepwords.words import MAX_G, WORDS_MAX_D, WORDS_MAX_N
+
+# a prime other than the default 2^61 - 1; every prime runs one kernel
+P61M31 = str((1 << 61) - 31)
 
 
 def refuse(*args, **kwargs):
@@ -113,6 +110,16 @@ class TestCertifyCommand:
         # --prime defaults to 2^61 - 1, resolved when the command runs
         assert env["config"]["prime"] == "2305843009213693951"
 
+    def test_other_prime_certifies_at_n_19(self):
+        # past n = 18, which once capped every prime but 2^61 - 1
+        code, env, _ = run_json(
+            ["certify", "--n", "19", "--trials", "1", "--prime", P61M31]
+        )
+        assert code == 0
+        cert = env["result"]["certification"]
+        assert cert["status"] == "certified"
+        assert cert["p"] == P61M31
+
     def test_duplicate_injection_exits_1(self):
         code, env, _ = run_json(
             ["certify", "--n", "2", "--trials", "3", "--inject-duplicate"]
@@ -161,7 +168,7 @@ class TestCertifyCommand:
         for argv in (
             ["--n", str(CERTIFY_MAX_N + 1)],
             ["--n", str(CERTIFY_MAX_N + 1), "--random-words"],
-            ["--n", str(CERTIFY_FOLD_MAX_N + 1), "--prime", str((1 << 61) - 31)],
+            ["--n", str(CERTIFY_MAX_N + 1), "--prime", P61M31],
         ):
             code, out, err = run(["certify", *argv])
             assert code == 2
@@ -346,10 +353,11 @@ class TestLengthCommand:
 
         monkeypatch.setattr(cli, "generic_length_experiment", refuse)
         for sizes in [str(LENGTH_MAX_N + 1), f"2..{LENGTH_MAX_N + 1}"]:
-            code, out, err = run(["length", "--n", sizes])
-            assert code == 2
-            assert out == ""
-            assert "capped" in err
+            for prime in ([], ["--prime", P61M31]):
+                code, out, err = run(["length", "--n", sizes, *prime])
+                assert code == 2
+                assert out == ""
+                assert "capped" in err
 
     def test_no_trials_exits_2(self, monkeypatch):
         # refused before the first size of a range runs
@@ -388,18 +396,6 @@ class TestLengthCommand:
                 assert out == ""
                 assert "need g >= 2" in err
 
-    def test_fold_size_above_cap_exits_2(self, monkeypatch):
-        # off the default prime the cap is lower, and is checked the same way
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran an experiment before the size check")
-
-        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
-        for sizes in [str(LENGTH_FOLD_MAX_N + 1), f"2..{LENGTH_FOLD_MAX_N + 1}"]:
-            code, out, err = run(["length", "--n", sizes, "--prime", "101"])
-            assert code == 2
-            assert out == ""
-            assert "capped" in err
-
 
     def test_alphabet_above_cap_exits_2(self, monkeypatch):
         monkeypatch.setattr(cli, "generic_length_experiment", refuse)
@@ -410,13 +406,14 @@ class TestLengthCommand:
             assert "capped" in err
 
     def test_range_work_above_cap_exits_2(self, monkeypatch):
-        # a range may cost at most TRIALS_MAX trials at the prime's n cap:
-        # sum(n^6) over 2..48 is 7.37 * 48^6, so 8 trials fit and 9 do not
+        # a range may cost at most TRIALS_MAX trials at the n cap, at every
+        # prime: sum(n^6) over 2..48 is 7.37 * 48^6, so 8 trials fit and 9
+        # do not
         monkeypatch.setattr(cli, "generic_length_experiment", refuse)
         for sizes, trials, prime in [
             (f"2..{LENGTH_MAX_N}", "9", []),
             (f"{LENGTH_MAX_N - 1}..{LENGTH_MAX_N}", str(TRIALS_MAX), []),
-            (f"2..{LENGTH_FOLD_MAX_N}", str(TRIALS_MAX), ["--prime", "101"]),
+            (f"2..{LENGTH_MAX_N}", "9", ["--prime", "101"]),
         ]:
             code, out, err = run(["length", "--n", sizes, "--trials", trials, *prime])
             assert code == 2
@@ -435,7 +432,7 @@ class TestLengthCommand:
         for argv in [
             ["--n", f"2..{LENGTH_MAX_N}", "--trials", "8"],
             ["--n", str(LENGTH_MAX_N), "--trials", str(TRIALS_MAX)],
-            ["--n", str(LENGTH_FOLD_MAX_N), "--trials", str(TRIALS_MAX), "--prime", "101"],
+            ["--n", f"2..{LENGTH_MAX_N}", "--trials", "8", "--prime", "101"],
         ]:
             with pytest.raises(Ran):
                 main(["length", *argv])

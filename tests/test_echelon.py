@@ -1,20 +1,24 @@
-"""Differential tests for the echelon core and everything built on it.
+"""Differential tests for the prime-field kernel and everything built on it.
 
-`discriminant` and `rank` over every prime field take the rows through
-`echelon_extend`, which folds `_insert` except modulo 2^61 - 1, where it is
-the blocked `_extend_m61`.  `span_insert` is `_insert` itself.  Each is
-checked against the independent oracles in conftest; `echelon_extend`
-modulo 2^61 - 1, leads included, is checked against the `_insert` fold
-itself.  Over the integers every one of them refuses to eliminate.
+Every prime field runs one kernel: the limb products of `_matmul`, the
+p-dependent reductions `_recombine` and `_mulmod`, and the blocked
+elimination of `echelon_extend`, on which `discriminant`, `rank` and
+`span_insert` are built.  Each is checked at primes from 2 to the largest
+below 2^62 that `ScalarRing` accepts: the kernel against Python-int
+products, `echelon_extend` (leads included) against a fold of the
+row-at-a-time `echelon_insert` of conftest, and the rest against the
+independent oracles there.  Over the integers every one of them refuses to
+eliminate.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pure_det, rank_fractions
+from conftest import echelon_insert, pure_det, rank_fractions
 from sweepwords import exactalg
 from sweepwords.errors import InvalidInput
 from sweepwords.exactalg import (
@@ -22,7 +26,8 @@ from sweepwords.exactalg import (
     Matrix,
     MatrixTuple,
     SubspaceBasis,
-    _insert,
+    _matmul,
+    _mulmod,
     big_integer,
     discriminant,
     echelon_extend,
@@ -32,13 +37,9 @@ from sweepwords.exactalg import (
 )
 from sweepwords.genericity import subspace_length
 
-FOLD_PRIMES = [101, (1 << 61) - 31]
-
-RINGS = {
-    "fp101": prime_field(101),
-    "fp_default": prime_field(MERSENNE61),
-    "fp61m31": prime_field((1 << 61) - 31),
-}
+# the smallest prime, a small one, word-size ones around 2^31 and 2^61 (the
+# default 2^61 - 1 among them), and the largest prime below 2^62
+PRIMES = [2, 101, (1 << 31) - 1, (1 << 61) - 31, MERSENNE61, (1 << 62) - 57]
 
 
 def _columns(a, n, ring):
@@ -60,8 +61,9 @@ def square_systems(draw, n_max):
     n = draw(st.integers(1, n_max))
     nn = n * n
     rng = draw(st.randoms(use_true_random=False))
-    # 0/1 entries make zero pivots and singular matrices common
-    hi = draw(st.sampled_from([2, MERSENNE61]))
+    # 0/1 entries make zero pivots and singular matrices common; the full
+    # range is reduced mod p by `_columns`
+    hi = draw(st.sampled_from([2, 1 << 62]))
     return n, [[rng.randrange(hi) for _ in range(nn)] for _ in range(nn)]
 
 
@@ -99,8 +101,8 @@ def planted_families(draw, n_max=4):
 
 class TestDiscriminant:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(FOLD_PRIMES), square_systems(n_max=6))
-    def test_fold_path_matches_oracle(self, p, system):
+    @given(st.sampled_from(PRIMES), square_systems(n_max=6))
+    def test_matches_oracle(self, p, system):
         n, a = system
         assert discriminant(_columns(a, n, prime_field(p))) == pure_det(a, p)
 
@@ -111,21 +113,23 @@ class TestDiscriminant:
         ring = prime_field(MERSENNE61)
         assert discriminant(_columns(a, n, ring)) == pure_det(a, MERSENNE61)
 
-    @pytest.mark.parametrize("p", FOLD_PRIMES + [MERSENNE61])
+    @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_late_pivots(self, p, n):
         # rows [[0, B], [C, D]] with a zero h x h top-left block: the first
-        # h rows take pivots right of column h, so later rows sort before them
+        # h rows take pivots right of column h, so later rows sort before them;
+        # redrawn until nonsingular, which small primes often are not
         rng = random.Random(n * 1000 + p % 997)
         nn, h = n * n, n * n // 2
-        a = [[rng.randrange(p) for _ in range(nn)] for _ in range(nn)]
-        for i in range(h):
-            a[i][:h] = [0] * h
-        det = discriminant(_columns(a, n, prime_field(p)))
-        assert det == pure_det(a, p)
-        assert det != 0
+        while True:
+            a = [[rng.randrange(p) for _ in range(nn)] for _ in range(nn)]
+            for i in range(h):
+                a[i][:h] = [0] * h
+            if pure_det(a, p):
+                break
+        assert discriminant(_columns(a, n, prime_field(p))) == pure_det(a, p)
 
-    @pytest.mark.parametrize("p", FOLD_PRIMES + [MERSENNE61])
+    @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_duplicated_row_and_zero_column(self, p, n):
         rng = random.Random(n)
@@ -145,28 +149,28 @@ class TestRank:
     def test_planted_rank(self, family):
         n, vectors, r = family
         assert rank_fractions(vectors) == r
-        for ring in RINGS.values():
-            assert rank(_vectors(vectors, n, ring)) == r
+        for p in PRIMES:
+            assert rank(_vectors(vectors, n, prime_field(p))) == r
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.randoms(use_true_random=False), st.data())
     def test_random_sign_vectors(self, n, rng, data):
         # entries in {-1, 0, 1} and at most 16 columns: every minor is at
         # most 4^16 = 2^32 by Hadamard's bound, so the rank modulo
-        # 2^61 - 1 and 2^61 - 31 is the rational rank
+        # every prime above 2^32 is the rational rank
         nn = n * n
         count = data.draw(st.integers(1, nn + 4))
         vectors = [[rng.randrange(-1, 2) for _ in range(nn)] for _ in range(count)]
         expected = rank_fractions(vectors)
-        for name in ("fp_default", "fp61m31"):
-            assert rank(_vectors(vectors, n, RINGS[name])) == expected
+        for p in ((1 << 61) - 31, MERSENNE61, (1 << 62) - 57):
+            assert rank(_vectors(vectors, n, prime_field(p))) == expected
 
 
 class TestSpanInsertFold:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(sorted(RINGS)), planted_families())
-    def test_dimension_tracks_rank_of_every_prefix(self, name, family):
-        ring = RINGS[name]
+    @given(st.sampled_from(PRIMES), planted_families())
+    def test_dimension_tracks_rank_of_every_prefix(self, p, family):
+        ring = prime_field(p)
         n, vectors, _ = family
         ms = _vectors(vectors, n, ring)
         basis = SubspaceBasis.empty(n, ring)
@@ -186,33 +190,67 @@ class TestSpanInsertFold:
 
 
 BLOCK = exactalg._EXTEND_BLOCK
-M61 = RINGS["fp_default"]
+CHUNK = exactalg._CHUNK
 
 
-def _fold(vectors, pivots, rows):
-    """The oracle: `_insert` folded over the rows, on copies of the basis.
+class TestKernel:
+    """`_matmul` and `_mulmod` against Python-int products."""
+
+    @pytest.mark.parametrize("k", [1, 32, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matmul_matches_python_ints(self, p, k):
+        rng = random.Random(k * 7 + p % 1009)
+        a = [[rng.randrange(p) for _ in range(k)] for _ in range(3)]
+        b = [[rng.randrange(p) for _ in range(4)] for _ in range(k)]
+        # all-(p - 1) rows and columns: the largest limb sums p allows
+        a[0] = [p - 1] * k
+        for row in b:
+            row[0] = p - 1
+        got = _matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(4)]
+            for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_mulmod_matches_python_ints(self, p):
+        rng = random.Random(p % 1009)
+        xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(500)]
+        ws = [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]
+        x = np.array(xs, dtype=np.int64)
+        for w in ws:
+            # one multiplier, as a lead inverse is
+            assert _mulmod(x, np.int64(w), p).tolist() == [v * w % p for v in xs]
+        # one multiplier per row, as the elimination factors are
+        got = _mulmod(x, np.array(ws, dtype=np.int64)[:, None], p)
+        assert got.tolist() == [[v * w % p for v in xs] for w in ws]
+
+
+def _fold(vectors, pivots, rows, p):
+    """The oracle: `echelon_insert` folded over the rows, on copies of the basis.
 
     Returns (vectors, pivots, accepted, leads) with leads the (pivot
-    column, lead) that `_insert` reports for each accepted row.
+    column, lead) that `echelon_insert` reports for each accepted row.
     """
     vectors, pivots = list(vectors), list(pivots)
     accepted, leads = [], []
     for i, row in enumerate(rows):
-        lead, pos = _insert(vectors, pivots, row, M61)
+        lead, pos = echelon_insert(vectors, pivots, row, p)
         if lead is not None:
             accepted.append(i)
             leads.append((pivots[pos], lead))
     return vectors, pivots, accepted, leads
 
 
-def _dense_rows(rng, count, n_cols):
-    return [[rng.randrange(MERSENNE61) for _ in range(n_cols)] for _ in range(count)]
+def _dense_rows(rng, count, n_cols, p):
+    return [[rng.randrange(p) for _ in range(n_cols)] for _ in range(count)]
 
 
-def _assert_extend_matches_fold(vectors, pivots, rows):
-    expected = _fold(vectors, pivots, rows)
+def _assert_extend_matches_fold(vectors, pivots, rows, p):
+    expected = _fold(vectors, pivots, rows, p)
     got_vectors, got_pivots, got_accepted, got_leads = echelon_extend(
-        list(vectors), list(pivots), rows, M61
+        list(vectors), list(pivots), rows, prime_field(p)
     )
     assert [tuple(r) for r in got_vectors.tolist()] == expected[0]
     assert got_pivots.tolist() == expected[1]
@@ -222,27 +260,28 @@ def _assert_extend_matches_fold(vectors, pivots, rows):
 
 @st.composite
 def extension_cases(draw):
-    """(basis vectors, basis pivots, candidate rows) over F_(2^61-1).
+    """(basis vectors, basis pivots, candidate rows, p) over a prime of PRIMES.
 
-    The basis is the `_insert` fold of r random rows (r = 0 and r = N
-    included).  Candidates mix zero rows, duplicates and two-term
-    combinations of earlier candidates, multiples of basis rows, rows with
-    a long run of leading zeros (late pivots) and dense rows; their count
-    is drawn around one and two blocks.
+    The basis is the `echelon_insert` fold of random rows until it has
+    rank r (r = 0 and r = N included).  Candidates mix zero rows,
+    duplicates and two-term combinations of earlier candidates, multiples
+    of basis rows, rows with a long run of leading zeros (late pivots),
+    all-(p - 1) rows and dense rows; their count is drawn around one and
+    two blocks.
     """
+    p = draw(st.sampled_from(PRIMES))
     rng = draw(st.randoms(use_true_random=False))
     n_cols = draw(st.sampled_from([1, 2, 5, 17, BLOCK + 3, 2 * BLOCK + 5]))
     r = draw(st.sampled_from([0, n_cols, rng.randint(0, n_cols)]))
     vectors, pivots = [], []
     while len(vectors) < r:
-        _insert(vectors, pivots, _dense_rows(rng, 1, n_cols)[0], M61)
+        echelon_insert(vectors, pivots, _dense_rows(rng, 1, n_cols, p)[0], p)
     count = draw(
         st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     )
-    p = MERSENNE61
     rows = []
     for _ in range(count):
-        kind = rng.randrange(7)
+        kind = rng.randrange(8)
         if kind == 0:
             row = [0] * n_cols
         elif kind == 1 and rows:
@@ -256,53 +295,61 @@ def extension_cases(draw):
         elif kind == 4:
             h = rng.randrange(n_cols)
             row = [0] * h + [rng.randrange(p) for _ in range(n_cols - h)]
+        elif kind == 5:
+            row = [p - 1] * n_cols
         else:
             row = [rng.randrange(p) for _ in range(n_cols)]
         rows.append(row)
-    return vectors, pivots, rows
+    return vectors, pivots, rows, p
 
 
 class TestEchelonExtend:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(extension_cases())
     def test_matches_insert_fold(self, case):
         _assert_extend_matches_fold(*case)
 
     @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_block_boundaries_empty_basis(self, count):
-        # independent rows across one block boundary, then their duplicates
+        # rows across one block boundary, then their duplicates
         rng = random.Random(count)
         n_cols = BLOCK + 8
-        rows = _dense_rows(rng, count, n_cols)
-        _assert_extend_matches_fold([], [], rows + rows[::-1])
+        for p in PRIMES:
+            rows = _dense_rows(rng, count, n_cols, p)
+            _assert_extend_matches_fold([], [], rows + rows[::-1], p)
 
     def test_full_basis_takes_nothing(self):
         # r = N leaves no free column: every candidate is already in the span
         rng = random.Random(5)
         n_cols = 9
         identity = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-        vectors, pivots, _, _ = _fold([], [], identity)
-        rows = _dense_rows(rng, BLOCK + 1, n_cols)
-        _assert_extend_matches_fold(vectors, pivots, rows)
-        assert echelon_extend(vectors, pivots, rows, M61)[2] == []
+        for p in PRIMES:
+            vectors, pivots, _, _ = _fold([], [], identity, p)
+            rows = _dense_rows(rng, BLOCK + 1, n_cols, p)
+            _assert_extend_matches_fold(vectors, pivots, rows, p)
+            assert echelon_extend(vectors, pivots, rows, prime_field(p))[2] == []
 
     def test_late_pivots_after_early_ones(self):
         # the first candidates only reach the last columns, so later rows
         # with early pivots sort in front of them
         rng = random.Random(6)
         n_cols = 40
-        late = [[0] * 30 + row for row in _dense_rows(rng, 10, 10)]
-        early = _dense_rows(rng, 35, n_cols)
-        _assert_extend_matches_fold([], [], late + early)
+        for p in PRIMES:
+            late = [[0] * 30 + row for row in _dense_rows(rng, 10, 10, p)]
+            early = _dense_rows(rng, 35, n_cols, p)
+            _assert_extend_matches_fold([], [], late + early, p)
 
-    def test_fold_path_for_other_rings(self):
-        # every other prime folds `_insert` in place on the caller's lists
-        ring = RINGS["fp101"]
-        vectors, pivots = [], []
+    def test_small_prime_example(self):
+        # [2, 4, 6, 8] is twice the first row, and 0 mod 2
         rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0], [0, 1, 0, 0]]
-        out = echelon_extend(vectors, pivots, rows, ring)
-        assert out == (vectors, pivots, [0, 3], [(0, 1), (1, 1)])
-        assert pivots == [0, 1]
+        for p, first in [(101, [1, 0, 3, 4]), (2, [1, 0, 1, 0])]:
+            ring = prime_field(p)
+            canon = [[x % p for x in row] for row in rows]
+            vectors, pivots, accepted, leads = echelon_extend([], [], canon, ring)
+            assert vectors.tolist() == [first, [0, 1, 0, 0]]
+            assert pivots.tolist() == [0, 1]
+            assert accepted == [0, 3]
+            assert leads == [(0, 1), (1, 1)]
 
 
 class TestIntegersRefused:

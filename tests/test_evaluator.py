@@ -1,8 +1,8 @@
 """Differential tests of the word evaluator, its two product backends and the
 span growth of `subspace_length`.
 
-Over F_(2^61-1) products run through the `_matmul_m61` kernel; over every
-other ring they are Python-int products.  The oracle evaluates one word at
+Over every prime field products run through the `_matmul` kernel; over the
+integers they are Python-int products.  The oracle evaluates one word at
 a time through a prefix cache of left-to-right pure-Python `Matrix.mul`
 products; it shares nothing with the evaluator under test but `Matrix`.
 """
@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from conftest import evaluate_word, identity
 from sweepwords import exactalg
 from sweepwords.exactalg import (
-    _M61_BATCH,
+    _BATCH,
     MERSENNE61,
     Matrix,
     MatrixTuple,
-    _matmul_m61,
+    _matmul,
     _prefix_products,
     big_integer,
     letter_stack,
@@ -206,7 +206,7 @@ def test_matmul_m61_across_the_chunk_boundary(k):
     a[0] = [p - 1] * k  # largest limbs: the exactness bound is tightest here
     for row in b:
         row[0] = p - 1
-    got = _matmul_m61(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    got = _matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
     expected = [
         [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(4)]
         for i in range(3)
@@ -219,7 +219,7 @@ def test_matmul_m61_stacked():
     p = MERSENNE61
     a = [[[rng.randrange(p) for _ in range(6)] for _ in range(2)] for _ in range(5)]
     b = [[[rng.randrange(p) for _ in range(3)] for _ in range(6)] for _ in range(5)]
-    got = _matmul_m61(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    got = _matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
     for s in range(5):
         for i in range(2):
             for j in range(3):
@@ -228,25 +228,25 @@ def test_matmul_m61_stacked():
                 ) % p
 
 
-@pytest.mark.parametrize("k", [_M61_BATCH - 1, _M61_BATCH, _M61_BATCH + 1])
+@pytest.mark.parametrize("k", [_BATCH - 1, _BATCH, _BATCH + 1])
 def test_matmul_m61_batch_chunks_equal_one_call(k, monkeypatch):
     rng = np.random.default_rng(k)
     a = rng.integers(0, MERSENNE61, size=(k, 3, 4), dtype=np.int64)
     b = rng.integers(0, MERSENNE61, size=(k, 4, 2), dtype=np.int64)
     a[-1] = MERSENNE61 - 1  # largest limbs in the last pair, past any chunk edge
     calls = []
-    kernel = exactalg._matmul_m61
+    kernel = exactalg._matmul
 
-    def counted(x, y):
+    def counted(x, y, p):
         calls.append(len(x))
-        return kernel(x, y)
+        return kernel(x, y, p)
 
-    monkeypatch.setattr(exactalg, "_matmul_m61", counted)
-    chunked = exactalg._matmul_m61(a, b)
+    monkeypatch.setattr(exactalg, "_matmul", counted)
+    chunked = exactalg._matmul(a, b, MERSENNE61)
     # one call, or one outer call and then one per chunk
-    assert calls == ([k] if k <= _M61_BATCH else [k, _M61_BATCH, k - _M61_BATCH])
-    monkeypatch.setattr(exactalg, "_M61_BATCH", 10 * k)
-    whole = kernel(a, b)
+    assert calls == ([k] if k <= _BATCH else [k, _BATCH, k - _BATCH])
+    monkeypatch.setattr(exactalg, "_BATCH", 10 * k)
+    whole = kernel(a, b, MERSENNE61)
     assert chunked.dtype == np.int64
     assert np.array_equal(chunked, whole)
     for s in (0, k // 2, k - 1):

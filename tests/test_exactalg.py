@@ -216,7 +216,7 @@ class TestDiscriminant:
         with pytest.raises(InvalidInput):
             discriminant(ms)
 
-    # fp_default runs the blocked kernel, fp101 the `_insert` fold
+    # the default prime reduces by Mersenne folds, 101 by Shoup products
     @pytest.mark.parametrize("ring_name", ["fp_default", "fp101"])
     def test_alternating_under_swaps(self, ring_name, request):
         ring = request.getfixturevalue(ring_name)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    echelon_insert,
     evaluate_word,
     identity,
     mat,
@@ -26,7 +27,6 @@ from sweepwords.exactalg import (
     Matrix,
     MatrixTuple,
     _det_echelon,
-    _insert,
     _rank_echelon,
     discriminant,
     letter_stack,
@@ -35,10 +35,8 @@ from sweepwords.exactalg import (
     word_blocks,
 )
 from sweepwords.genericity import (
-    CERTIFY_FOLD_MAX_N,
     CERTIFY_MAX_N,
     DEFAULT_PRIME,
-    LENGTH_FOLD_MAX_N,
     LENGTH_MAX_N,
     ROSENTHAL_MAX_WORDS,
     TRIALS_MAX,
@@ -187,10 +185,10 @@ class TestSweepCheck:
 
 
 def fold_rank(ms: list[Matrix]) -> int:
-    """Rank by folding `_insert`, not `rank`, which is under test here."""
+    """Rank by folding `echelon_insert`, not `rank`, which is under test here."""
     vectors, pivots = [], []
     for m in ms:
-        _insert(vectors, pivots, m.entries, m.ring)
+        echelon_insert(vectors, pivots, m.entries, m.ring.p)
     return len(vectors)
 
 
@@ -236,7 +234,7 @@ class TestSubspaceLength:
 
     @pytest.mark.parametrize("include_identity", [False, True])
     def test_fold_branch_against_bruteforce(self, fp101, include_identity):
-        # F_101 takes the `_insert` fold; 0/1 tuples give degenerate chains
+        # F_101 wraps often, and 0/1 tuples give degenerate chains
         rng = random.Random(37)
         for trial in range(12):
             n = rng.choice([1, 2, 3])
@@ -289,9 +287,11 @@ class TestLengthCap:
             monkeypatch.setattr(genericity, name, refuse)
 
     def test_experiment_refuses_before_sampling(self, monkeypatch):
+        # one cap for every prime
         self._forbid(monkeypatch, "sample_tuple", "sample_matrix", "subspace_length")
-        with pytest.raises(TooLarge):
-            generic_length_experiment(LENGTH_MAX_N + 1, 2, trials=1)
+        for p in (DEFAULT_PRIME, 101, (1 << 61) - 31):
+            with pytest.raises(TooLarge):
+                generic_length_experiment(LENGTH_MAX_N + 1, 2, p=p, trials=1)
 
     def test_subspace_length_refuses_before_allocating(self, monkeypatch, fp101):
         self._forbid(monkeypatch, "letter_stack", "echelon_extend")
@@ -305,25 +305,6 @@ class TestLengthCap:
         with pytest.raises(TooLarge):
             check_length_size(LENGTH_MAX_N + 1)
 
-    def test_fold_cap_is_inclusive(self):
-        # every ring but F_(2^61-1) grows its span with the pure-Python fold
-        check_length_size(LENGTH_FOLD_MAX_N + 1)
-        for p in (101, (1 << 61) - 31):
-            check_length_size(LENGTH_FOLD_MAX_N, p)
-            with pytest.raises(TooLarge):
-                check_length_size(LENGTH_FOLD_MAX_N + 1, p)
-
-    def test_fold_experiment_refuses_before_sampling(self, monkeypatch):
-        self._forbid(monkeypatch, "sample_tuple", "sample_matrix", "subspace_length")
-        with pytest.raises(TooLarge):
-            generic_length_experiment(LENGTH_FOLD_MAX_N + 1, 2, p=101, trials=1)
-
-    def test_fold_subspace_length_refuses_before_allocating(self, monkeypatch, fp101):
-        self._forbid(monkeypatch, "letter_stack", "echelon_extend")
-        n = LENGTH_FOLD_MAX_N + 1
-        t = MatrixTuple((Matrix.zeros(n, fp101), Matrix.zeros(n, fp101)))
-        with pytest.raises(TooLarge):
-            subspace_length(t)
 
 
 class TestCertifyCap:
@@ -345,16 +326,9 @@ class TestCertifyCap:
         with pytest.raises(TooLarge):
             check_certify_size(CERTIFY_MAX_N + 1)
 
-    def test_fold_cap_is_inclusive(self):
-        # every prime but 2^61 - 1 evaluates and eliminates in pure Python
-        check_certify_size(CERTIFY_FOLD_MAX_N + 1)
-        check_certify_size(CERTIFY_FOLD_MAX_N, (1 << 61) - 31)
-        with pytest.raises(TooLarge):
-            check_certify_size(CERTIFY_FOLD_MAX_N + 1, (1 << 61) - 31)
-
     @pytest.mark.parametrize(
         "n, p",
-        [(CERTIFY_MAX_N + 1, DEFAULT_PRIME), (CERTIFY_FOLD_MAX_N + 1, (1 << 61) - 31)],
+        [(CERTIFY_MAX_N + 1, DEFAULT_PRIME), (CERTIFY_MAX_N + 1, (1 << 61) - 31)],
     )
     def test_refused_before_grid_or_tuple(self, monkeypatch, n, p):
         self._forbid(monkeypatch)
@@ -460,7 +434,7 @@ class TestStreamedElimination:
     @pytest.mark.parametrize("g", [2, 3])
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_determinant_equals_discriminant_off_the_default_prime(self, n, g):
-        # every other prime streams lists of Python-int rows into the fold
+        # the same kernel, with Shoup products in place of the Mersenne folds
         ring = prime_field((1 << 61) - 31)
         words, t = _grid_tuple(n, g, ring, 100 * n + g)
         streamed = _det_echelon(word_blocks(words, letter_stack(t)), ring)
@@ -611,7 +585,7 @@ class TestRosenthalCap:
             (4, 2, 6, DEFAULT_PRIME),
             # n above the certification caps, with few enough words
             (CERTIFY_MAX_N + 1, CERTIFY_MAX_N + 1, 1, DEFAULT_PRIME),
-            (CERTIFY_FOLD_MAX_N + 1, 2, 5, (1 << 61) - 31),
+            (CERTIFY_MAX_N + 1, CERTIFY_MAX_N + 2, 1, (1 << 61) - 31),
         ],
     )
     def test_refused_before_words_or_matrices(self, monkeypatch, n, g, d, p):
