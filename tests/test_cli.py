@@ -353,11 +353,10 @@ class TestLengthCommand:
 
         monkeypatch.setattr(cli, "generic_length_experiment", refuse)
         for sizes in [str(LENGTH_MAX_N + 1), f"2..{LENGTH_MAX_N + 1}"]:
-            for prime in ([], ["--prime", P61M31]):
-                code, out, err = run(["length", "--n", sizes, *prime])
-                assert code == 2
-                assert out == ""
-                assert "capped" in err
+            code, out, err = run(["length", "--n", sizes])
+            assert code == 2
+            assert out == ""
+            assert "capped" in err
 
     def test_no_trials_exits_2(self, monkeypatch):
         # refused before the first size of a range runs
@@ -396,6 +395,16 @@ class TestLengthCommand:
                 assert out == ""
                 assert "need g >= 2" in err
 
+    def test_fold_size_above_cap_exits_2(self, monkeypatch):
+        # the primes that once folded in pure Python under a lower cap now
+        # share the one cap, checked the same way
+        monkeypatch.setattr(cli, "generic_length_experiment", refuse)
+        for sizes in [str(LENGTH_MAX_N + 1), f"2..{LENGTH_MAX_N + 1}"]:
+            for prime in ("101", P61M31):
+                code, out, err = run(["length", "--n", sizes, "--prime", prime])
+                assert code == 2
+                assert out == ""
+                assert "capped" in err
 
     def test_alphabet_above_cap_exits_2(self, monkeypatch):
         monkeypatch.setattr(cli, "generic_length_experiment", refuse)

@@ -287,11 +287,9 @@ class TestLengthCap:
             monkeypatch.setattr(genericity, name, refuse)
 
     def test_experiment_refuses_before_sampling(self, monkeypatch):
-        # one cap for every prime
         self._forbid(monkeypatch, "sample_tuple", "sample_matrix", "subspace_length")
-        for p in (DEFAULT_PRIME, 101, (1 << 61) - 31):
-            with pytest.raises(TooLarge):
-                generic_length_experiment(LENGTH_MAX_N + 1, 2, p=p, trials=1)
+        with pytest.raises(TooLarge):
+            generic_length_experiment(LENGTH_MAX_N + 1, 2, trials=1)
 
     def test_subspace_length_refuses_before_allocating(self, monkeypatch, fp101):
         self._forbid(monkeypatch, "letter_stack", "echelon_extend")
@@ -305,6 +303,22 @@ class TestLengthCap:
         with pytest.raises(TooLarge):
             check_length_size(LENGTH_MAX_N + 1)
 
+    def test_fold_experiment_refuses_before_sampling(self, monkeypatch):
+        # the primes that once folded under a lower cap share the one cap
+        self._forbid(monkeypatch, "sample_tuple", "sample_matrix", "subspace_length")
+        for p in (101, (1 << 61) - 31):
+            with pytest.raises(TooLarge):
+                generic_length_experiment(LENGTH_MAX_N + 1, 2, p=p, trials=1)
+
+    def test_fold_subspace_length_refuses_before_allocating(
+        self, monkeypatch, fp_default
+    ):
+        # the default field, which never folded, is refused at the same cap
+        self._forbid(monkeypatch, "letter_stack", "echelon_extend")
+        n = LENGTH_MAX_N + 1
+        t = MatrixTuple((Matrix.zeros(n, fp_default), Matrix.zeros(n, fp_default)))
+        with pytest.raises(TooLarge):
+            subspace_length(t)
 
 
 class TestCertifyCap:

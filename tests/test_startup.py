@@ -95,8 +95,15 @@ def test_combinatorial_commands_load_no_numpy(argv):
 P61M31 = str((1 << 61) - 31)
 
 
-# the integers multiply with Python ints
-@pytest.mark.parametrize("argv", [["witness", "--n", "8"]])
+# the integers multiply with Python ints, whatever the alphabet or base
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--n", "8"],
+        ["witness", "--n", "8", "--g", "3"],
+        ["witness", "--n", "8", "--base", "5", "--paper-constants"],
+    ],
+)
 def test_python_int_rings_load_no_numpy(argv):
     assert probe(argv) == (0, False, LOADS[argv[0]])
 
