@@ -169,6 +169,14 @@ class Matrix:
                 f"{self.n_rows}x{self.n_cols} matrix needs "
                 f"{self.n_rows * self.n_cols} entries, got {len(self.entries)}"
             )
+        # elimination takes an entry for a pivot when it is nonzero, so a
+        # prime-field entry must be its canonical representative
+        if self.ring.kind == "prime_field" and not (
+            0 <= min(self.entries) and max(self.entries) < self.ring.p
+        ):
+            raise InvalidInput(
+                f"entries over F_{self.ring.p} must lie in [0, {self.ring.p})"
+            )
 
     @staticmethod
     def from_rows(rows: list[list[int]], ring: ScalarRing) -> "Matrix":

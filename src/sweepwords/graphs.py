@@ -238,8 +238,8 @@ CANDIDATE_WALKS_MAX = 250_000
 # (729 walks).
 SEARCH_MAX_WALKS = 768
 
-# a walk as (pair index, ((edge id, uses), ...))
-_Walk = tuple[int, tuple[tuple[int, int], ...]]
+# a walk as (pair index, ((edge id, uses), ...), index past its pair's run)
+_Walk = tuple[int, tuple[tuple[int, int], ...], int]
 
 
 def _candidate_walks(
@@ -248,8 +248,9 @@ def _candidate_walks(
     """Edge multiplicities by edge id, and every word's walks in the full graph.
 
     A walk's pair index is (start - 1) * n_side + (end - 1).  Each word's
-    walks come in lexicographic (start, steps) order, which is the order the
-    search tries them in.
+    walks come in lexicographic (start, end, steps) order, which is the
+    order the search tries them in, so the walks of one vertex pair form
+    one run; each walk carries the index just past its run.
     """
     n_side = graph.n_vertices
     pair_index = {
@@ -269,13 +270,14 @@ def _candidate_walks(
     stored = 0
     walks_by_word = []
     for letters in words:
-        walks: list[_Walk] = []
+        # each pair's walks in (start, steps) order
+        runs: dict[int, list[tuple[tuple[int, int], ...]]] = {}
         usage: Counter[int] = Counter()
 
         def walk_from(pos: int, depth: int, start: int):
             if depth == len(letters):
                 steps = tuple(shared.setdefault(eu, eu) for eu in usage.items())
-                walks.append((pair_index[(start, pos)], steps))
+                runs.setdefault(pair_index[(start, pos)], []).append(steps)
                 return
             for target, edge in adj.get((pos, letters[depth]), ()):
                 if mult[edge] > usage[edge]:
@@ -287,6 +289,10 @@ def _candidate_walks(
 
         for start in range(1, n_side + 1):
             walk_from(start, 0, start)
+        walks: list[_Walk] = []
+        for pair in sorted(runs):
+            run_end = len(walks) + len(runs[pair])
+            walks.extend((pair, steps, run_end) for steps in runs[pair])
         stored += len(walks)
         if stored > CANDIDATE_WALKS_MAX:
             raise TooLarge(
@@ -303,17 +309,20 @@ def enumerate_partitions(
 ) -> int:
     """Count walk partitions of the graph by exhaustive backtracking.
 
-    Words are assigned in decreasing lexicographic order; each word's m
-    walks are chosen in nondecreasing canonical order so that partitions
-    are counted as multisets.  Every word's walks in the full graph are
-    listed once up front; a search node filters its word's list against
-    the residual edge and pair counts.  A node is one partial partition
-    expanded, i.e. one call of `extend`, leaves included.  The count
-    saturates at `cap`; expanding more than `budget` nodes raises
-    BudgetExceeded instead of returning a count.  A negative budget raises
-    InvalidInput, and a partition of more than SEARCH_MAX_WALKS walks or a
-    graph with more than CANDIDATE_WALKS_MAX candidate walks raises
-    TooLarge, all before the search.
+    Every word's walks in the full graph are listed once up front.  Words
+    are assigned most constrained first: by the number of vertex pairs
+    their walks reach, then by their number of walks, ties in decreasing
+    lexicographic order.  Each word's m walks are chosen in nondecreasing
+    (start, end, steps) order so that partitions are counted as multisets;
+    any fixed word order counts each one exactly once.  A search node
+    filters its word's list against the residual edge and pair counts,
+    skipping the rest of a full pair's run in one step.  A node is one
+    partial partition expanded, i.e. one call of `extend`, leaves
+    included.  The count saturates at `cap`; expanding more than `budget`
+    nodes raises BudgetExceeded instead of returning a count.  A negative
+    budget raises InvalidInput, and a partition of more than
+    SEARCH_MAX_WALKS walks or a graph with more than CANDIDATE_WALKS_MAX
+    candidate walks raises TooLarge, all before the search.
     """
     if cap < 2:
         raise InvalidInput(f"cap must be >= 2, got {cap}")
@@ -336,6 +345,10 @@ def enumerate_partitions(
     if {k: v for k, v in have.items() if v} != {k: v for k, v in need.items() if v}:
         return 0
     edges_rem, walks_by_word = _candidate_walks(graph, words)
+    # stable, so ties keep the decreasing lexicographic order of `words`
+    walks_by_word.sort(
+        key=lambda walks: (len({pair for pair, _, _ in walks}), len(walks))
+    )
     pair_rem = [m] * graph.n_vertices**2
     n_words = len(words)
     nodes = 0
@@ -354,9 +367,12 @@ def enumerate_partitions(
         walks = walks_by_word[word_idx]
         last = copy_idx + 1 == m
         # the next copy of this word restarts at this walk's index
-        for idx in range(lo, len(walks)):
-            pair, steps = walks[idx]
+        idx = lo
+        end = len(walks)
+        while idx < end:
+            pair, steps, run_end = walks[idx]
             if not pair_rem[pair]:
+                idx = run_end
                 continue
             for edge, uses in steps:
                 if edges_rem[edge] < uses:
@@ -372,6 +388,7 @@ def enumerate_partitions(
                 pair_rem[pair] += 1
                 for edge, uses in steps:
                     edges_rem[edge] += uses
+            idx += 1
 
     try:
         extend(0, 0, 0)

@@ -229,6 +229,16 @@ class TestGraphCommand:
         assert code == 0
         assert env["result"]["enumeration"]["count"] == 1
 
+    def test_three_letters_level_two_is_unique(self):
+        # 448,951 search nodes, within the default budget
+        code, env, _ = run_json(["graph", "--g", "3", "--d", "2", "--enumerate"])
+        assert code == 0
+        assert env["result"]["enumeration"] == {
+            "budget": cli.DEFAULT_BUDGET,
+            "count": 1,
+            "saturated_at_cap": False,
+        }
+
     def test_level_three_exceeds_default_budget(self):
         code, _, err = run(
             ["graph", "--g", "2", "--d", "3", "--enumerate", "--budget", "100000"]

@@ -76,6 +76,21 @@ class TestScalarRing:
         assert not is_prime(1)
 
 
+class TestMatrix:
+    @pytest.mark.parametrize("entry", [101, -1, 2**70])
+    def test_non_canonical_prime_field_entry_refused(self, fp101, entry):
+        # 101 is 0 mod 101 but nonzero, so elimination would take it for a
+        # pivot and fail to invert it
+        with pytest.raises(InvalidInput, match=r"\[0, 101\)"):
+            Matrix(1, 1, (entry,), fp101)
+        canonical = fp101.canon(entry)
+        assert rank([Matrix(1, 1, (canonical,), fp101)]) == int(canonical != 0)
+
+    def test_integer_entries_are_unrestricted(self):
+        ring = big_integer()
+        assert Matrix(1, 2, (-5, 2**70), ring).entries == (-5, 2**70)
+
+
 class TestEvaluateWord:
     def test_single_letter(self, fp101):
         a = mat([[1, 2], [3, 4]], fp101)

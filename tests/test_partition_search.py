@@ -3,15 +3,21 @@
 `oracle_partitions` is the earlier backtracker, which re-walks the residual
 graph from every start vertex at every search node.  It is kept here as the
 oracle for `enumerate_partitions`, which lists every word's walks once and
-filters them per node.  Its search is unchanged; it now counts its `search`
-calls and spends its budget on them instead of on walk steps.
+filters them per node.  It counts its `search` calls and spends its budget
+on them.  By default it tries words and walks in the order the search
+does, worked out from its own walks in the full graph: the word whose
+walks reach the fewest vertex pairs first, then the one with the fewest
+walks, ties in decreasing lexicographic order; each word's walks in
+(start, end, steps) order.
 
-Both visit the same search tree, so their counts and their node counts
+Both then visit the same search tree, so their counts and their node counts
 (oracle `search` calls, search nodes of `enumerate_partitions`) must agree.
 The node count of `enumerate_partitions` is read off its budget: with
 `budget = nodes` it finishes, and with `budget = nodes - 1` it raises
 BudgetExceeded at node `nodes`.  On a tree larger than the budget, both
-must stop at the same node.
+must stop at the same node.  With `most_constrained_first=False` the
+oracle takes words in decreasing lexicographic order and walks in
+(start, steps) order, a different tree with the same count.
 """
 
 from __future__ import annotations
@@ -40,7 +46,10 @@ class _Saturated(Exception):
 
 
 def oracle_partitions(
-    graph: LabeledMultigraph, cap: int, budget: int = 100_000_000
+    graph: LabeledMultigraph,
+    cap: int,
+    budget: int = 100_000_000,
+    most_constrained_first: bool = True,
 ) -> tuple[int, int]:
     """(count, search calls) of the re-walking backtracker.
 
@@ -61,18 +70,6 @@ def oracle_partitions(
     adj: dict[tuple[int, int], list[int]] = {}
     for (u, v, label) in sorted(graph.edges):
         adj.setdefault((u, label), []).append(v)
-    suffix_need: list[Counter[int]] = [Counter() for _ in range(len(words) + 1)]
-    for idx in range(len(words) - 1, -1, -1):
-        need = suffix_need[idx + 1].copy()
-        for letter in words[idx]:
-            need[letter] += m
-        suffix_need[idx] = need
-    if Counter({k: v for k, v in label_rem.items() if v}) != Counter(
-        {k: v for k, v in suffix_need[0].items() if v}
-    ):
-        return 0, 0
-
-    state = {"count": 0, "searches": 0}
 
     def candidate_walks(letters: tuple[int, ...]) -> list[tuple[int, tuple]]:
         found: list[tuple[int, tuple]] = []
@@ -97,6 +94,36 @@ def oracle_partitions(
             walk(start, 0, start)
         return found
 
+    def walk_key(walk: tuple[int, tuple]) -> tuple:
+        """The walk's place in the order a word's walks are tried in."""
+        start, steps = walk
+        if not most_constrained_first:
+            return walk
+        return (start, steps[-1][0] if steps else start, steps)
+
+    if most_constrained_first:
+        # fewest vertex pairs, then fewest walks, in the full graph; the
+        # sort is stable, so ties stay in decreasing lexicographic order
+        full = {letters: candidate_walks(letters) for letters in words}
+        words.sort(
+            key=lambda letters: (
+                len({walk_key(walk)[:2] for walk in full[letters]}),
+                len(full[letters]),
+            )
+        )
+    suffix_need: list[Counter[int]] = [Counter() for _ in range(len(words) + 1)]
+    for idx in range(len(words) - 1, -1, -1):
+        need = suffix_need[idx + 1].copy()
+        for letter in words[idx]:
+            need[letter] += m
+        suffix_need[idx] = need
+    if Counter({k: v for k, v in label_rem.items() if v}) != Counter(
+        {k: v for k, v in suffix_need[0].items() if v}
+    ):
+        return 0, 0
+
+    state = {"count": 0, "searches": 0}
+
     def place(walk: tuple[int, tuple], sign: int):
         start, steps = walk
         pos = start
@@ -116,8 +143,8 @@ def oracle_partitions(
                 raise _Saturated
             return
         letters = words[word_idx]
-        for walk in candidate_walks(letters):
-            if min_walk is not None and walk < min_walk:
+        for walk in sorted(candidate_walks(letters), key=walk_key):
+            if min_walk is not None and walk_key(walk) < min_walk:
                 continue
             start, steps = walk
             end = steps[-1][0] if steps else start
@@ -129,7 +156,7 @@ def oracle_partitions(
                 if all(label_rem[k] == need[k] for k in range(1, g + 1)):
                     search(word_idx + 1, 0, None)
             else:
-                search(word_idx, copy_idx + 1, walk)
+                search(word_idx, copy_idx + 1, walk_key(walk))
             place(walk, -1)
 
     try:
@@ -240,9 +267,16 @@ class TestAgainstOracle:
 
     def test_level_two_scaled_by_three_node_count(self):
         # the uniqueness search of the graph-d2m3 benchmark workload
-        assert enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=96_596) == 1
+        assert enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=15_054) == 1
         with pytest.raises(BudgetExceeded):
-            enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=96_595)
+            enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=15_053)
+
+    def test_three_letters_level_two_is_unique(self):
+        # 581 candidate walks; too many search nodes for the oracle
+        assert enumerate_partitions(build_graph(3, 2), cap=2, budget=448_951) == 1
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_partitions(build_graph(3, 2), cap=2, budget=448_950)
+        assert exc.value.nodes == 448_951
 
     def test_broken_graph(self):
         assert assert_same_search(broken_level_one(), cap=2) == (0, 0)
@@ -267,6 +301,34 @@ class TestAgainstOracle:
         result = assert_same_search(graph, cap, budget=PLANTED_BUDGET)
         outcome = "stopped at the budget" if result is None else f"count {result[0]}"
         event(f"g={graph.g} d={graph.d}: {outcome}")
+
+
+class TestOrderIndependence:
+    """The old order (words in decreasing lexicographic order, each word's
+    walks in (start, steps) order) searches another tree to the same count."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        graph=st.one_of(planted_graphs(), st.just(complete_level_one())),
+        cap=st.sampled_from([2, 5, 13]),
+    )
+    def test_same_count_as_old_order(self, graph, cap):
+        # either order may reach the cap or the budget far sooner than the
+        # other, so only searches that both finish are compared
+        try:
+            old, _ = oracle_partitions(
+                graph, cap, PLANTED_BUDGET, most_constrained_first=False
+            )
+            count = enumerate_partitions(graph, cap, budget=100 * PLANTED_BUDGET)
+        except BudgetExceeded:
+            event(f"g={graph.g} d={graph.d}: stopped at the budget")
+            return
+        event(f"g={graph.g} d={graph.d}: count {old}")
+        assert count == old
 
 
 class TestBounds:
