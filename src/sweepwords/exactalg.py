@@ -8,7 +8,9 @@ functions, so results may be shared freely across threads.
 Over every prime field F_p (p < 2^62) matrices are int64 arrays, and their
 products run through one exact BLAS kernel (`_matmul`): entries split into
 21-bit limbs, the limb products are float64 matmuls that stay below 2^53,
-and the partial sums recombine mod p.  Only that recombination
+and the partial sums recombine mod p.  A large product is formed in slices
+(_BATCH matrix pairs of a stack, or _ROWS rows of a 2-D product), which
+bounds the kernel's temporaries.  Only that recombination
 (`_recombine`) and the elementwise product by multipliers known in advance
 (`_mulmod`) depend on p: modulo 2^61 - 1 they reduce by 61-bit rotations,
 modulo every other prime by Shoup's precomputed-quotient multiplication.
@@ -23,7 +25,11 @@ ring, and two things are built on it and on the kernel:
   `evaluate_words` joins the blocks into a list of matrices.
 - `echelon_extend`, blocked echelon extension: candidate rows go into an
   int64 RREF basis in blocks, each reduced against the basis by one kernel
-  product.
+  product.  Inside a block, Gauss-Jordan elimination runs on a window of
+  the block's leftmost free columns (and an identity that records the row
+  operations), and one more product applies those operations to the other
+  free columns; a block with a dependent row or a late pivot is
+  eliminated over its full free width instead.
 
 Elimination runs over prime fields only, and all of it goes through
 `echelon_extend`: `rank`, `span_insert`, the span growth of
@@ -521,11 +527,19 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
     integers it raises InvalidInput: elimination runs over prime fields
     only.
 
-    Per block of at most _EXTEND_BLOCK candidate rows: one kernel product
+    Per block of k <= _EXTEND_BLOCK candidate rows: one kernel product
     reduces the block against the basis, on the free (non-pivot) columns
     only; a first-nonzero Gauss-Jordan elimination inside the block
-    accepts rows in order; one more kernel product clears the new pivot
-    columns from the old rows.  RREF is unique, so rows, pivots and leads
+    (`_gauss_jordan`) accepts rows in order; one more kernel product clears
+    the new pivot columns from the old rows, and the old and new rows are
+    placed at their sorted places in one new array.  When the free width
+    exceeds 2k the elimination runs on a window, the block's leftmost k
+    free columns followed by the k x k identity: if every row finds its
+    pivot there, the window's identity part has become the transform T of
+    the row operations, and one product T @ (the other free columns) forms
+    the rest of the reduced block.  A row with no pivot in the window (a
+    dependent row, or a late pivot) sends the block to the same elimination
+    over its full free width.  RREF is unique, so rows, pivots and leads
     equal those of inserting the rows one at a time.
     """
     if ring.kind != "prime_field":
@@ -549,36 +563,78 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
         w = block[:, free]
         if piv.size:
             w = _sub_mod(w, _matmul(block[:, piv], basis[:, free], p), p)
-        new: list[int] = []
-        cols: list[int] = []
-        for i in range(len(w)):
-            nz = np.flatnonzero(w[i])
-            if nz.size == 0:
-                continue
-            c = nz[0]
-            lead = int(w[i, c])
-            leads.append((int(free[c]), lead))
-            w[i] = _mulmod(w[i], np.int64(pow(lead, -1, p)), p)
-            f = w[:, c].copy()
-            f[i] = 0
-            hit = np.flatnonzero(f)
-            w[hit] = _sub_mod(w[hit], _mulmod(w[i], f[hit, None], p), p)
-            new.append(i)
-            cols.append(c)
+        k = len(w)
+        found = None
+        if w.shape[1] > 2 * k:
+            window = np.concatenate([w[:, :k], np.eye(k, dtype=np.int64)], axis=1)
+            found = _gauss_jordan(window, k, p)
+            if found is not None:
+                w[:, k:] = _matmul(window[:, k:], w[:, k:], p)
+                w[:, :k] = window[:, :k]
+        if found is None:
+            found = _gauss_jordan(w, w.shape[1], p)
+        new, cols, block_leads = found
         if not new:
             continue
         fresh = w[new]
+        new_piv = free[cols]
         if piv.size:
             basis[:, free] = _sub_mod(
-                basis[:, free], _matmul(basis[:, free[cols]], fresh, p), p
+                basis[:, free], _matmul(basis[:, new_piv], fresh, p), p
             )
-        grown = np.zeros((len(new), n_cols), dtype=np.int64)
-        grown[:, free] = fresh
-        piv = np.concatenate([piv, free[cols]])
-        order = np.argsort(piv)
-        basis, piv = np.concatenate([basis, grown])[order], piv[order]
+        # old and new rows go straight to their sorted places
+        merged = np.concatenate([piv, new_piv])
+        order = np.argsort(merged)
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        grown = np.zeros((len(merged), n_cols), dtype=np.int64)
+        grown[place[: len(piv)]] = basis
+        grown[place[len(piv) :, None], free] = fresh
+        basis, piv = grown, merged[order]
         accepted += [lo + i for i in new]
+        leads += [(int(c), lead) for c, lead in zip(new_piv, block_leads)]
     return basis, piv, accepted, leads
+
+
+def _gauss_jordan(a, width: int, p: int):
+    """First-nonzero Gauss-Jordan elimination of the rows of a, in place.
+
+    Each row in turn takes its first nonzero among the first `width`
+    columns as its pivot; its lead is scaled to 1 and its column cleared
+    from every other row, by one update a[r] -= f_r * a[i] with f_r =
+    a[r, c] / lead and, for the pivot row itself, f_i = 1 - 1/lead.  The
+    pivot row is zero left of its pivot c, and when a is a window (`width`
+    columns followed by an identity, `echelon_extend`) it is zero past
+    column width + i too, since only the rows before it have been added to
+    it, so the update touches only the columns in between.  Returns
+    (rows accepted, their pivot columns, their leads), or None for a window
+    with a row that finds no pivot; outside a window such a row is skipped.
+    """
+    import numpy as np
+
+    is_window = width < a.shape[1]
+    new: list[int] = []
+    cols: list[int] = []
+    leads: list[int] = []
+    for i in range(len(a)):
+        nz = np.flatnonzero(a[i, :width])
+        if nz.size == 0:
+            if is_window:
+                return None
+            continue
+        c = int(nz[0])
+        lead = int(a[i, c])
+        inv = pow(lead, -1, p)
+        f = [x * inv % p for x in a[:, c].tolist()]
+        f[i] = (1 - inv) % p
+        hit = [r for r, x in enumerate(f) if x]
+        hi = width + i + 1 if is_window else width
+        mult = np.array([f[r] for r in hit], dtype=np.int64)[:, None]
+        a[hit, c:hi] = _sub_mod(a[hit, c:hi], _mulmod(a[i, c:hi], mult, p), p)
+        new.append(i)
+        cols.append(c)
+        leads.append(lead)
+    return new, cols, leads
 
 
 # Rows per block of `echelon_extend`.  A block is one reduction product
@@ -673,9 +729,13 @@ def _sub_mod(a, b, p: int):
 # BLAS picks.  512 is the largest power of two under the bound 2^53 / (3 *
 # 2^42) ~ 682.
 _CHUNK = 512
-# Matrix pairs per batched kernel call; see `_matmul`.  One call makes
-# about 15 temporaries the size of its stack.
+# Matrix pairs per batched kernel call, and rows of a 2-D product per
+# kernel call; see `_matmul`.  One call makes about a dozen temporaries the
+# size of its slice of the product.  Before the rows were sliced, the basis
+# update of a determinant at n = 40, an (800 x 32) @ (32 x 800) product,
+# made a 45.7 MB transient for a 4.9 MB result (tracemalloc).
 _BATCH = 256
+_ROWS = 64
 _LIMB_MASK = (1 << 21) - 1
 
 
@@ -699,20 +759,22 @@ def _matmul(a, b, p: int):
     """Exact a @ b mod p for (stacked) int64 arrays with entries in [0, p).
 
     Entries split into three 21-bit limbs; limb-diagonal s of the product,
-    sum over i + j = s of limb_i(a) @ limb_j(b), is one float64 matmul with
-    the limbs concatenated along the inner axis, exact per the chunk bound
-    above, and carries weight 2^(21 s) (`_recombine`).  A stack of more
-    than _BATCH matrix pairs is multiplied _BATCH pairs at a time, which
-    bounds the temporaries (limbs, concatenations, diagonal sums) to that
-    many matrices.  The inner dimension must be at least 1.
+    sum over i + j = s of limb_i(a) @ limb_j(b), is a sum of float64
+    matmuls, exact per the chunk bound above, and carries weight 2^(21 s)
+    (`_recombine`).  A stack of more than _BATCH matrix pairs is multiplied
+    _BATCH pairs at a time, and a 2-D product of more than _ROWS rows _ROWS
+    rows of a at a time, which bounds the temporaries (limbs, diagonal
+    sums) to that many matrices or rows.  The inner dimension must be at
+    least 1.
     """
     import numpy as np
 
-    if a.ndim == 3 and len(a) > _BATCH:
-        out = np.empty((len(a), a.shape[1], b.shape[2]), dtype=np.int64)
-        for lo in range(0, len(a), _BATCH):
-            hi = lo + _BATCH
-            out[lo:hi] = _matmul(a[lo:hi], b[lo:hi], p)
+    step = _BATCH if a.ndim == 3 else _ROWS
+    if len(a) > step:
+        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+        for lo in range(0, len(a), step):
+            hi = lo + step
+            out[lo:hi] = _matmul(a[lo:hi], b[lo:hi] if b.ndim == 3 else b, p)
         return out
     chunks = (
         _limb_diagonals(a[..., c : c + _CHUNK], b[..., c : c + _CHUNK, :])
@@ -722,19 +784,22 @@ def _matmul(a, b, p: int):
 
 
 def _limb_diagonals(a, b):
-    """The five limb-diagonal sums of a @ b, as exact int64 arrays."""
+    """The five limb-diagonal sums of a @ b, as exact int64 arrays.
+
+    Each sums its limb products one matmul at a time, so no limb is copied
+    into a concatenation: besides the product, only the limbs of a and b
+    are held.
+    """
     import numpy as np
 
     la, lb = _limbs(a), _limbs(b)
     diag = []
     for s in range(5):
-        pairs = range(max(0, s - 2), min(s, 2) + 1)
-        diag.append(
-            np.matmul(
-                np.concatenate([la[i] for i in pairs], axis=-1),
-                np.concatenate([lb[s - i] for i in pairs], axis=-2),
-            ).astype(np.int64)
-        )
+        d = None
+        for i in range(max(0, s - 2), min(s, 2) + 1):
+            term = np.matmul(la[i], lb[s - i])
+            d = term if d is None else np.add(d, term, out=d)
+        diag.append(d.astype(np.int64))
     return diag
 
 
@@ -743,7 +808,9 @@ def _recombine(chunks, p: int):
 
     Each chunk is the five limb-diagonal sums D_s of `_limb_diagonals`,
     entries below 2^53.  Modulo 2^61 - 1, 2^(21 s) == 2^(21 s mod 61), so
-    the weights are 61-bit rotations by 0, 21, 42, 2 and 23 bits; modulo
+    the weights are 61-bit rotations by 0, 21, 42, 2 and 23 bits; D_3 <
+    2^53 needs no rotation, only a shift by 2.  The five terms then sum
+    below 2^53 + 2^55 + 3 * 2^61 < 2^63 and fold once per chunk.  Modulo
     every other p, Horner's rule in 2^21 with one `_shoup` product a step.
     """
     import numpy as np
@@ -751,11 +818,15 @@ def _recombine(chunks, p: int):
     acc = None
     if p == MERSENNE61:
         for d in chunks:
-            # each term is below 2^61, so a sum of three stays below 2^63
-            part = _np_fold(d[0] + _rot61(d[1], 21) + _rot61(d[3], 2))
-            part = _np_fold(part + _rot61(d[2], 42) + _rot61(d[4], 23))
+            part = _np_fold(
+                d[0]
+                + (d[3] << 2)
+                + _rot61(d[1], 21)
+                + _rot61(d[2], 42)
+                + _rot61(d[4], 23)
+            )
             acc = part if acc is None else _np_fold(acc + part)
-        acc = _np_fold(acc)
+        # a fold of a value below 2^63 is at most 2^61 + 2 < 2 (2^61 - 1)
         return np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
     shift = pow(2, 21, p)
     for d in chunks:

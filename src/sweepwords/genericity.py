@@ -14,7 +14,6 @@ pure function of (seed, trials) no matter how trials are scheduled.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +45,16 @@ from .words import (
     least_alphabet,
 )
 
+try:
+    # hashlib loads OpenSSL's libcrypto, about 3 MB of max RSS in every
+    # certify or length job; the interpreter's built-in sha256 is far lighter
+    from _sha256 import sha256  # Python <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
+
 DEFAULT_PRIME = MERSENNE61
 _MASK64 = (1 << 64) - 1
 
@@ -58,9 +67,9 @@ LENGTH_MAX_N = 48
 # Largest n that certification accepts, at every prime.  A trial's
 # determinant has n^2 rows of n^2 entries, and the words are evaluated into
 # it 32 rows at a time, so time grows as ~n^6 and memory as ~n^4.  One
-# g = 2 trial at n = 40 (CLI wall time / max RSS, 2 cores) takes 5.8 s /
-# 111 MB modulo 2^61 - 1 and 7.6 s / 125 MB modulo 2^61 - 31.  n = 48 takes
-# ~2.5x the time of n = 40, so the cap stays at 40.
+# g = 2 trial at n = 40 (CLI wall time / max RSS, 2 cores) takes 3.2-4.3 s /
+# 90 MB modulo 2^61 - 1 and 4.1-4.7 s / 104 MB modulo 2^61 - 31.  n = 48
+# takes ~2.5x the time of n = 40, so the cap stays at 40.
 CERTIFY_MAX_N = 40
 
 # Largest word count g^(2d) that `rosenthal_check` accepts (n is capped as
@@ -127,8 +136,9 @@ def sample_tuple(
 
 
 def words_digest(words: list[Word]) -> str:
+    """sha256, in hex, of the words' strings joined by "|"."""
     payload = "|".join(w.to_string() for w in words).encode()
-    return hashlib.sha256(payload).hexdigest()
+    return sha256(payload).hexdigest()
 
 
 @dataclass(frozen=True)

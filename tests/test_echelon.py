@@ -2,8 +2,9 @@
 
 Every prime field runs one kernel: the limb products of `_matmul`, the
 p-dependent reductions `_recombine` and `_mulmod`, and the blocked
-elimination of `echelon_extend`, on which `discriminant`, `rank` and
-`span_insert` are built.  Each is checked at primes from 2 to the largest
+elimination of `echelon_extend` (with its in-block window and the
+full-width fallback), on which `discriminant`, `rank` and `span_insert`
+are built.  Each is checked at primes from 2 to the largest
 below 2^62 that `ScalarRing` accepts: the kernel against Python-int
 products, `echelon_extend` (leads included) against a fold of the
 row-at-a-time `echelon_insert` of conftest, and the rest against the
@@ -191,12 +192,17 @@ class TestSpanInsertFold:
 
 BLOCK = exactalg._EXTEND_BLOCK
 CHUNK = exactalg._CHUNK
+ROWS = exactalg._ROWS
 
 
 class TestKernel:
     """`_matmul` and `_mulmod` against Python-int products."""
 
-    @pytest.mark.parametrize("k", [1, 32, CHUNK - 1, CHUNK, CHUNK + 1])
+    # three inner chunks (k = 2 * CHUNK + 1) take the fold after each
+    # chunk's sum: random parts of three chunks can add past 2p
+    @pytest.mark.parametrize(
+        "k", [1, 32, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+    )
     @pytest.mark.parametrize("p", PRIMES)
     def test_matmul_matches_python_ints(self, p, k):
         rng = random.Random(k * 7 + p % 1009)
@@ -212,6 +218,13 @@ class TestKernel:
             [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(4)]
             for i in range(3)
         ]
+        # every entry p - 1: the largest limb sums in every row, which the
+        # one-pass recombination must keep below 2^63, on both sides of
+        # the row-chunk seam
+        for n_rows in (ROWS, ROWS + 1):
+            top = np.full((n_rows, k), p - 1, dtype=np.int64)
+            got = _matmul(top, np.full((k, 4), p - 1, dtype=np.int64), p)
+            assert got.tolist() == [[k * (p - 1) ** 2 % p] * 4] * n_rows
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_mulmod_matches_python_ints(self, p):
@@ -220,7 +233,7 @@ class TestKernel:
         ws = [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]
         x = np.array(xs, dtype=np.int64)
         for w in ws:
-            # one multiplier, as a lead inverse is
+            # one multiplier for every entry
             assert _mulmod(x, np.int64(w), p).tolist() == [v * w % p for v in xs]
         # one multiplier per row, as the elimination factors are
         got = _mulmod(x, np.array(ws, dtype=np.int64)[:, None], p)
@@ -266,22 +279,33 @@ def extension_cases(draw):
     rank r (r = 0 and r = N included).  Candidates mix zero rows,
     duplicates and two-term combinations of earlier candidates, multiples
     of basis rows, rows with a long run of leading zeros (late pivots),
+    rows whose first nonzero lies past the leftmost 2 * BLOCK free columns,
     all-(p - 1) rows and dense rows; their count is drawn around one and
-    two blocks.
+    two blocks.  Free widths above 2 * BLOCK send a block to the window of
+    `echelon_extend`: with dense rows only, its pivots are found there
+    unless the window is singular (small primes); any other kind is a
+    dependent row or a late pivot inside a wide block, which falls back to
+    the full width.
     """
     p = draw(st.sampled_from(PRIMES))
     rng = draw(st.randoms(use_true_random=False))
-    n_cols = draw(st.sampled_from([1, 2, 5, 17, BLOCK + 3, 2 * BLOCK + 5]))
-    r = draw(st.sampled_from([0, n_cols, rng.randint(0, n_cols)]))
+    if draw(st.booleans()):
+        n_cols = draw(st.sampled_from([1, 2, 5, 17, BLOCK + 3, 2 * BLOCK + 5]))
+        r = draw(st.sampled_from([0, n_cols, rng.randint(0, n_cols)]))
+    else:  # free widths of 100 and 200, and narrower ones over a wide basis
+        n_cols = draw(st.sampled_from([100, 200]))
+        r = draw(st.sampled_from([0, rng.randint(0, n_cols)]))
     vectors, pivots = [], []
     while len(vectors) < r:
         echelon_insert(vectors, pivots, _dense_rows(rng, 1, n_cols, p)[0], p)
+    free = [c for c in range(n_cols) if c not in pivots]
     count = draw(
         st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     )
+    dense_only = draw(st.booleans())
     rows = []
     for _ in range(count):
-        kind = rng.randrange(8)
+        kind = 9 if dense_only else rng.randrange(10)
         if kind == 0:
             row = [0] * n_cols
         elif kind == 1 and rows:
@@ -295,7 +319,10 @@ def extension_cases(draw):
         elif kind == 4:
             h = rng.randrange(n_cols)
             row = [0] * h + [rng.randrange(p) for _ in range(n_cols - h)]
-        elif kind == 5:
+        elif kind == 5 and len(free) > 2 * BLOCK:
+            h = rng.choice(free[2 * BLOCK :])
+            row = [0] * h + [rng.randrange(p) for _ in range(n_cols - h)]
+        elif kind == 6:
             row = [p - 1] * n_cols
         else:
             row = [rng.randrange(p) for _ in range(n_cols)]
@@ -311,12 +338,15 @@ class TestEchelonExtend:
 
     @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_block_boundaries_empty_basis(self, count):
-        # rows across one block boundary, then their duplicates
+        # rows across one block boundary, then their duplicates; at free
+        # widths above 2 * BLOCK the first block finds its pivots in the
+        # window (unless it is singular there, as at p = 2), and the
+        # duplicates are dependent rows inside a wide block
         rng = random.Random(count)
-        n_cols = BLOCK + 8
-        for p in PRIMES:
-            rows = _dense_rows(rng, count, n_cols, p)
-            _assert_extend_matches_fold([], [], rows + rows[::-1], p)
+        for n_cols in (BLOCK + 8, 100, 200):
+            for p in PRIMES:
+                rows = _dense_rows(rng, count, n_cols, p)
+                _assert_extend_matches_fold([], [], rows + rows[::-1], p)
 
     def test_full_basis_takes_nothing(self):
         # r = N leaves no free column: every candidate is already in the span
@@ -331,13 +361,14 @@ class TestEchelonExtend:
 
     def test_late_pivots_after_early_ones(self):
         # the first candidates only reach the last columns, so later rows
-        # with early pivots sort in front of them
+        # with early pivots sort in front of them; past 2 * BLOCK columns
+        # they find no pivot in the window of a wide block
         rng = random.Random(6)
-        n_cols = 40
-        for p in PRIMES:
-            late = [[0] * 30 + row for row in _dense_rows(rng, 10, 10, p)]
-            early = _dense_rows(rng, 35, n_cols, p)
-            _assert_extend_matches_fold([], [], late + early, p)
+        for n_cols, h in ((40, 30), (200, 2 * BLOCK + 10)):
+            for p in PRIMES:
+                late = [[0] * h + r for r in _dense_rows(rng, 10, n_cols - h, p)]
+                early = _dense_rows(rng, 35, n_cols, p)
+                _assert_extend_matches_fold([], [], late + early, p)
 
     def test_small_prime_example(self):
         # [2, 4, 6, 8] is twice the first row, and 0 mod 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -54,6 +55,7 @@ from sweepwords.genericity import (
     sample_tuple,
     subspace_length,
     sweep_check,
+    words_digest,
 )
 from sweepwords.words import Word, all_words, build_word_grid
 
@@ -112,6 +114,14 @@ class TestCertification:
         grid_words = build_word_grid(2, 2).flatten()
         with pytest.raises(InvalidModulus):
             is_locally_linearly_independent(grid_words, 2, 2, p=1009)
+
+    def test_word_digest_is_sha256_of_the_joined_words(self):
+        # the digest no longer comes from hashlib; it must not change
+        words = build_word_grid(4, 3).flatten()
+        payload = "|".join(word.to_string() for word in words).encode()
+        assert words_digest(words) == hashlib.sha256(payload).hexdigest()
+        report = grid_certification(4, 3, trials=1)
+        assert report.word_digest == hashlib.sha256(payload).hexdigest()
 
     def test_report_is_deterministic(self):
         a = grid_certification(3, 2, trials=3, seed=17).to_json()

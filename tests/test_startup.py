@@ -4,8 +4,9 @@ numpy loads only when an array kernel runs, that is over a prime field (in
 `certify` and `length`, at every prime), and of the sweepwords modules a
 command loads only those it calls into.  Each case
 runs a fresh interpreter, so modules that earlier tests imported cannot leak
-into it, and reports whether numpy is in sys.modules at the end and which
-sweepwords modules are.
+into it, and reports the modules in sys.modules at the end: whether numpy
+is among them, which sweepwords modules are, and that OpenSSL's `_hashlib`
+is not.
 """
 
 import json
@@ -31,8 +32,7 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         with contextlib.redirect_stderr(io.StringIO()):
             code = sweepwords.cli.main(argv)
-loaded = sorted(m for m in sys.modules if m.startswith("sweepwords."))
-print(json.dumps([code, "numpy" in sys.modules, loaded]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 # the sweepwords modules loaded by importing sweepwords.cli, and by each
@@ -47,10 +47,9 @@ LOADS = {
 }
 
 
-def probe(argv=None) -> tuple[int | None, bool, set[str]]:
-    """(exit code, numpy loaded, sweepwords submodules loaded) after
-    importing sweepwords and sweepwords.cli and then, when argv is given,
-    running cli.main(argv)."""
+def loaded_modules(argv=None) -> tuple[int | None, set[str]]:
+    """(exit code, every module in sys.modules) after importing sweepwords
+    and sweepwords.cli and then, when argv is given, running cli.main(argv)."""
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -58,8 +57,16 @@ def probe(argv=None) -> tuple[int | None, bool, set[str]]:
         text=True,
         check=True,
     )
-    code, numpy_loaded, loaded = json.loads(proc.stdout)
-    return code, numpy_loaded, {m.removeprefix("sweepwords.") for m in loaded}
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def probe(argv=None) -> tuple[int | None, bool, set[str]]:
+    """(exit code, numpy loaded, sweepwords submodules loaded), as
+    `loaded_modules` finds them."""
+    code, modules = loaded_modules(argv)
+    ours = {m.removeprefix("sweepwords.") for m in modules if m.startswith("sweepwords.")}
+    return code, "numpy" in modules, ours
 
 
 def test_import_loads_no_numpy():
@@ -143,3 +150,12 @@ def test_length_loads_numpy():
     for prime in ([], ["--prime", P61M31]):
         argv = ["length", "--n", "3", "--trials", "1", *prime]
         assert probe(argv) == (0, True, LOADS["length"])
+
+
+@pytest.mark.parametrize("command", ["certify", "length"])
+def test_kernel_commands_load_no_openssl(command):
+    # the word digest takes the interpreter's own sha256: hashlib would load
+    # OpenSSL's libcrypto, which costs a few MB of RSS per job
+    code, modules = loaded_modules([command, "--n", "3", "--trials", "1"])
+    assert code == 0
+    assert "_hashlib" not in modules
