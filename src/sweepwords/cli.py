@@ -85,7 +85,8 @@ _CLAIMS = {
 DEFAULT_BUDGET = 2_000_000
 
 
-# the envelope's `config`: every key, with the value a command leaves unset
+# the envelope's `config`: every key, with the value a command leaves unset;
+# `main` fills in command, format and out, the handlers the rest
 _CONFIG_DEFAULTS = {
     "command": None,
     "n": None,
@@ -197,16 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_words(args) -> tuple[dict, dict, int]:
     grid = _cli.build_word_grid(args.n, args.g, args.d)
-    config = dict(
-        _CONFIG_DEFAULTS,
-        command="words",
-        n=str(args.n),
-        g=args.g,
-        d=grid.d,
-        d_overridden=args.d is not None,
-        format=args.format,
-        out=args.out,
-    )
+    config = dict(n=str(args.n), g=args.g, d=grid.d, d_overridden=args.d is not None)
     return config, {"grid": grid.to_json()}, 0
 
 
@@ -234,8 +226,6 @@ def _cmd_certify(args) -> tuple[dict, dict, int]:
             inject_duplicate=args.inject_duplicate,
         )
     config = dict(
-        _CONFIG_DEFAULTS,
-        command="certify",
         n=str(args.n),
         g=args.g,
         d=report.d // 2,
@@ -244,8 +234,6 @@ def _cmd_certify(args) -> tuple[dict, dict, int]:
         seed=args.seed,
         trials=args.trials,
         symmetric=args.symmetric,
-        format=args.format,
-        out=args.out,
     )
     return config, {"certification": report.to_json()}, 0 if report.certified else 1
 
@@ -277,15 +265,11 @@ def _cmd_graph(args) -> tuple[dict, dict, int]:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph.to_dot() + "\n")
     config = dict(
-        _CONFIG_DEFAULTS,
-        command="graph",
         g=args.g,
         d=args.d,
         m_scale=args.m_scale,
         enumerate=args.enumerate,
         budget=args.budget,
-        format=args.format,
-        out=args.out,
     )
     return config, result, code
 
@@ -319,8 +303,6 @@ def _cmd_length(args) -> tuple[dict, dict, int]:
         if not summary.all_within_bounds:
             code = 1
     config = dict(
-        _CONFIG_DEFAULTS,
-        command="length",
         n=args.n,
         g=args.g,
         prime=str(prime),
@@ -328,8 +310,6 @@ def _cmd_length(args) -> tuple[dict, dict, int]:
         trials=args.trials,
         symmetric=args.symmetric,
         include_identity=args.include_identity,
-        format=args.format,
-        out=args.out,
     )
     return config, {"experiments": [s.to_json() for s in summaries]}, code
 
@@ -339,15 +319,7 @@ def _cmd_witness(args) -> tuple[dict, dict, int]:
     result = {"witness": report.to_json(), "matrices": t.to_json()}
     if args.paper_constants:
         result["reported_constants"] = _cli.reported_constants(args.n, args.g)
-    config = dict(
-        _CONFIG_DEFAULTS,
-        command="witness",
-        n=str(args.n),
-        g=args.g,
-        base=str(report.spec.base),
-        format=args.format,
-        out=args.out,
-    )
+    config = dict(n=str(args.n), g=args.g, base=str(report.spec.base))
     return config, result, 0 if report.certified else 1
 
 
@@ -461,7 +433,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     envelope = {
         "command": args.command,
-        "config": config,
+        "config": dict(
+            _CONFIG_DEFAULTS,
+            **config,
+            command=args.command,
+            format=args.format,
+            out=args.out,
+        ),
         "result": result,
         "paper_refs": _CLAIMS[args.command],
     }

@@ -27,9 +27,9 @@ ring, and two things are built on it and on the kernel:
   int64 RREF basis in blocks, each reduced against the basis by one kernel
   product.  Inside a block, Gauss-Jordan elimination runs on a window of
   the block's leftmost free columns (and an identity that records the row
-  operations), and one more product applies those operations to the other
-  free columns; a block with a dependent row or a late pivot is
-  eliminated over its full free width instead.
+  operations), which a row with no pivot there widens by a product of the
+  operations and the next free columns; one more product applies the
+  operations to the free columns left outside.
 
 Elimination runs over prime fields only, and all of it goes through
 `echelon_extend`: `rank`, `span_insert`, the span growth of
@@ -529,18 +529,11 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
 
     Per block of k <= _EXTEND_BLOCK candidate rows: one kernel product
     reduces the block against the basis, on the free (non-pivot) columns
-    only; a first-nonzero Gauss-Jordan elimination inside the block
-    (`_gauss_jordan`) accepts rows in order; one more kernel product clears
-    the new pivot columns from the old rows, and the old and new rows are
-    placed at their sorted places in one new array.  When the free width
-    exceeds 2k the elimination runs on a window, the block's leftmost k
-    free columns followed by the k x k identity: if every row finds its
-    pivot there, the window's identity part has become the transform T of
-    the row operations, and one product T @ (the other free columns) forms
-    the rest of the reduced block.  A row with no pivot in the window (a
-    dependent row, or a late pivot) sends the block to the same elimination
-    over its full free width.  RREF is unique, so rows, pivots and leads
-    equal those of inserting the rows one at a time.
+    only; a Gauss-Jordan elimination inside the block (`_gauss_jordan`)
+    accepts rows in order; one more kernel product clears the new pivot
+    columns from the old rows, and the old and new rows are placed at their
+    sorted places in one new array.  RREF is unique, so rows, pivots and
+    leads equal those of inserting the rows one at a time.
     """
     if ring.kind != "prime_field":
         raise InvalidInput("elimination runs over prime fields only")
@@ -563,20 +556,9 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
         w = block[:, free]
         if piv.size:
             w = _sub_mod(w, _matmul(block[:, piv], basis[:, free], p), p)
-        k = len(w)
-        found = None
-        if w.shape[1] > 2 * k:
-            window = np.concatenate([w[:, :k], np.eye(k, dtype=np.int64)], axis=1)
-            found = _gauss_jordan(window, k, p)
-            if found is not None:
-                w[:, k:] = _matmul(window[:, k:], w[:, k:], p)
-                w[:, :k] = window[:, :k]
-        if found is None:
-            found = _gauss_jordan(w, w.shape[1], p)
-        new, cols, block_leads = found
+        new, cols, block_leads, fresh = _gauss_jordan(w, p)
         if not new:
             continue
-        fresh = w[new]
         new_piv = free[cols]
         if piv.size:
             basis[:, free] = _sub_mod(
@@ -596,31 +578,40 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
     return basis, piv, accepted, leads
 
 
-def _gauss_jordan(a, width: int, p: int):
-    """First-nonzero Gauss-Jordan elimination of the rows of a, in place.
+def _gauss_jordan(w, p: int):
+    """First-nonzero Gauss-Jordan elimination of the rows of w (k x width).
 
-    Each row in turn takes its first nonzero among the first `width`
-    columns as its pivot; its lead is scaled to 1 and its column cleared
-    from every other row, by one update a[r] -= f_r * a[i] with f_r =
-    a[r, c] / lead and, for the pivot row itself, f_i = 1 - 1/lead.  The
-    pivot row is zero left of its pivot c, and when a is a window (`width`
-    columns followed by an identity, `echelon_extend`) it is zero past
-    column width + i too, since only the rows before it have been added to
-    it, so the update touches only the columns in between.  Returns
-    (rows accepted, their pivot columns, their leads), or None for a window
-    with a row that finds no pivot; outside a window such a row is skipped.
+    It runs on a = [window | T]: the window is the leftmost W columns,
+    W = min(k, width), and T, which starts as the k x k identity, records
+    the row operations, so the window always equals T @ w[:, :W].  Each row
+    in turn takes its first nonzero in the window as its pivot.  A row with
+    none doubles the window (up to the full width), with the exact new
+    columns T @ w[:, W:W'], until it finds one; a row with none over the
+    full width is skipped.  The lead is scaled to 1 and its column cleared
+    from every other row by one update a[r] -= f_r * a[i], f_r = a[r, c] /
+    lead and f_i = 1 - 1/lead.  The pivot row is zero left of its pivot c,
+    and past column W + i of a too (only the rows before it have been added
+    to it), so the update touches only the columns in between.  Returns
+    (rows accepted, their pivot columns, their leads, their reduced rows),
+    whose columns past the window are one product T @ w[:, W:].
     """
     import numpy as np
 
-    is_window = width < a.shape[1]
+    k, width = w.shape
+    W = min(k, width)
+    a = np.concatenate([w[:, :W], np.eye(k, dtype=np.int64)], axis=1)
     new: list[int] = []
     cols: list[int] = []
     leads: list[int] = []
-    for i in range(len(a)):
-        nz = np.flatnonzero(a[i, :width])
+    for i in range(k):
+        nz = np.flatnonzero(a[i, :W])
+        while nz.size == 0 and W < width:
+            wider = min(width, 2 * W)
+            grown = _matmul(a[:, W:], w[:, W:wider], p)
+            a = np.concatenate([a[:, :W], grown, a[:, W:]], axis=1)
+            nz = np.flatnonzero(grown[i]) + W
+            W = wider
         if nz.size == 0:
-            if is_window:
-                return None
             continue
         c = int(nz[0])
         lead = int(a[i, c])
@@ -628,13 +619,17 @@ def _gauss_jordan(a, width: int, p: int):
         f = [x * inv % p for x in a[:, c].tolist()]
         f[i] = (1 - inv) % p
         hit = [r for r, x in enumerate(f) if x]
-        hi = width + i + 1 if is_window else width
+        hi = W + i + 1
         mult = np.array([f[r] for r in hit], dtype=np.int64)[:, None]
         a[hit, c:hi] = _sub_mod(a[hit, c:hi], _mulmod(a[i, c:hi], mult, p), p)
         new.append(i)
         cols.append(c)
         leads.append(lead)
-    return new, cols, leads
+    fresh = a[new, :W]
+    if W < width:
+        rest = _matmul(a[new, W:], w[:, W:], p)
+        fresh = np.concatenate([fresh, rest], axis=1)
+    return new, cols, leads, fresh
 
 
 # Rows per block of `echelon_extend`.  A block is one reduction product

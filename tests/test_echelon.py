@@ -2,13 +2,13 @@
 
 Every prime field runs one kernel: the limb products of `_matmul`, the
 p-dependent reductions `_recombine` and `_mulmod`, and the blocked
-elimination of `echelon_extend` (with its in-block window and the
-full-width fallback), on which `discriminant`, `rank` and `span_insert`
-are built.  Each is checked at primes from 2 to the largest
-below 2^62 that `ScalarRing` accepts: the kernel against Python-int
-products, `echelon_extend` (leads included) against a fold of the
-row-at-a-time `echelon_insert` of conftest, and the rest against the
-independent oracles there.  Over the integers every one of them refuses to
+elimination of `echelon_extend` (with its in-block window that widens on
+demand), on which `discriminant`, `rank` and `span_insert` are built.
+Each is checked at primes from 2 to the largest below 2^62 that
+`ScalarRing` accepts: the kernel against Python-int products,
+`echelon_extend` (leads included) against a fold of the row-at-a-time
+`echelon_insert` of conftest, and the rest against the independent
+oracles there.  Over the integers every one of them refuses to
 eliminate.
 """
 
@@ -280,12 +280,16 @@ def extension_cases(draw):
     duplicates and two-term combinations of earlier candidates, multiples
     of basis rows, rows with a long run of leading zeros (late pivots),
     rows whose first nonzero lies past the leftmost 2 * BLOCK free columns,
-    all-(p - 1) rows and dense rows; their count is drawn around one and
-    two blocks.  Free widths above 2 * BLOCK send a block to the window of
-    `echelon_extend`: with dense rows only, its pivots are found there
-    unless the window is singular (small primes); any other kind is a
-    dependent row or a late pivot inside a wide block, which falls back to
-    the full width.
+    two-term combinations of earlier rows of the same block plus such a
+    tail, all-(p - 1) rows and dense rows; their count is drawn around one
+    and two blocks.  The in-block elimination of `echelon_extend` starts on
+    a window of the block's leftmost free columns: with dense rows only, its
+    pivots are found there unless the window is singular (small primes), or
+    the first block's last row is drawn dependent, which needs the full
+    free width after every earlier row pivoted in the window.  Any other
+    kind is a dependent row or a late pivot that widens the window; a
+    combination plus a tail is zero on the window and has a nontrivial
+    transform row, so it checks the widened columns.
     """
     p = draw(st.sampled_from(PRIMES))
     rng = draw(st.randoms(use_true_random=False))
@@ -305,7 +309,7 @@ def extension_cases(draw):
     dense_only = draw(st.booleans())
     rows = []
     for _ in range(count):
-        kind = 9 if dense_only else rng.randrange(10)
+        kind = 10 if dense_only else rng.randrange(11)
         if kind == 0:
             row = [0] * n_cols
         elif kind == 1 and rows:
@@ -324,9 +328,18 @@ def extension_cases(draw):
             row = [0] * h + [rng.randrange(p) for _ in range(n_cols - h)]
         elif kind == 6:
             row = [p - 1] * n_cols
+        elif kind == 7 and len(free) > 2 * BLOCK and len(rows) % BLOCK >= 2:
+            a, b = rng.sample(rows[len(rows) - len(rows) % BLOCK :], 2)
+            h = rng.choice(free[2 * BLOCK :])
+            tail = [0] * h + [rng.randrange(p) for _ in range(n_cols - h)]
+            row = [(x + 5 * y + z) % p for x, y, z in zip(a, b, tail)]
         else:
             row = [rng.randrange(p) for _ in range(n_cols)]
         rows.append(row)
+    last = min(count, BLOCK) - 1
+    if dense_only and last >= 2 and draw(st.booleans()):
+        a, b = rng.sample(rows[:last], 2)
+        rows[last] = [(x + 5 * y) % p for x, y in zip(a, b)]
     return vectors, pivots, rows, p
 
 
@@ -338,10 +351,10 @@ class TestEchelonExtend:
 
     @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_block_boundaries_empty_basis(self, count):
-        # rows across one block boundary, then their duplicates; at free
-        # widths above 2 * BLOCK the first block finds its pivots in the
-        # window (unless it is singular there, as at p = 2), and the
-        # duplicates are dependent rows inside a wide block
+        # rows across one block boundary, then their duplicates; the first
+        # block finds its pivots in the window (unless it is singular
+        # there, as at p = 2), and each duplicate is a dependent row, which
+        # needs the full free width
         rng = random.Random(count)
         for n_cols in (BLOCK + 8, 100, 200):
             for p in PRIMES:
@@ -362,7 +375,7 @@ class TestEchelonExtend:
     def test_late_pivots_after_early_ones(self):
         # the first candidates only reach the last columns, so later rows
         # with early pivots sort in front of them; past 2 * BLOCK columns
-        # they find no pivot in the window of a wide block
+        # they find no pivot in the window, which widens more than once
         rng = random.Random(6)
         for n_cols, h in ((40, 30), (200, 2 * BLOCK + 10)):
             for p in PRIMES:
