@@ -23,13 +23,13 @@ ring, and two things are built on it and on the kernel:
   the words come out in blocks of _EXTEND_BLOCK rows, each one batched
   product head @ tail formed only when it is asked for.
   `evaluate_words` joins the blocks into a list of matrices.
-- `echelon_extend`, blocked echelon extension: candidate rows go into an
-  int64 RREF basis in blocks, each reduced against the basis by one kernel
-  product.  Inside a block, Gauss-Jordan elimination runs on a window of
-  the block's leftmost free columns (and an identity that records the row
-  operations), which a row with no pivot there widens by a product of the
-  operations and the next free columns; one more product applies the
-  operations to the free columns left outside.
+- `echelon_extend`, blocked echelon extension: candidate rows go in blocks
+  into an int64 RREF basis held on its free columns only (at most N^2/4
+  entries), each block reduced against it by one kernel product.  Inside
+  a block, Gauss-Jordan elimination runs on a window of its leftmost free
+  columns (and an identity that records the row operations), which a row
+  with no pivot there widens by a product of the operations and the next
+  free columns; one more product applies them to the free columns left.
 
 Elimination runs over prime fields only, and all of it goes through
 `echelon_extend`: `rank`, `span_insert`, the span growth of
@@ -513,27 +513,26 @@ def _rank_echelon(blocks, ring: ScalarRing) -> int:
 
 
 def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
-    """Insert the rows (a nonempty 2-D sequence) in order into echelon rows.
+    """Insert the rows (a nonempty 2-D sequence) in order into an RREF basis.
 
-    Returns (vectors, pivots, accepted, leads): the echelon rows of the
-    grown span, the indices, in order, of the rows that were not in the
-    span of the echelon rows and the rows before them, and for each
-    accepted row its (pivot column, lead), the lead being the row's
-    leading value once reduced, before it is scaled to a unit pivot
+    The basis has unit pivots and is kept compact: `vectors` holds its rows
+    on the free columns only (the increasing complement of `pivots`, each
+    row's pivot column); it may start as `[]`, and `_echelon_rows` rebuilds
+    the full rows.  Returns (vectors, pivots, accepted, leads): the grown
+    basis (an int64 array and an index array), the indices, in order, of
+    the rows not in the span of the basis and the rows before them, and
+    for each accepted row its (pivot column, lead), the lead being the
+    row's leading value once reduced, before it is scaled to a unit pivot
     (`_det_echelon` takes a determinant from them).  Entries are canonical,
-    in [0, p).  The echelon rows (RREF, unit pivots, sorted by pivot) may
-    start as `[]` and come back as an int64 array, with `pivots` as an
-    index array; an array passed in may be changed in place.  Over the
-    integers it raises InvalidInput: elimination runs over prime fields
-    only.
+    in [0, p).  Over the integers it raises InvalidInput: elimination runs
+    over prime fields only.
 
-    Per block of k <= _EXTEND_BLOCK candidate rows: one kernel product
-    reduces the block against the basis, on the free (non-pivot) columns
-    only; a Gauss-Jordan elimination inside the block (`_gauss_jordan`)
-    accepts rows in order; one more kernel product clears the new pivot
-    columns from the old rows, and the old and new rows are placed at their
-    sorted places in one new array.  RREF is unique, so rows, pivots and
-    leads equal those of inserting the rows one at a time.
+    Per block of k <= _EXTEND_BLOCK rows: one kernel product reduces the
+    block, block[:, free] - block[:, pivots] @ vectors; Gauss-Jordan
+    elimination inside it (`_gauss_jordan`) accepts rows in order; one more
+    product, on the columns that stay free, clears the new pivot columns
+    from the old rows, and the new rows go below them.  RREF is unique, so
+    rows, pivots and leads equal those of inserting the rows one at a time.
     """
     if ring.kind != "prime_field":
         raise InvalidInput("elimination runs over prime fields only")
@@ -541,40 +540,29 @@ def echelon_extend(vectors, pivots, rows, ring: ScalarRing):
 
     p = ring.p
     rows = np.asarray(rows, dtype=np.int64)
-    n_cols = rows.shape[1]
-    basis = np.asarray(vectors, dtype=np.int64).reshape(-1, n_cols)
     piv = np.asarray(pivots, dtype=np.intp)
+    free = np.flatnonzero(np.isin(np.arange(rows.shape[1]), piv, invert=True))
+    basis = np.asarray(vectors, dtype=np.int64).reshape(len(piv), len(free))
     accepted: list[int] = []
     leads: list[tuple[int, int]] = []
     for lo in range(0, len(rows), _EXTEND_BLOCK):
-        is_free = np.ones(n_cols, dtype=bool)
-        is_free[piv] = False
-        free = np.flatnonzero(is_free)
         if free.size == 0:
             break  # the span is full
         block = rows[lo : lo + _EXTEND_BLOCK]
         w = block[:, free]
         if piv.size:
-            w = _sub_mod(w, _matmul(block[:, piv], basis[:, free], p), p)
+            w = _sub_mod(w, _matmul(block[:, piv], basis, p), p)
         new, cols, block_leads, fresh = _gauss_jordan(w, p)
         if not new:
             continue
-        new_piv = free[cols]
-        if piv.size:
-            basis[:, free] = _sub_mod(
-                basis[:, free], _matmul(basis[:, new_piv], fresh, p), p
-            )
-        # old and new rows go straight to their sorted places
-        merged = np.concatenate([piv, new_piv])
-        order = np.argsort(merged)
-        place = np.empty_like(order)
-        place[order] = np.arange(len(order))
-        grown = np.zeros((len(merged), n_cols), dtype=np.int64)
-        grown[place[: len(piv)]] = basis
-        grown[place[len(piv) :, None], free] = fresh
-        basis, piv = grown, merged[order]
+        keep = np.delete(np.arange(free.size), cols)
+        old, fresh = basis[:, keep], fresh[:, keep]
+        if old.size:  # with no old row or no column left free, nothing to clear
+            old = _sub_mod(old, _matmul(basis[:, cols], fresh, p), p)
+        basis = np.concatenate([old, fresh])
         accepted += [lo + i for i in new]
-        leads += [(int(c), lead) for c, lead in zip(new_piv, block_leads)]
+        leads += [(int(c), lead) for c, lead in zip(free[cols], block_leads)]
+        piv, free = np.concatenate([piv, free[cols]]), free[keep]
     return basis, piv, accepted, leads
 
 
@@ -635,8 +623,8 @@ def _gauss_jordan(w, p: int):
 # Rows per block of `echelon_extend`.  A block is one reduction product
 # against the basis, so it bounds the transient memory of the reduction;
 # `genericity.subspace_length` forms its products in blocks of this size
-# too.  Unblocked, a process running one n = 14 chain peaked at 38.5 MB
-# max RSS, against 34.7 MB in blocks of 32 (2-core x86-64, numpy 2.4).
+# too.  Unblocked, a process running one n = 14 chain peaked at 32.8 MB
+# max RSS, against 30.6 MB in blocks of 32 (2-core x86-64, numpy 2.4).
 _EXTEND_BLOCK = 32
 
 _M61_LOW31 = (1 << 31) - 1
@@ -985,7 +973,7 @@ class SubspaceBasis:
     """Span of n-by-n matrices kept as echelonized vectorizations.
 
     `matrices` lists the independent representatives in insertion order;
-    `vectors` and `pivots` are the echelon rows of `echelon_extend`, as
+    `vectors` and `pivots` are the full echelon rows (`_echelon_rows`), as
     tuples, in RREF with unit pivots and sorted by pivot column.
     """
 
@@ -1010,10 +998,22 @@ def span_insert(b: SubspaceBasis, m: Matrix) -> tuple[SubspaceBasis, bool]:
         raise InvalidInput(f"expected {b.n}x{b.n} matrix")
     if m.ring != b.ring:
         raise InvalidInput("ring mismatch")
+    free = sorted(set(range(b.n * b.n)) - set(b.pivots))
     vectors, pivots, accepted, _ = echelon_extend(
-        b.vectors, b.pivots, [m.entries], b.ring
+        [[row[c] for c in free] for row in b.vectors], b.pivots, [m.entries], b.ring
     )
     if not accepted:
         return b, False
-    vectors, pivots = tuple(map(tuple, vectors.tolist())), tuple(pivots.tolist())
+    vectors, pivots = _echelon_rows(vectors, pivots, b.n * b.n)
     return SubspaceBasis(b.n, b.ring, b.matrices + (m,), vectors, pivots), True
+
+
+def _echelon_rows(vectors, pivots, n_cols: int):
+    """The full RREF rows and pivots of an `echelon_extend` basis, as tuples."""
+    import numpy as np
+
+    order = np.argsort(pivots)
+    full = np.zeros((len(order), n_cols), dtype=np.int64)
+    full[:, np.isin(np.arange(n_cols), pivots, invert=True)] = vectors
+    full[np.arange(len(order)), pivots] = 1
+    return tuple(map(tuple, full[order].tolist())), tuple(pivots[order].tolist())

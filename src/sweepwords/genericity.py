@@ -59,17 +59,17 @@ DEFAULT_PRIME = MERSENNE61
 _MASK64 = (1 << 64) - 1
 
 # Largest n that `subspace_length` accepts, at every prime.  Its echelon
-# rows hold n^4 entries, so time grows as ~n^6 and memory as ~n^4.  One
-# g = 2 chain at n = 48 (CLI wall time / max RSS, 2 cores) takes 14.2 s /
-# 210 MB modulo 2^61 - 1 and 20.4 s / 243 MB modulo 2^61 - 31.
+# basis holds at most n^4 / 4 entries, so time grows as ~n^6 and memory as
+# ~n^4.  One g = 2 chain at n = 48 (CLI wall time / max RSS, 2 cores) takes
+# 5.0-5.9 s / 123 MB modulo 2^61 - 1 and 7.9-8.3 s / 121 MB modulo 2^61 - 31.
 LENGTH_MAX_N = 48
 
 # Largest n that certification accepts, at every prime.  A trial's
 # determinant has n^2 rows of n^2 entries, and the words are evaluated into
 # it 32 rows at a time, so time grows as ~n^6 and memory as ~n^4.  One
-# g = 2 trial at n = 40 (CLI wall time / max RSS, 2 cores) takes 3.2-4.3 s /
-# 90 MB modulo 2^61 - 1 and 4.1-4.7 s / 104 MB modulo 2^61 - 31.  n = 48
-# takes ~2.5x the time of n = 40, so the cap stays at 40.
+# g = 2 trial at n = 40 (CLI wall time / max RSS, 2 cores) takes 2.2-2.5 s /
+# 68 MB modulo 2^61 - 1 and 3.3-3.5 s / 70 MB modulo 2^61 - 31.  n = 48
+# takes ~2.3x the time of n = 40, so the cap stays at 40.
 CERTIFY_MAX_N = 40
 
 # Largest word count g^(2d) that `rosenthal_check` accepts (n is capped as
@@ -77,14 +77,14 @@ CERTIFY_MAX_N = 40
 # and evaluation stops once the span is full, so 4,096 words (g = 2, d = 6,
 # past the cap) cost about what 2,025 do.  Measured per check (in-process
 # time / max RSS, 2 cores): 2,025 words (g = 45, d = 1) at n = 40 take
-# 6.3 s / 114 MB modulo 2^61 - 1 and 8.0 s / 127 MB modulo 2^61 - 31.  A
+# 3.0 s / 73 MB modulo 2^61 - 1 and 3.5 s / 77 MB modulo 2^61 - 31.  A
 # word list that does not span is evaluated to its end.
 ROSENTHAL_MAX_WORDS = 2048
 
 # Largest trial count that `certify` and `length` accept.  At the n caps one
-# trial takes up to 20.4 s (CLI wall time, 2 cores: a g = 2 length chain at
-# n = 48 modulo 2^61 - 31; 14.2 s modulo 2^61 - 1), so a run of one size
-# stays within ~22 min; `length --n 3 --trials 100000` ran past 60 s before
+# trial takes up to 8.3 s (CLI wall time, 2 cores: a g = 2 length chain at
+# n = 48 modulo 2^61 - 31; 5.9 s modulo 2^61 - 1), so a run of one size
+# stays within ~9 min; `length --n 3 --trials 100000` ran past 60 s before
 # it was capped.
 TRIALS_MAX = 64
 

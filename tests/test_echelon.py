@@ -8,8 +8,10 @@ Each is checked at primes from 2 to the largest below 2^62 that
 `ScalarRing` accepts: the kernel against Python-int products,
 `echelon_extend` (leads included) against a fold of the row-at-a-time
 `echelon_insert` of conftest, and the rest against the independent
-oracles there.  Over the integers every one of them refuses to
-eliminate.
+oracles there.  `echelon_extend` keeps its basis compact (the rows on
+the free columns only), so full rows go in as rows[:, free], and the rows
+it returns are compared after `_echelon_rows` rebuilds them.  Over the
+integers every one of them refuses to eliminate.
 """
 
 import random
@@ -260,13 +262,28 @@ def _dense_rows(rng, count, n_cols, p):
     return [[rng.randrange(p) for _ in range(n_cols)] for _ in range(count)]
 
 
+def _compact(vectors, pivots, n_cols):
+    """Full RREF rows as the compact basis of `echelon_extend`: rows[:, free]."""
+    free = [c for c in range(n_cols) if c not in pivots]
+    return np.array(vectors, dtype=np.int64).reshape(len(pivots), n_cols)[:, free]
+
+
+def _extend(vectors, pivots, rows, p):
+    """`echelon_extend` that checks the basis it returns is compact."""
+    got = echelon_extend(vectors, pivots, rows, prime_field(p))
+    assert got[0].shape == (len(got[1]), len(rows[0]) - len(got[1]))
+    return got
+
+
 def _assert_extend_matches_fold(vectors, pivots, rows, p):
     expected = _fold(vectors, pivots, rows, p)
-    got_vectors, got_pivots, got_accepted, got_leads = echelon_extend(
-        list(vectors), list(pivots), rows, prime_field(p)
+    n_cols = len(rows[0])
+    got_vectors, got_pivots, got_accepted, got_leads = _extend(
+        _compact(vectors, pivots, n_cols), list(pivots), rows, p
     )
-    assert [tuple(r) for r in got_vectors.tolist()] == expected[0]
-    assert got_pivots.tolist() == expected[1]
+    full, sorted_pivots = exactalg._echelon_rows(got_vectors, got_pivots, n_cols)
+    assert list(full) == expected[0]
+    assert list(sorted_pivots) == expected[1]
     assert got_accepted == expected[2]
     assert got_leads == expected[3]
 
@@ -349,6 +366,88 @@ class TestEchelonExtend:
     def test_matches_insert_fold(self, case):
         _assert_extend_matches_fold(*case)
 
+    @settings(max_examples=120, deadline=None)
+    @given(extension_cases(), st.data())
+    def test_split_calls_match_insert_fold(self, case, data):
+        # the compact basis one call returns is the next call's input: the
+        # rows in 2-4 consecutive calls (one when there is a single row)
+        # match one fold over all of them
+        vectors, pivots, rows, p = case
+        n_cols = len(rows[0])
+        expected = _fold(vectors, pivots, rows, p)
+        cuts = data.draw(
+            st.lists(
+                st.integers(1, len(rows) - 1), max_size=3, unique=True
+            ).map(sorted)
+            if len(rows) > 1
+            else st.just([])
+        )
+        vectors = _compact(vectors, pivots, n_cols)
+        accepted, leads = [], []
+        for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+            vectors, pivots, got_accepted, got_leads = _extend(
+                vectors, pivots, rows[lo:hi], p
+            )
+            accepted += [lo + i for i in got_accepted]
+            leads += got_leads
+        full, sorted_pivots = exactalg._echelon_rows(vectors, pivots, n_cols)
+        assert list(full) == expected[0]
+        assert list(sorted_pivots) == expected[1]
+        assert accepted == expected[2]
+        assert leads == expected[3]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_block_fills_span_exactly(self, p):
+        # the block takes the last free columns, so no column stays free
+        # and the old rows need no update product
+        rng = random.Random(p % 1009)
+        n_cols = 20
+        for r in (0, 7, n_cols - 1):
+            vectors, pivots = [], []
+            while len(vectors) < r:
+                echelon_insert(vectors, pivots, _dense_rows(rng, 1, n_cols, p)[0], p)
+            free = [c for c in range(n_cols) if c not in pivots]
+            # unit rows on the free columns complete the span
+            rows = [[int(c == f) for c in range(n_cols)] for f in free]
+            _assert_extend_matches_fold(vectors, pivots, rows, p)
+            got = _extend(_compact(vectors, pivots, n_cols), pivots, rows, p)
+            assert got[0].shape == (n_cols, 0)
+            assert got[2] == list(range(len(rows)))
+            # a full basis passed back takes nothing more
+            more = _dense_rows(rng, 3, n_cols, p)
+            assert _extend(got[0], got[1], more, p)[2] == []
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_dependent_block_leaves_basis_untouched(self, p):
+        rng = random.Random(p % 1013)
+        n_cols = BLOCK + 8
+        vectors, pivots, _, _ = _extend([], [], _dense_rows(rng, 10, n_cols, p), p)
+        before = vectors.copy()
+        # a zero row and combinations of the basis rows, over two blocks
+        full = exactalg._echelon_rows(vectors, pivots, n_cols)[0]
+        rows = [[0] * n_cols]
+        for _ in range(BLOCK):
+            coeffs = [rng.randrange(p) for _ in full]
+            rows.append(
+                [sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*full)]
+            )
+        got = _extend(vectors, pivots, rows, p)
+        assert got[2] == [] and got[3] == []
+        assert got[1].tolist() == pivots.tolist()
+        assert np.array_equal(got[0], before)
+        assert np.array_equal(vectors, before)
+
+    def test_empty_basis_as_list(self):
+        # `[]` and an empty array are the same empty basis
+        rng = random.Random(7)
+        for p in PRIMES:
+            rows = _dense_rows(rng, 5, 12, p)
+            from_list = _extend([], [], rows, p)
+            from_array = _extend(np.zeros((0, 12), dtype=np.int64), [], rows, p)
+            assert from_list[0].tolist() == from_array[0].tolist()
+            assert from_list[1].tolist() == from_array[1].tolist()
+            assert from_list[2:] == from_array[2:]
+
     @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_block_boundaries_empty_basis(self, count):
         # rows across one block boundary, then their duplicates; the first
@@ -370,7 +469,8 @@ class TestEchelonExtend:
             vectors, pivots, _, _ = _fold([], [], identity, p)
             rows = _dense_rows(rng, BLOCK + 1, n_cols, p)
             _assert_extend_matches_fold(vectors, pivots, rows, p)
-            assert echelon_extend(vectors, pivots, rows, prime_field(p))[2] == []
+            compact = _compact(vectors, pivots, n_cols)
+            assert _extend(compact, pivots, rows, p)[2] == []
 
     def test_late_pivots_after_early_ones(self):
         # the first candidates only reach the last columns, so later rows
@@ -390,8 +490,9 @@ class TestEchelonExtend:
             ring = prime_field(p)
             canon = [[x % p for x in row] for row in rows]
             vectors, pivots, accepted, leads = echelon_extend([], [], canon, ring)
-            assert vectors.tolist() == [first, [0, 1, 0, 0]]
-            assert pivots.tolist() == [0, 1]
+            full, pivots = exactalg._echelon_rows(vectors, pivots, 4)
+            assert full == (tuple(first), (0, 1, 0, 0))
+            assert pivots == (0, 1)
             assert accepted == [0, 3]
             assert leads == [(0, 1), (1, 1)]
 
