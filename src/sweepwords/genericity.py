@@ -15,8 +15,7 @@ pure function of (seed, trials) no matter how trials are scheduled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import Infeasible, InvalidInput, InvalidModulus, InvalidWord, TooLarge
 from .exactalg import (
@@ -43,7 +42,11 @@ from .words import (
     check_grid_size,
     degree_exponent,
     least_alphabet,
+    record,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 try:
     # hashlib loads OpenSSL's libcrypto, about 3 MB of max RSS in every
@@ -141,7 +144,7 @@ def words_digest(words: list[Word]) -> str:
     return sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
+@record
 class CertificationReport:
     n: int
     g: int
@@ -206,6 +209,9 @@ def is_locally_linearly_independent(
     InvalidInput when the words have no string form for the digest (g > 26).
     A trial count outside [1, TRIALS_MAX] is refused before sampling too.
     """
+    # only this report needs fractions; `length` never loads it
+    from fractions import Fraction
+
     check_certify_size(n)
     check_trials(trials)
     if len(words) != n * n:
@@ -248,7 +254,7 @@ def sweep_check(words: list[Word], t: MatrixTuple) -> bool:
     return _rank_echelon(word_blocks(words, letter_stack(t)), t.ring) == t.n * t.n
 
 
-@dataclass(frozen=True)
+@record
 class LengthReport:
     n: int
     g: int
@@ -358,7 +364,7 @@ def subspace_length(t: MatrixTuple, include_identity: bool = False) -> LengthRep
     )
 
 
-@dataclass(frozen=True)
+@record
 class LengthExperimentSummary:
     n: int
     g: int

@@ -13,7 +13,6 @@ below verifies exhaustively.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InvalidInput, TooLarge
 from .words import (
@@ -21,6 +20,7 @@ from .words import (
     check_alphabet_size,
     degree_exponent,
     entry_variable_chain,
+    record,
 )
 
 # Largest vertex count g**d that `build_graph` accepts.  A `graph` CLI job
@@ -30,7 +30,7 @@ from .words import (
 GRAPH_MAX_VERTICES = 2**16
 
 
-@dataclass(frozen=True)
+@record
 class LabeledMultigraph:
     """Directed multigraph on vertices 1..g**d with labels in [1, g]."""
 
@@ -114,7 +114,7 @@ def build_graph(g: int, d: int, m: int = 1) -> LabeledMultigraph:
     return LabeledMultigraph(g, d, m, dict(edges))
 
 
-@dataclass(frozen=True)
+@record
 class Walk:
     """A walk given by its start vertex and (target, label) steps."""
 
@@ -138,7 +138,7 @@ class Walk:
         return usage
 
 
-@dataclass(frozen=True)
+@record
 class WalkPartition:
     """For each ordered pair (i, j), a tuple of walks from i to j."""
 

@@ -18,7 +18,6 @@ to WITNESS_MAX_N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInput, TooLarge
 from .exactalg import (
@@ -37,6 +36,7 @@ from .words import (
     check_alphabet_size,
     degree_exponent,
     least_alphabet,
+    record,
 )
 
 
@@ -75,7 +75,7 @@ def _m_constant(n: int, d: int) -> int:
     return math.factorial(n) * (n ** (2 * d - 1)) ** n
 
 
-@dataclass(frozen=True)
+@record
 class WitnessSpec:
     """Base, exponent assignment, and reported constants of one witness."""
 
@@ -158,7 +158,7 @@ def verify_witness(t: MatrixTuple, grid: WordGrid) -> int:
     return discriminant(evaluate_words(grid.flatten(), t))
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     spec: WitnessSpec
     discriminant: int

@@ -371,7 +371,9 @@ class TestEchelonExtend:
     def test_split_calls_match_insert_fold(self, case, data):
         # the compact basis one call returns is the next call's input: the
         # rows in 2-4 consecutive calls (one when there is a single row)
-        # match one fold over all of them
+        # match one fold over all of them.  `_sub_mod` writes into its first
+        # argument, so each call must leave the basis and the int64 rows it
+        # was given as they were: a view of either passed to it would not
         vectors, pivots, rows, p = case
         n_cols = len(rows[0])
         expected = _fold(vectors, pivots, rows, p)
@@ -385,9 +387,14 @@ class TestEchelonExtend:
         vectors = _compact(vectors, pivots, n_cols)
         accepted, leads = [], []
         for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+            given_vectors = vectors
+            given_rows = np.array(rows[lo:hi], dtype=np.int64)
+            before = given_vectors.copy(), given_rows.copy()
             vectors, pivots, got_accepted, got_leads = _extend(
-                vectors, pivots, rows[lo:hi], p
+                given_vectors, pivots, given_rows, p
             )
+            assert np.array_equal(given_vectors, before[0])
+            assert np.array_equal(given_rows, before[1])
             accepted += [lo + i for i in got_accepted]
             leads += got_leads
         full, sorted_pivots = exactalg._echelon_rows(vectors, pivots, n_cols)

@@ -40,6 +40,7 @@ from sweepwords.exactalg import (
     _perm_sign,
     big_integer,
     discriminant,
+    int_to_decimal,
     is_prime,
     prime_field,
     rank,
@@ -664,3 +665,25 @@ class TestSerialization:
         assert data["ring"] == {"kind": "prime_field", "p": "101"}
         assert data["entries"] == ["1", "2", "3", "4"]
         assert _read_matrix_json(data, fp101) == m
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0,
+            10**3000 - 1,
+            -(10**3000 - 1),
+            10**3000,
+            -(10**3000),
+            10**6000 + 7,  # the middle chunk is all zeros: zfill pads it
+            -(3**19000 + 1),  # 9,066 digits
+        ],
+        ids=["0", "chunk-1", "-chunk+1", "chunk", "-chunk", "chunk^2+7", "-3^19000-1"],
+    )
+    def test_int_to_decimal_matches_str(self, x):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert int_to_decimal(x) == expected

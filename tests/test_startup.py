@@ -159,3 +159,27 @@ def test_kernel_commands_load_no_openssl(command):
     code, modules = loaded_modules([command, "--n", "3", "--trials", "1"])
     assert code == 0
     assert "_hashlib" not in modules
+
+
+# standard-library modules that a call must not load: dataclasses nowhere
+# (`words.record` builds the frozen records), inspect wherever numpy does not
+# load it anyway, and fractions in `length`, whose reports hold none.
+# `import dataclasses` alone took 6.4-7.0 ms, most of it importing inspect
+@pytest.mark.parametrize(
+    "argv, unwanted",
+    [
+        (["--help"], {"dataclasses", "inspect"}),
+        (["words", "--n", "8"], {"dataclasses", "inspect"}),
+        (["graph", "--g", "2", "--d", "2", "--enumerate"], {"dataclasses", "inspect"}),
+        (["witness", "--n", "8"], {"dataclasses", "inspect"}),
+        (["certify", "--n", "3", "--trials", "1"], {"dataclasses"}),
+        (["length", "--n", "3", "--trials", "1"], {"dataclasses", "fractions"}),
+        (["witness", "--n", str(WITNESS_MAX_N + 1)], {"dataclasses", "inspect"}),
+        (["graph", "--g", "2", "--d", "17"], {"dataclasses", "inspect"}),
+        (["certify", "--n", str(CERTIFY_MAX_N + 1)], {"dataclasses"}),
+        (["length", "--n", str(LENGTH_MAX_N + 1)], {"dataclasses", "fractions"}),
+    ],
+)
+def test_calls_skip_slow_standard_modules(argv, unwanted):
+    _, modules = loaded_modules(argv)
+    assert not modules & unwanted
