@@ -10,10 +10,11 @@ products run through one exact BLAS kernel (`_matmul`): entries split into
 21-bit limbs, the limb products are float64 matmuls that stay below 2^53,
 and the partial sums recombine mod p.  A large product is formed in slices
 (_BATCH matrix pairs of a stack, or _ROWS rows of a 2-D product), which
-bounds the kernel's temporaries.  Only that recombination
-(`_recombine`) and the elementwise product by multipliers known in advance
-(`_mulmod`) depend on p: modulo 2^61 - 1 they reduce by 61-bit rotations,
-modulo every other prime by Shoup's precomputed-quotient multiplication.
+bounds the kernel's temporaries.  Only that recombination (`_recombine`)
+depends on p: modulo 2^61 - 1 it reduces by 61-bit rotations, modulo every
+other prime by Shoup's precomputed-quotient multiplication.  The
+elementwise product by multipliers known in advance (`_mulmod`) is Shoup's
+at every prime.
 Over the integers products are exact Python ints on flat row-major tuples
 (`_int_matmul`).  `letter_stack` picks the storage and product of the
 ring, and two things are built on it and on the kernel:
@@ -630,41 +631,7 @@ def _gauss_jordan(w, p: int):
 # max RSS, against 30.6 MB in blocks of 32 (2-core x86-64, numpy 2.4).
 _EXTEND_BLOCK = 32
 
-_M61_LOW31 = (1 << 31) - 1
-_M61_LOW30 = (1 << 30) - 1
 _LOW32 = (1 << 32) - 1
-
-
-def _np_fold(v):
-    # v < 2^63 elementwise; result < 2^61 + 4 and congruent mod 2^61 - 1.
-    return (v & MERSENNE61) + (v >> 61)
-
-
-def _np_mulmod(a, b):
-    """Elementwise a*b mod 2^61-1 for int64 arrays with entries in [0, 2^61).
-
-    Split both factors at bit 31; every intermediate stays below 2^63:
-      hh = a1*b1 < 2^60, contributes *2^62 == *2,
-      mid = a1*b0 + a0*b1 < 2^62, split again at bit 30 so that
-      mid*2^31 == (mid >> 30) + (mid & low30) * 2^31 with both parts < 2^61,
-      ll = a0*b0 < 2^62.
-    """
-    import numpy as np
-
-    a1 = a >> 31
-    a0 = a & _M61_LOW31
-    b1 = b >> 31
-    b0 = b & _M61_LOW31
-    hh = a1 * b1
-    mid = a1 * b0 + a0 * b1
-    s = (
-        _np_fold(2 * hh)
-        + (mid >> 30)
-        + ((mid & _M61_LOW30) << 31)
-        + _np_fold(a0 * b0)
-    )
-    s = _np_fold(_np_fold(s))
-    return np.where(s >= MERSENNE61, s - MERSENNE61, s)
 
 
 def _shoup(x, w, p: int):
@@ -691,8 +658,6 @@ def _shoup(x, w, p: int):
 
 def _mulmod(x, w, p: int):
     """x * w mod p for an int64 array x in [0, p), w as in `_shoup`."""
-    if p == MERSENNE61:
-        return _np_mulmod(x, w)
     import numpy as np
 
     r = _shoup(x.view(np.uint64), w, p)
@@ -743,6 +708,11 @@ def _limbs(x):
         ((x >> 21) & _LIMB_MASK).astype(np.float64),
         (x >> 42).astype(np.float64),
     ]
+
+
+def _np_fold(v):
+    # v < 2^63 elementwise; result < 2^61 + 4 and congruent mod 2^61 - 1.
+    return (v & MERSENNE61) + (v >> 61)
 
 
 def _rot61(x, e):

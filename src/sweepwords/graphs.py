@@ -188,13 +188,17 @@ def scale_partition(partition: WalkPartition, m: int) -> WalkPartition:
     )
 
 
-def _partition_defect(
-    graph: LabeledMultigraph, partition: WalkPartition
-) -> str | None:
-    """None if the partition satisfies both invariants, else a reason."""
+def verify_partition(graph: LabeledMultigraph, partition: WalkPartition) -> bool:
+    """Whether the partition satisfies both invariants on the graph.
+
+    Each of the n^2 endpoint pairs carries exactly m walks of length 2d
+    with those endpoints, the walks use every edge exactly as often as its
+    multiplicity, and their words cover every word of length 2d exactly m
+    times.
+    """
     n_side = graph.n_vertices
     if partition.n_side != n_side:
-        return f"partition side {partition.n_side} != graph side {n_side}"
+        return False
     m = graph.m
     length = 2 * graph.d
     seen_words: Counter[tuple[int, ...]] = Counter()
@@ -202,25 +206,17 @@ def _partition_defect(
         for j in range(1, n_side + 1):
             ws = partition.walks.get((i, j))
             if ws is None or len(ws) != m:
-                return f"pair ({i}, {j}) does not carry exactly {m} walks"
+                return False
             for w in ws:
-                if w.start != i or w.end != j:
-                    return f"walk at ({i}, {j}) runs {w.start} -> {w.end}"
-                if w.length != length:
-                    return f"walk at ({i}, {j}) has length {w.length} != {length}"
+                if w.start != i or w.end != j or w.length != length:
+                    return False
                 seen_words[tuple(label for _, label in w.steps)] += 1
     if partition.edge_usage() != Counter(graph.edges):
-        return "edge usage does not reproduce the multiplicity map"
+        return False
     expected_words = Counter(
         {w.letters: m for w in all_words(graph.g, length)}
     )
-    if seen_words != expected_words:
-        return "walk words do not cover every word exactly m times"
-    return None
-
-
-def verify_partition(graph: LabeledMultigraph, partition: WalkPartition) -> bool:
-    return _partition_defect(graph, partition) is None
+    return seen_words == expected_words
 
 
 class _Saturated(Exception):

@@ -181,7 +181,6 @@ def build_and_verify(
     n: int,
     g: int,
     base_override: int | None = None,
-    _verifier=verify_witness,
 ) -> tuple[WitnessReport, MatrixTuple]:
     """Build a witness and verify it, squaring the base on a zero result.
 
@@ -194,11 +193,11 @@ def build_and_verify(
     grid = build_word_grid(n, g)
     spec, t = build_witness(n, g, base_override)
     escalations = 0
-    value = _verifier(t, grid)
+    value = verify_witness(t, grid)
     while value == 0 and escalations < MAX_ESCALATIONS:
         escalations += 1
         spec, t = build_witness(n, g, spec.base**2)
-        value = _verifier(t, grid)
+        value = verify_witness(t, grid)
     report = WitnessReport(spec=spec, discriminant=value, escalations=escalations)
     return report, t
 

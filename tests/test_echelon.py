@@ -1,9 +1,10 @@
 """Differential tests for the prime-field kernel and everything built on it.
 
-Every prime field runs one kernel: the limb products of `_matmul`, the
-p-dependent reductions `_recombine` and `_mulmod`, and the blocked
-elimination of `echelon_extend` (with its in-block window that widens on
-demand), on which `discriminant`, `rank` and `span_insert` are built.
+Every prime field runs one kernel: the limb products of `_matmul`, their
+p-dependent recombination `_recombine`, Shoup's product `_mulmod`, and
+the blocked elimination of `echelon_extend` (with its in-block window
+that widens on demand), on which `discriminant`, `rank` and `span_insert`
+are built.
 Each is checked at primes from 2 to the largest below 2^62 that
 `ScalarRing` accepts: the kernel against Python-int products,
 `echelon_extend` (leads included) against a fold of the row-at-a-time

@@ -214,6 +214,22 @@ class TestVerifyPartition:
         walks[(1, 1)] = walks[(1, 1)] * 2
         assert not verify_partition(self.graph, WalkPartition(2, walks))
 
+    def test_side_mismatch_fails(self):
+        # the same walks, but the partition claims a side of 3
+        assert not verify_partition(self.graph, WalkPartition(3, self.part.walks))
+
+    def test_wrong_length_walk_fails(self):
+        walks = dict(self.part.walks)
+        # a 1 -> 1 walk of length 4 in place of the length-2 one at (1, 1)
+        walks[(1, 1)] = (Walk(1, ((1, 1),) * 4),)
+        assert not verify_partition(self.graph, WalkPartition(2, walks))
+
+    def test_edge_usage_mismatch_fails(self):
+        edges = dict(self.graph.edges)
+        edges[(1, 1, 1)] += 1
+        graph = LabeledMultigraph(2, 1, 1, edges)
+        assert not verify_partition(graph, self.part)
+
     def test_scaled_partition_verifies_on_scaled_graph(self):
         scaled = scale_partition(self.part, 3)
         assert verify_partition(build_graph(2, 1, 3), scaled)

@@ -110,22 +110,22 @@ class TestBuildAndVerify:
             assert report.certified
             assert report.escalations == 0
 
-    def test_escalation_squares_the_base(self):
+    def test_escalation_squares_the_base(self, monkeypatch):
         calls = []
 
         def flaky(t, grid):
             calls.append(t.matrices[1].entries)
             return 0 if len(calls) <= 2 else verify_witness(t, grid)
 
-        report, _ = build_and_verify(2, 2, base_override=10, _verifier=flaky)
+        monkeypatch.setattr(witness, "verify_witness", flaky)
+        report, _ = build_and_verify(2, 2, base_override=10)
         assert report.escalations == 2
         assert report.spec.base == 10**4  # squared twice
         assert report.certified
 
-    def test_gives_up_after_max_escalations(self):
-        report, _ = build_and_verify(
-            2, 2, base_override=10, _verifier=lambda t, g: 0
-        )
+    def test_gives_up_after_max_escalations(self, monkeypatch):
+        monkeypatch.setattr(witness, "verify_witness", lambda t, g: 0)
+        report, _ = build_and_verify(2, 2, base_override=10)
         assert not report.certified
         assert report.escalations == MAX_ESCALATIONS == 3
         assert report.spec.base == 10**8  # squared three times
@@ -162,7 +162,7 @@ class TestWitnessCap:
             monkeypatch.setattr(witness, name, refuse)
         for g in (2, 3):
             with pytest.raises(TooLarge):
-                build_and_verify(WITNESS_MAX_N + 1, g, _verifier=refuse)
+                build_and_verify(WITNESS_MAX_N + 1, g)
 
     def test_alphabet_above_cap_is_refused_before_building(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -171,7 +171,7 @@ class TestWitnessCap:
         for name in ("build_word_grid", "build_witness", "verify_witness"):
             monkeypatch.setattr(witness, name, refuse)
         with pytest.raises(TooLarge):
-            build_and_verify(2, MAX_G + 1, _verifier=refuse)
+            build_and_verify(2, MAX_G + 1)
 
     def test_cap_is_inclusive(self):
         check_witness_size(WITNESS_MAX_N)
@@ -195,7 +195,7 @@ class TestWitnessCap:
             monkeypatch.setattr(witness, name, refuse)
         for base in (1 << WITNESS_MAX_BASE_BITS, 10**100 + 7):
             with pytest.raises(TooLarge, match="bases are capped"):
-                build_and_verify(2, 2, base_override=base, _verifier=refuse)
+                build_and_verify(2, 2, base_override=base)
 
 
 class TestReportedConstants:
