@@ -15,7 +15,7 @@ pure function of (seed, trials) no matter how trials are scheduled.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from math import gcd
 
 from .errors import Infeasible, InvalidInput, InvalidModulus, InvalidWord, TooLarge
 from .exactalg import (
@@ -44,9 +44,6 @@ from .words import (
     least_alphabet,
     record,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 try:
     # hashlib loads OpenSSL's libcrypto, about 3 MB of max RSS in every
@@ -155,7 +152,8 @@ class CertificationReport:
     p: int
     seed: int
     trial_nonzero: tuple[bool, ...]
-    single_trial_failure_bound: Fraction
+    # (numerator, denominator) of the reduced fraction total degree / p
+    single_trial_failure_bound: tuple[int, int]
 
     @property
     def certified(self) -> bool:
@@ -166,6 +164,7 @@ class CertificationReport:
         return "certified" if self.certified else "inconclusive"
 
     def to_json(self) -> dict:
+        num, den = self.single_trial_failure_bound
         return {
             "n": self.n,
             "g": self.g,
@@ -176,7 +175,7 @@ class CertificationReport:
             "p": str(self.p),
             "seed": self.seed,
             "trial_nonzero": list(self.trial_nonzero),
-            "single_trial_failure_bound": str(self.single_trial_failure_bound),
+            "single_trial_failure_bound": f"{num}/{den}" if den != 1 else str(num),
             "status": self.status,
         }
 
@@ -209,9 +208,6 @@ def is_locally_linearly_independent(
     InvalidInput when the words have no string form for the digest (g > 26).
     A trial count outside [1, TRIALS_MAX] is refused before sampling too.
     """
-    # only this report needs fractions; `length` never loads it
-    from fractions import Fraction
-
     check_certify_size(n)
     check_trials(trials)
     if len(words) != n * n:
@@ -229,6 +225,7 @@ def is_locally_linearly_independent(
         t = sample_tuple(n, g, ring, rng, symmetric)
         flags.append(_det_echelon(word_blocks(words, letter_stack(t)), ring) != 0)
     total_degree = sum(w.degree for w in words)
+    common = gcd(total_degree, p)
     return CertificationReport(
         n=n,
         g=g,
@@ -239,7 +236,7 @@ def is_locally_linearly_independent(
         p=p,
         seed=seed,
         trial_nonzero=tuple(flags),
-        single_trial_failure_bound=Fraction(total_degree, p),
+        single_trial_failure_bound=(total_degree // common, p // common),
     )
 
 

@@ -8,10 +8,24 @@ by an optional factor m) decomposes into m walks of length 2d from i to j
 for every ordered vertex pair (i, j), realizing every degree-2d word exactly
 m times -- and it does so in exactly one way, which the backtracking counter
 below verifies exhaustively.
+
+Before it searches, the counter drops every walk that a checked-in LP dual
+certificate prices above zero (reduced-cost fixing).  The certificate of
+level (g, d) is a rational z over the graph's rows, one per word, one per
+ordered vertex pair and one per edge, stored as integer numerators over one
+positive common denominator in `duals/g{g}d{d}.json`.  Each run checks it
+against this graph's own rows: if every candidate walk w has reduced cost
+(A^T z)_w >= 0 and b^T z <= 0, then for every partition x,
+0 <= sum_w x_w (A^T z)_w = b^T z <= 0, so no partition uses a walk of
+positive reduced cost, and the count stays exact.  A graph without a
+certificate, or one that fails the check, is searched over all its walks.
+`tools/dual_certificates.py` writes the certificates.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from collections import Counter
 
 from .errors import BudgetExceeded, InvalidInput, TooLarge
@@ -237,6 +251,13 @@ SEARCH_MAX_WALKS = 768
 # a walk as (pair index, ((edge id, uses), ...), index past its pair's run)
 _Walk = tuple[int, tuple[tuple[int, int], ...], int]
 
+# where the dual certificate of level (g, d) lives, as g{g}d{d}.json: its
+# positive "denominator", and integer numerators for the "words" (in the
+# order of `all_words`), the "pairs" (row-major, (1, 1), (1, 2), ...) and
+# the "edges", each as [source, target, label, z]; an edge of the graph that
+# the file does not list has z = 0
+DUALS_DIR = os.path.join(os.path.dirname(__file__), "duals")
+
 
 def _candidate_walks(
     graph: LabeledMultigraph, words: list[tuple[int, ...]]
@@ -300,22 +321,79 @@ def _candidate_walks(
     return mult, walks_by_word
 
 
+def _fix_reduced_costs(
+    graph: LabeledMultigraph, walks_by_word: list[list[_Walk]]
+) -> list[list[_Walk]]:
+    """Each word's walks of zero reduced cost, if the level's certificate holds.
+
+    Works in the certificate's integer numerators, which have the signs of
+    z since its denominator is positive: b^T z from this graph's rows (m
+    per word, m per pair, each edge's multiplicity) and (A^T z)_w for every
+    candidate walk.  Returns `walks_by_word` itself when there is no
+    certificate for (g, d), when its shape does not fit the graph, when
+    b^T z > 0, or when some walk has (A^T z)_w < 0.  The kept walks keep
+    their order, with their run ends recomputed.
+    """
+    try:
+        with open(os.path.join(DUALS_DIR, f"g{graph.g}d{graph.d}.json")) as fh:
+            cert = json.load(fh)
+    except FileNotFoundError:
+        return walks_by_word
+    z_words, z_pairs = cert["words"], cert["pairs"]
+    if (
+        cert["denominator"] < 1
+        or len(z_words) != len(walks_by_word)
+        or len(z_pairs) != graph.n_vertices**2
+    ):
+        return walks_by_word
+    z_listed = {(u, v, label): z for u, v, label, z in cert["edges"]}
+    keys = sorted(graph.edges)
+    z_edges = [z_listed.get(key, 0) for key in keys]
+    b_z = graph.m * (sum(z_words) + sum(z_pairs)) + sum(
+        graph.edges[key] * z for key, z in zip(keys, z_edges)
+    )
+    if b_z > 0:
+        return walks_by_word
+    fixed = []
+    for z_word, walks in zip(z_words, walks_by_word):
+        zero = []
+        for pair, steps, _ in walks:
+            cost = z_word + z_pairs[pair]
+            for edge, uses in steps:
+                cost += uses * z_edges[edge]
+            if cost < 0:
+                return walks_by_word
+            if not cost:
+                zero.append((pair, steps))
+        # a pair's walks stay contiguous, so its run ends past its last one
+        run_end = {pair: idx + 1 for idx, (pair, _) in enumerate(zero)}
+        fixed.append([(pair, steps, run_end[pair]) for pair, steps in zero])
+    return fixed
+
+
 def enumerate_partitions(
     graph: LabeledMultigraph, cap: int, budget: int = 100_000_000
 ) -> int:
     """Count walk partitions of the graph by exhaustive backtracking.
 
-    Every word's walks in the full graph are listed once up front.  Words
-    are assigned most constrained first: by the number of vertex pairs
-    their walks reach, then by their number of walks, ties in decreasing
-    lexicographic order.  Each word's m walks are chosen in nondecreasing
-    (start, end, steps) order so that partitions are counted as multisets;
-    any fixed word order counts each one exactly once.  A search node
-    filters its word's list against the residual edge and pair counts,
-    skipping the rest of a full pair's run in one step.  A node is one
-    partial partition expanded, i.e. one call of `extend`, leaves
-    included.  The count saturates at `cap`; expanding more than `budget`
-    nodes raises BudgetExceeded instead of returning a count.  A negative
+    Every word's walks in the full graph are listed once up front, and
+    `_fix_reduced_costs` keeps only those of zero reduced cost when the
+    level's dual certificate passes its exact check on this graph: every
+    walk's (A^T z)_w >= 0 and b^T z <= 0 (see the module docstring).
+    Without a certificate, or when the check fails, every walk stays.
+    Words are assigned most constrained first: by the number of vertex
+    pairs their walks reach, then by their number of walks, ties in
+    decreasing lexicographic order.  Each word's m walks are chosen in
+    nondecreasing (start, end, steps) order so that partitions are counted
+    as multisets; any fixed word order counts each one exactly once.  A
+    search node filters its word's list against the residual edge and pair
+    counts, skipping the rest of a full pair's run in one step.  A node is
+    one partial partition expanded, i.e. one call of `extend`, leaves
+    included.  On every `build_graph` level that ships a certificate it
+    keeps one walk per word, so the search places the g^(2d) * m walks in
+    that many nodes plus one.  The count saturates at `cap`; expanding
+    more than `budget` nodes raises BudgetExceeded instead of returning a
+    count.  A negative
     budget raises InvalidInput, and a partition of more than
     SEARCH_MAX_WALKS walks or a graph with more than CANDIDATE_WALKS_MAX
     candidate walks raises TooLarge, all before the search.
@@ -341,6 +419,7 @@ def enumerate_partitions(
     if {k: v for k, v in have.items() if v} != {k: v for k, v in need.items() if v}:
         return 0
     edges_rem, walks_by_word = _candidate_walks(graph, words)
+    walks_by_word = _fix_reduced_costs(graph, walks_by_word)
     # stable, so ties keep the decreasing lexicographic order of `words`
     walks_by_word.sort(
         key=lambda walks: (len({pair for pair, _, _ in walks}), len(walks))

@@ -230,7 +230,7 @@ class TestGraphCommand:
         assert env["result"]["enumeration"]["count"] == 1
 
     def test_three_letters_level_two_is_unique(self):
-        # 448,951 search nodes, within the default budget
+        # 82 search nodes, within the default budget
         code, env, _ = run_json(["graph", "--g", "3", "--d", "2", "--enumerate"])
         assert code == 0
         assert env["result"]["enumeration"] == {
@@ -239,9 +239,23 @@ class TestGraphCommand:
             "saturated_at_cap": False,
         }
 
+    # each level's dual certificate keeps one walk per word, so the search
+    # takes g^(2d) + 1 nodes: 65 at level 3, 257 at four letters
+    @pytest.mark.parametrize("g,d", [(2, 3), (4, 2)])
+    def test_certified_level_is_unique_at_default_budget(self, g, d):
+        argv = ["graph", "--g", str(g), "--d", str(d), "--enumerate"]
+        code, env, _ = run_json(argv)
+        assert code == 0
+        assert env["result"]["enumeration"] == {
+            "budget": cli.DEFAULT_BUDGET,
+            "count": 1,
+            "saturated_at_cap": False,
+        }
+
     def test_level_three_exceeds_default_budget(self):
+        # 65 search nodes finish level 3; 10 do not
         code, _, err = run(
-            ["graph", "--g", "2", "--d", "3", "--enumerate", "--budget", "100000"]
+            ["graph", "--g", "2", "--d", "3", "--enumerate", "--budget", "10"]
         )
         assert code == 3
         assert "budget" in err

@@ -10,19 +10,30 @@ walks reach the fewest vertex pairs first, then the one with the fewest
 walks, ties in decreasing lexicographic order; each word's walks in
 (start, end, steps) order.
 
+Given a dual certificate, the oracle fixes reduced costs as the search
+does, but decides by its own exact `Fraction` check (`reduced_costs`):
+when every full-graph walk has (A^T z)_w >= 0 and b^T z <= 0, it tries
+only the walks with (A^T z)_w = 0.  `assert_same_search` hands it the
+certificate file that `enumerate_partitions` reads, from `graphs.DUALS_DIR`.
+
 Both then visit the same search tree, so their counts and their node counts
 (oracle `search` calls, search nodes of `enumerate_partitions`) must agree.
 The node count of `enumerate_partitions` is read off its budget: with
 `budget = nodes` it finishes, and with `budget = nodes - 1` it raises
 BudgetExceeded at node `nodes`.  On a tree larger than the budget, both
-must stop at the same node.  With `most_constrained_first=False` the
-oracle takes words in decreasing lexicographic order and walks in
-(start, steps) order, a different tree with the same count.
+must stop at the same node.  With `most_constrained_first=False` and no
+certificate the oracle takes words in decreasing lexicographic order and
+walks in (start, steps) order over every walk, a different tree with the
+same count.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -45,15 +56,126 @@ class _Saturated(Exception):
     pass
 
 
+def adjacency(graph: LabeledMultigraph) -> dict[tuple[int, int], list[int]]:
+    """Each (source, label)'s targets in ascending order."""
+    adj: dict[tuple[int, int], list[int]] = {}
+    for (u, v, label) in sorted(graph.edges):
+        adj.setdefault((u, label), []).append(v)
+    return adj
+
+
+def walks_in(
+    edges: Counter[tuple[int, int, int]],
+    adj: dict[tuple[int, int], list[int]],
+    n_side: int,
+    letters: tuple[int, ...],
+) -> list[tuple[int, tuple]]:
+    """Every (start, steps) walk reading `letters` that uses each edge at
+    most as often as `edges` holds it, in (start, steps) order."""
+    found: list[tuple[int, tuple]] = []
+    usage: Counter[tuple[int, int, int]] = Counter()
+    steps: list[tuple[int, int]] = []
+
+    def walk(pos: int, depth: int, start: int):
+        if depth == len(letters):
+            found.append((start, tuple(steps)))
+            return
+        letter = letters[depth]
+        for target in adj.get((pos, letter), ()):
+            key = (pos, target, letter)
+            if edges[key] - usage[key] > 0:
+                usage[key] += 1
+                steps.append((target, letter))
+                walk(target, depth + 1, start)
+                steps.pop()
+                usage[key] -= 1
+
+    for start in range(1, n_side + 1):
+        walk(start, 0, start)
+    return found
+
+
+# the levels that ship a dual certificate
+SHIPPED = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]
+
+
+def read_certificate(g: int, d: int) -> dict | None:
+    """The certificate file that `enumerate_partitions` reads for (g, d)."""
+    path = Path(graphs.DUALS_DIR) / f"g{g}d{d}.json"
+    return json.loads(path.read_text()) if path.exists() else None
+
+
+def reduced_costs(
+    graph: LabeledMultigraph, certificate: dict
+) -> tuple[Fraction, dict[tuple[tuple[int, ...], int, tuple], Fraction]]:
+    """b^T z and (A^T z)_w for every walk w of the full graph, exactly.
+
+    A walk is keyed (letters, start, steps).  Its column of A has a 1 in
+    its word's row and in its (start, end) pair's row, and its number of
+    uses of each edge in that edge's row; b is m per word, m per pair and
+    each edge's multiplicity.  z is the file's numerators over its
+    denominator, 0 on an edge the file does not list.
+    """
+    den = certificate["denominator"]
+    n_side, m = graph.n_vertices, graph.m
+    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    z_word = {
+        letters: Fraction(z, den) for letters, z in zip(words, certificate["words"])
+    }
+    z_pair = {
+        (i, j): Fraction(certificate["pairs"][(i - 1) * n_side + j - 1], den)
+        for i in range(1, n_side + 1)
+        for j in range(1, n_side + 1)
+    }
+    z_edge = {(u, v, label): Fraction(z, den) for u, v, label, z in certificate["edges"]}
+    b_z = m * (sum(z_word.values()) + sum(z_pair.values())) + sum(
+        mult * z_edge.get(key, 0) for key, mult in graph.edges.items()
+    )
+    costs = {}
+    edges, adj = Counter(graph.edges), adjacency(graph)
+    for letters in words:
+        for start, steps in walks_in(edges, adj, n_side, letters):
+            cost = z_word[letters]
+            pos = start
+            for target, label in steps:
+                cost += z_edge.get((pos, target, label), 0)
+                pos = target
+            costs[(letters, start, steps)] = cost + z_pair[(start, pos)]
+    return b_z, costs
+
+
+def zero_cost_walks(
+    graph: LabeledMultigraph, certificate: dict | None
+) -> set[tuple[tuple[int, ...], int, tuple]] | None:
+    """The walks of zero reduced cost when the certificate holds on the
+    graph (every (A^T z)_w >= 0 and b^T z <= 0), else None.  A certificate
+    without a positive denominator, or one number per word and per vertex
+    pair, does not hold."""
+    if (
+        certificate is None
+        or certificate["denominator"] <= 0
+        or len(certificate["words"]) != graph.g ** (2 * graph.d)
+        or len(certificate["pairs"]) != graph.n_vertices**2
+    ):
+        return None
+    b_z, costs = reduced_costs(graph, certificate)
+    if b_z > 0 or min(costs.values(), default=0) < 0:
+        return None
+    return {walk for walk, cost in costs.items() if cost == 0}
+
+
 def oracle_partitions(
     graph: LabeledMultigraph,
     cap: int,
     budget: int = 100_000_000,
     most_constrained_first: bool = True,
+    certificate: dict | None = None,
 ) -> tuple[int, int]:
     """(count, search calls) of the re-walking backtracker.
 
     Its budget counts `search` calls, not steps of the walk enumeration.
+    When the certificate holds on the graph, it tries only the walks of
+    zero reduced cost.
     """
     if cap < 2:
         raise InvalidInput(f"cap must be >= 2, got {cap}")
@@ -67,32 +189,14 @@ def oracle_partitions(
         for j in range(1, n_side + 1)
     }
     label_rem = graph.label_counts()
-    adj: dict[tuple[int, int], list[int]] = {}
-    for (u, v, label) in sorted(graph.edges):
-        adj.setdefault((u, label), []).append(v)
+    adj = adjacency(graph)
+    zero_cost = zero_cost_walks(graph, certificate)
 
     def candidate_walks(letters: tuple[int, ...]) -> list[tuple[int, tuple]]:
-        found: list[tuple[int, tuple]] = []
-        usage: Counter[tuple[int, int, int]] = Counter()
-        steps: list[tuple[int, int]] = []
-
-        def walk(pos: int, depth: int, start: int):
-            if depth == len(letters):
-                found.append((start, tuple(steps)))
-                return
-            letter = letters[depth]
-            for target in adj.get((pos, letter), ()):
-                key = (pos, target, letter)
-                if edges_rem[key] - usage[key] > 0:
-                    usage[key] += 1
-                    steps.append((target, letter))
-                    walk(target, depth + 1, start)
-                    steps.pop()
-                    usage[key] -= 1
-
-        for start in range(1, n_side + 1):
-            walk(start, 0, start)
-        return found
+        found = walks_in(edges_rem, adj, n_side, letters)
+        if zero_cost is None:
+            return found
+        return [walk for walk in found if (letters, *walk) in zero_cost]
 
     def walk_key(walk: tuple[int, tuple]) -> tuple:
         """The walk's place in the order a word's walks are tried in."""
@@ -169,12 +273,14 @@ def oracle_partitions(
 def assert_same_search(
     graph: LabeledMultigraph, cap: int, budget: int = 100_000_000
 ) -> tuple[int, int] | None:
-    """Equal counts and node counts of the search and the oracle.
+    """Equal counts and node counts of the search and the oracle, both
+    given the certificate file of the graph's level.
 
     Returns (count, nodes), or None when both stop at node budget + 1.
     """
+    certificate = read_certificate(graph.g, graph.d)
     try:
-        count, nodes = oracle_partitions(graph, cap, budget)
+        count, nodes = oracle_partitions(graph, cap, budget, certificate=certificate)
     except BudgetExceeded as exc:
         assert exc.nodes == budget + 1
         with pytest.raises(BudgetExceeded) as ours:
@@ -262,21 +368,23 @@ class TestAgainstOracle:
         [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (2, 2, 1), (2, 2, 2), (2, 2, 3)],
     )
     def test_finishing_graphs(self, g, d, m):
+        # each level's certificate keeps one walk per word, so the search
+        # places its g^(2d) * m walks in one node each, plus the leaf
         count, nodes = assert_same_search(build_graph(g, d, m), cap=2)
-        assert count == 1 and nodes > 0
+        assert count == 1 and nodes == g ** (2 * d) * m + 1
 
     def test_level_two_scaled_by_three_node_count(self):
         # the uniqueness search of the graph-d2m3 benchmark workload
-        assert enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=15_054) == 1
+        assert enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=49) == 1
         with pytest.raises(BudgetExceeded):
-            enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=15_053)
+            enumerate_partitions(build_graph(2, 2, 3), cap=2, budget=48)
 
     def test_three_letters_level_two_is_unique(self):
-        # 581 candidate walks; too many search nodes for the oracle
-        assert enumerate_partitions(build_graph(3, 2), cap=2, budget=448_951) == 1
+        # 581 candidate walks, of which the certificate keeps 81
+        assert enumerate_partitions(build_graph(3, 2), cap=2, budget=82) == 1
         with pytest.raises(BudgetExceeded) as exc:
-            enumerate_partitions(build_graph(3, 2), cap=2, budget=448_950)
-        assert exc.value.nodes == 448_951
+            enumerate_partitions(build_graph(3, 2), cap=2, budget=81)
+        assert exc.value.nodes == 82
 
     def test_broken_graph(self):
         assert assert_same_search(broken_level_one(), cap=2) == (0, 0)
@@ -297,15 +405,19 @@ class TestAgainstOracle:
     @given(graph=planted_graphs(), cap=st.sampled_from([2, 5]))
     def test_planted_graphs(self, graph, cap):
         # level-one trees mostly finish or saturate within the budget; the
-        # rest must stop at the same node
+        # rest must stop at the same node.  Each level ships a certificate,
+        # which holds on some planted graphs and prunes their walks
         result = assert_same_search(graph, cap, budget=PLANTED_BUDGET)
         outcome = "stopped at the budget" if result is None else f"count {result[0]}"
-        event(f"g={graph.g} d={graph.d}: {outcome}")
+        held = zero_cost_walks(graph, read_certificate(graph.g, graph.d))
+        fixing = "refused" if held is None else "holds"
+        event(f"g={graph.g} d={graph.d}: {outcome}, certificate {fixing}")
 
 
 class TestOrderIndependence:
     """The old order (words in decreasing lexicographic order, each word's
-    walks in (start, steps) order) searches another tree to the same count."""
+    walks in (start, steps) order) over every walk searches another tree to
+    the same count, with or without reduced-cost fixing in the search."""
 
     @settings(
         max_examples=100,
@@ -327,13 +439,15 @@ class TestOrderIndependence:
         except BudgetExceeded:
             event(f"g={graph.g} d={graph.d}: stopped at the budget")
             return
-        event(f"g={graph.g} d={graph.d}: count {old}")
+        held = zero_cost_walks(graph, read_certificate(graph.g, graph.d))
+        fixing = "refused" if held is None else "holds"
+        event(f"g={graph.g} d={graph.d}: count {old}, certificate {fixing}")
         assert count == old
 
 
 class TestBounds:
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("budget", [0, 1, 2, 7, 100])
+    @pytest.mark.parametrize("budget", [0, 1, 2, 7, 16])
     def test_budget_exceeded_at_budget_plus_one(self, d, budget):
         with pytest.raises(BudgetExceeded) as exc:
             enumerate_partitions(build_graph(2, d), cap=2, budget=budget)
@@ -354,3 +468,148 @@ class TestBounds:
         assert CANDIDATE_WALKS_MAX >= 181_722
         with pytest.raises(BudgetExceeded):
             enumerate_partitions(build_graph(2, 4), cap=2, budget=0)
+
+
+def certificate_walks(g: int, d: int) -> set[tuple[tuple[int, ...], int, tuple]]:
+    """The walks of `derive_walks_from_certificate`, keyed (letters, start, steps)."""
+    return {
+        (tuple(label for _, label in walk.steps), walk.start, walk.steps)
+        for walk in derive_walks_from_certificate(g**d, g).all_walks()
+    }
+
+
+def as_search_walks(
+    graph: LabeledMultigraph, walks: set[tuple[tuple[int, ...], int, tuple]]
+) -> set[tuple[tuple[int, ...], int, frozenset]]:
+    """Each walk as the search stores it: (letters, pair index, its
+    (edge id, uses) pairs), edge ids indexing the sorted edge keys."""
+    edge_id = {key: idx for idx, key in enumerate(sorted(graph.edges))}
+    n_side = graph.n_vertices
+    stored = set()
+    for letters, start, steps in walks:
+        pos, usage = start, Counter()
+        for target, label in steps:
+            usage[edge_id[(pos, target, label)]] += 1
+            pos = target
+        stored.add((letters, (start - 1) * n_side + pos - 1, frozenset(usage.items())))
+    return stored
+
+
+def kept_walks(graph: LabeledMultigraph) -> set[tuple[tuple[int, ...], int, frozenset]]:
+    """The walks the search keeps, in the form of `as_search_walks`."""
+    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    _, walks_by_word = graphs._candidate_walks(graph, words)
+    return {
+        (letters, pair, frozenset(steps))
+        for letters, walks in zip(words, graphs._fix_reduced_costs(graph, walks_by_word))
+        for pair, steps, _ in walks
+    }
+
+
+def write_certificate(directory: Path, certificate: dict) -> None:
+    path = directory / f"g{certificate['g']}d{certificate['d']}.json"
+    path.write_text(json.dumps(certificate))
+
+
+class TestReducedCostFixing:
+    """The shipped dual certificates, checked by `reduced_costs` with
+    Fractions, and the search's refusal of certificates that fail."""
+
+    def test_every_shipped_level_resolves_from_the_package(self):
+        # the files sit beside graphs.py, where a non-editable install
+        # puts them as package data
+        duals = Path(graphs.__file__).parent / "duals"
+        assert Path(graphs.DUALS_DIR) == duals
+        assert sorted(os.listdir(duals)) == sorted(f"g{g}d{d}.json" for g, d in SHIPPED)
+        for g, d in SHIPPED:
+            certificate = read_certificate(g, d)
+            assert (certificate["g"], certificate["d"]) == (g, d)
+
+    @pytest.mark.parametrize("g,d", SHIPPED)
+    def test_shipped_certificate_verifies_exactly(self, g, d):
+        # A^T z >= c' (1 off the certificate's walks, 0 on them) and
+        # b^T z <= 0: the certificate's walks are the level's one partition
+        # at every m, and exactly they have zero reduced cost
+        ours = certificate_walks(g, d)
+        for m in (1, 2):
+            b_z, costs = reduced_costs(build_graph(g, d, m), read_certificate(g, d))
+            assert b_z <= 0
+            assert ours <= costs.keys()
+            for walk, cost in costs.items():
+                assert cost >= (0 if walk in ours else 1)
+            assert {walk for walk, cost in costs.items() if cost == 0} == ours
+
+    @pytest.mark.parametrize("g,d", SHIPPED)
+    def test_search_keeps_the_certificate_walks(self, g, d):
+        graph = build_graph(g, d)
+        assert kept_walks(graph) == as_search_walks(graph, certificate_walks(g, d))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # lowers one word's certificate walk to cost -1 / denominator
+            -1,
+            # every cost stays >= 0, but b^T z = m / denominator > 0
+            +1,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "g,d,m,budget,full",
+        [
+            # the full search's (count, nodes); fixing takes 17 and 33 nodes
+            (2, 2, 1, 10**6, (1, 142)),
+            (2, 2, 2, 10**6, (1, 1_968)),
+            # the full search runs past the budget; fixing takes 65 nodes
+            (2, 3, 1, 1_000, None),
+        ],
+    )
+    def test_failing_certificate_is_refused(
+        self, g, d, m, budget, full, change, tmp_path, monkeypatch
+    ):
+        certificate = read_certificate(g, d)
+        certificate["words"][0] += change * certificate["denominator"]
+        graph = build_graph(g, d, m)
+        assert zero_cost_walks(graph, certificate) is None
+        write_certificate(tmp_path, certificate)
+        monkeypatch.setattr(graphs, "DUALS_DIR", str(tmp_path))
+        assert assert_same_search(graph, cap=2, budget=budget) == full
+
+    @pytest.mark.parametrize(
+        "entry,malform",
+        [
+            # the numerators alone pass, but z = -numerators fails
+            ("denominator", lambda den: -den),
+            ("words", lambda z: z[:-1]),
+            ("pairs", lambda z: z[:-1]),
+        ],
+    )
+    def test_malformed_certificate_is_refused(
+        self, entry, malform, tmp_path, monkeypatch
+    ):
+        certificate = read_certificate(2, 2)
+        certificate[entry] = malform(certificate[entry])
+        write_certificate(tmp_path, certificate)
+        monkeypatch.setattr(graphs, "DUALS_DIR", str(tmp_path))
+        assert assert_same_search(build_graph(2, 2), cap=2) == (1, 142)
+
+    @pytest.mark.parametrize("g,d,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])
+    def test_zero_certificate_keeps_every_walk(self, g, d, m, tmp_path, monkeypatch):
+        # z = 0 holds on every graph and prices every walk at 0, so the
+        # kept lists, run ends included, are the full ones
+        graph = build_graph(g, d, m)
+        words = [w.letters for w in all_words(g, 2 * d)]
+        _, walks_by_word = graphs._candidate_walks(graph, words)
+        certificate = read_certificate(g, d)
+        for entry in ("words", "pairs"):
+            certificate[entry] = [0] * len(certificate[entry])
+        certificate["edges"] = []
+        write_certificate(tmp_path, certificate)
+        monkeypatch.setattr(graphs, "DUALS_DIR", str(tmp_path))
+        fixed = graphs._fix_reduced_costs(graph, walks_by_word)
+        assert fixed is not walks_by_word
+        assert fixed == walks_by_word
+
+    def test_missing_certificate_is_the_full_search(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "DUALS_DIR", str(tmp_path))
+        assert read_certificate(2, 2) is None
+        assert assert_same_search(build_graph(2, 2), cap=2) == (1, 142)

@@ -163,16 +163,22 @@ def test_kernel_commands_load_no_openssl(command):
 
 # standard-library modules that a call must not load: dataclasses nowhere
 # (`words.record` builds the frozen records), inspect wherever numpy does not
-# load it anyway, and fractions in `length`, whose reports hold none.
+# load it anyway, and fractions (which loads decimal) in `certify`, whose
+# failure bound is a reduced (numerator, denominator) pair, in `length`,
+# whose reports hold none, and in `graph`, whose certificate check runs in
+# integers.
 # `import dataclasses` alone took 6.4-7.0 ms, most of it importing inspect
 @pytest.mark.parametrize(
     "argv, unwanted",
     [
         (["--help"], {"dataclasses", "inspect"}),
         (["words", "--n", "8"], {"dataclasses", "inspect"}),
-        (["graph", "--g", "2", "--d", "2", "--enumerate"], {"dataclasses", "inspect"}),
+        (
+            ["graph", "--g", "2", "--d", "2", "--enumerate"],
+            {"dataclasses", "inspect", "fractions"},
+        ),
         (["witness", "--n", "8"], {"dataclasses", "inspect"}),
-        (["certify", "--n", "3", "--trials", "1"], {"dataclasses"}),
+        (["certify", "--n", "3", "--trials", "1"], {"dataclasses", "fractions"}),
         (["length", "--n", "3", "--trials", "1"], {"dataclasses", "fractions"}),
         (["witness", "--n", str(WITNESS_MAX_N + 1)], {"dataclasses", "inspect"}),
         (["graph", "--g", "2", "--d", "17"], {"dataclasses", "inspect"}),

@@ -1,0 +1,163 @@
+"""Write the dual certificates that `graphs.enumerate_partitions` prunes with.
+
+    PYTHONPATH=src python tools/dual_certificates.py [G,D ...]
+
+For each level (g, d), default every level listed in LEVELS, this solves
+the LP dual of the walk-partition polytope P = {x >= 0 : Ax = b} of
+`build_graph(g, d)`.  Its columns are the candidate walks that
+`graphs._candidate_walks` lists, and its rows are the ones the search
+checks: m walks per word, m walks per ordered vertex pair, and each edge
+used exactly its multiplicity.  With c' = 1 on every walk that is not a
+walk of `derive_walks_from_certificate` and 0 on those, it minimizes
+b^T z subject to A^T z >= c' with scipy's HiGHS, rounds each z with
+`Fraction.limit_denominator`, and checks the rounded z exactly: A^T z >= c'
+on every column and b^T z <= 0, at m = 1 and m = 2.  That implies the
+check the search makes on every run (A^T z >= 0 and b^T z <= 0).  Only a
+z that passes is written, to src/sweepwords/duals/g{g}d{d}.json.  Such a z proves that
+the certificate's walks form the level's one partition at every m (Farkas'
+lemma: c'^T x <= z^T A x = z^T b <= 0 for every x in P).
+
+scipy is not a dependency of sweepwords; this script is the only code that
+needs it, and neither the tests nor the package run it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import time
+from fractions import Fraction
+from math import lcm
+
+from sweepwords.graphs import (
+    DUALS_DIR,
+    _candidate_walks,
+    build_graph,
+    derive_walks_from_certificate,
+)
+from sweepwords.words import all_words
+
+# the levels whose LP HiGHS solves in well under a second; (2, 4) and (3, 3)
+# took ~260 s each
+LEVELS = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]
+# largest denominator a rounded dual entry may take
+MAX_DENOMINATOR = 1000
+
+
+def lp_columns(g: int, d: int, m: int):
+    """(graph, words, edge keys, columns) of the level's LP.
+
+    A column is (word index, pair index, ((edge id, uses), ...), c'), in the
+    order `_candidate_walks` lists them.
+    """
+    graph = build_graph(g, d, m)
+    words = [w.letters for w in all_words(g, 2 * d)]
+    keys = sorted(graph.edges)
+    edge_id = {key: idx for idx, key in enumerate(keys)}
+    n_side = graph.n_vertices
+    certified = set()
+    for (i, j), walks in derive_walks_from_certificate(n_side, g).walks.items():
+        (walk,) = walks
+        usage = tuple(sorted((edge_id[e], u) for e, u in walk.edge_usage().items()))
+        letters = tuple(label for _, label in walk.steps)
+        certified.add((letters, (i - 1) * n_side + j - 1, usage))
+    _, walks_by_word = _candidate_walks(graph, words)
+    columns = [
+        (w, pair, steps, 0 if (words[w], pair, tuple(sorted(steps))) in certified else 1)
+        for w, walks in enumerate(walks_by_word)
+        for pair, steps, _ in walks
+    ]
+    return graph, words, keys, columns
+
+
+def solve(graph, words, keys, columns) -> list[float]:
+    """An optimal z of min b^T z s.t. A^T z >= c', rows words | pairs | edges."""
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_array
+
+    n_words, n_pairs = len(words), graph.n_vertices**2
+    rows, cols, vals = [], [], []
+    for c, (w, pair, steps, _) in enumerate(columns):
+        entries = [(w, 1), (n_words + pair, 1)]
+        entries += [(n_words + n_pairs + edge, uses) for edge, uses in steps]
+        for r, v in entries:
+            rows.append(c)
+            cols.append(r)
+            vals.append(-v)
+    n_rows = n_words + n_pairs + len(keys)
+    a_t = coo_array((vals, (rows, cols)), shape=(len(columns), n_rows)).tocsr()
+    b = np.array([1] * (n_words + n_pairs) + [graph.edges[k] for k in keys], float)
+    c_prime = np.array([-cp for *_, cp in columns], float)
+    res = linprog(b, A_ub=a_t, b_ub=c_prime, bounds=(None, None), method="highs-ds")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS stopped: {res.message}")
+    return list(res.x)
+
+
+def check(g: int, d: int, m: int, cert: dict) -> bool:
+    """Whether A^T z >= c' on every column and b^T z <= 0 at scale m."""
+    graph, _, keys, columns = lp_columns(g, d, m)
+    den = cert["denominator"]
+    z_edges = {(u, v, label): z for u, v, label, z in cert["edges"]}
+    z_edge = [z_edges.get(key, 0) for key in keys]
+    b_z = m * (sum(cert["words"]) + sum(cert["pairs"])) + sum(
+        graph.edges[key] * z for key, z in zip(keys, z_edge)
+    )
+    return b_z <= 0 and all(
+        cert["words"][w] + cert["pairs"][pair]
+        + sum(uses * z_edge[edge] for edge, uses in steps)
+        >= den * c_prime
+        for w, pair, steps, c_prime in columns
+    )
+
+
+def certificate(g: int, d: int) -> dict:
+    """The rounded dual of level (g, d) as integer numerators over one denominator."""
+    graph, words, keys, columns = lp_columns(g, d, 1)
+    z = solve(graph, words, keys, columns)
+    z = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in z]
+    den = lcm(*(q.denominator for q in z))
+    nums = [int(q * den) for q in z]
+    n_words, n_pairs = len(words), graph.n_vertices**2
+    return {
+        "g": g,
+        "d": d,
+        "denominator": den,
+        "words": nums[:n_words],
+        "pairs": nums[n_words : n_words + n_pairs],
+        "edges": [[*key, z] for key, z in zip(keys, nums[n_words + n_pairs :])],
+    }
+
+
+def dumps(cert: dict) -> str:
+    """One key per line, each list on one line."""
+    body = ",\n".join(
+        f" {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
+        for key, value in cert.items()
+    )
+    return "{\n" + body + "\n}\n"
+
+
+def main(argv: list[str]) -> int:
+    levels = [tuple(map(int, arg.split(","))) for arg in argv] or LEVELS
+    for g, d in levels:
+        start = time.perf_counter()
+        cert = certificate(g, d)
+        seconds = time.perf_counter() - start
+        if not all(check(g, d, m, cert) for m in (1, 2)):
+            print(f"g={g} d={d}: the rounded dual fails the exact check; not written")
+            return 1
+        path = os.path.join(DUALS_DIR, f"g{g}d{d}.json")
+        with open(path, "w") as fh:
+            fh.write(dumps(cert))
+        print(
+            f"g={g} d={d}: {seconds:.2f} s, denominator {cert['denominator']}, "
+            f"wrote {path}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
