@@ -4,7 +4,7 @@ Submodules:
   words       word enumeration, the word grid, the certificate monomial
   exactalg    exact scalar rings and dense linear algebra
   graphs      the recursive multigraph family and its walk partitions
-  genericity  randomized certification, sweeping checks, length chains
+  genericity  randomized certification, length chains
   witness     deterministic integer witnesses with exact verification
   cli         command-line surface over all of the above
 
@@ -18,7 +18,6 @@ import importlib
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
-    Infeasible,
     InvalidInput,
     InvalidModulus,
     InvalidShape,
@@ -35,7 +34,6 @@ __all__ = [
     *_SUBMODULES,
     "ArityMismatch",
     "BudgetExceeded",
-    "Infeasible",
     "InvalidInput",
     "InvalidModulus",
     "InvalidShape",

@@ -36,7 +36,3 @@ class BudgetExceeded(SweepwordsError):
         super().__init__(f"search expanded {nodes} nodes, budget {budget}")
         self.nodes = nodes
         self.budget = budget
-
-
-class Infeasible(SweepwordsError):
-    """Parameters violate the feasibility precondition of the check."""

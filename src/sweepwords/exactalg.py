@@ -33,16 +33,15 @@ ring, and two things are built on it and on the kernel:
   free columns; one more product applies them to the free columns left.
 
 Elimination runs over prime fields only, and all of it goes through
-`echelon_extend`: `rank`, `span_insert`, the span growth of
+`echelon_extend`: `span_insert`, the span growth of
 `genericity.subspace_length` and every prime-field determinant, which is
 the product of the leads it reports times the sign of the pivot order
 (`_det_echelon`).  Over the integers `echelon_extend` raises InvalidInput,
-so `rank`, `span_insert` and `subspace_length` refuse them before
-eliminating anything.  Block evaluation feeds elimination directly:
-`_det_echelon` and `_rank_echelon` take the blocks of `word_blocks` one at
-a time, so certification holds one block of products besides the echelon
-rows, and stops evaluating at the first dependent block (or, for a rank,
-once the span is full).
+so `span_insert` and `subspace_length` refuse them before eliminating
+anything.  Block evaluation feeds elimination directly: `_det_echelon`
+takes the blocks of `word_blocks` one at a time, so certification holds
+one block of products besides the echelon rows, and stops evaluating at
+the first dependent block.
 
 The integers serve one routine, the exact determinant of a witness
 (`_det_block_triangular`).  It is split along the block-triangular form
@@ -196,10 +195,6 @@ class Matrix:
             raise InvalidShape("ragged rows")
         entries = tuple(ring.canon(x) for row in rows for x in row)
         return Matrix(n_rows, n_cols, entries, ring)
-
-    @staticmethod
-    def zeros(n: int, ring: ScalarRing) -> "Matrix":
-        return Matrix(n, n, (0,) * (n * n), ring)
 
     @property
     def is_square(self) -> bool:
@@ -492,25 +487,6 @@ def _perm_sign(perm) -> int:
                 seen[i] = True
                 i = perm[i]
     return -1 if odd else 1
-
-
-def rank(ms: list[Matrix]) -> int:
-    """Rank of the vectorized collection; equals n^2 iff the span is full."""
-    _, ring = _check_uniform(ms)
-    return _rank_echelon([[m.entries for m in ms]], ring)
-
-
-def _rank_echelon(blocks, ring: ScalarRing) -> int:
-    """Rank of the rows that come in blocks, as `_det_echelon` takes them.
-
-    Once the span is full no later block is asked for.
-    """
-    vectors, pivots = [], []
-    for block in blocks:
-        vectors, pivots, _, _ = echelon_extend(vectors, pivots, block, ring)
-        if len(vectors) == len(block[0]):
-            break  # a full span takes no more rows
-    return len(vectors)
 
 
 # --- elimination kernels ----------------------------------------------------
@@ -964,14 +940,6 @@ class SubspaceBasis:
     matrices: tuple[Matrix, ...]
     vectors: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
-
-    @staticmethod
-    def empty(n: int, ring: ScalarRing) -> "SubspaceBasis":
-        return SubspaceBasis(n, ring, (), (), ())
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 def span_insert(b: SubspaceBasis, m: Matrix) -> tuple[SubspaceBasis, bool]:

@@ -7,6 +7,11 @@ evaluation of a nonzero polynomial, which for an n-by-n grid of degree-2d
 words reads 2d * n^2 / p.  All-zero trials are reported as inconclusive,
 never as a dependence claim.
 
+The grid's words all have degree 2d and use only the first g letters, so a
+certified grid at (n, g, d) also proves that all words of degree 2d over
+any g' >= g letters span M_n at a generic g'-tuple, whatever its last
+g' - g matrices are: those words include the grid's.
+
 Every randomized operation takes an explicit 64-bit seed.  Per-trial seeds
 are derived with a SplitMix64 step on (seed, trial index), so a report is a
 pure function of (seed, trials) no matter how trials are scheduled.
@@ -17,7 +22,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .errors import Infeasible, InvalidInput, InvalidModulus, InvalidWord, TooLarge
+from .errors import InvalidInput, InvalidModulus, InvalidWord, TooLarge
 from .exactalg import (
     _EXTEND_BLOCK,
     MERSENNE61,
@@ -25,7 +30,6 @@ from .exactalg import (
     MatrixTuple,
     ScalarRing,
     _det_echelon,
-    _rank_echelon,
     discriminant,  # noqa: F401 - re-exported; perfbench/tracer.py wraps it here
     echelon_extend,
     evaluate_words,  # noqa: F401 - re-exported, and wrapped there too
@@ -36,12 +40,10 @@ from .exactalg import (
 )
 from .words import (
     Word,
-    all_words,
     build_word_grid,
     check_alphabet_size,
     check_grid_size,
     degree_exponent,
-    least_alphabet,
     record,
 )
 
@@ -71,15 +73,6 @@ LENGTH_MAX_N = 48
 # 68 MB modulo 2^61 - 1 and 3.3-3.5 s / 70 MB modulo 2^61 - 31.  n = 48
 # takes ~2.3x the time of n = 40, so the cap stays at 40.
 CERTIFY_MAX_N = 40
-
-# Largest word count g^(2d) that `rosenthal_check` accepts (n is capped as
-# in certification).  The words are evaluated and eliminated 32 at a time,
-# and evaluation stops once the span is full, so 4,096 words (g = 2, d = 6,
-# past the cap) cost about what 2,025 do.  Measured per check (in-process
-# time / max RSS, 2 cores): 2,025 words (g = 45, d = 1) at n = 40 take
-# 3.0 s / 73 MB modulo 2^61 - 1 and 3.5 s / 77 MB modulo 2^61 - 31.  A
-# word list that does not span is evaluated to its end.
-ROSENTHAL_MAX_WORDS = 2048
 
 # Largest trial count that `certify` and `length` accept.  At the n caps one
 # trial takes up to 8.3 s (CLI wall time, 2 cores: a g = 2 length chain at
@@ -238,17 +231,6 @@ def is_locally_linearly_independent(
         trial_nonzero=tuple(flags),
         single_trial_failure_bound=(total_degree // common, p // common),
     )
-
-
-def sweep_check(words: list[Word], t: MatrixTuple) -> bool:
-    """True iff the word evaluations span the full n-by-n matrix algebra.
-
-    The words are evaluated and eliminated one block at a time, and no
-    block is formed once the span is full.
-    """
-    if len(words) < t.n * t.n:
-        return False
-    return _rank_echelon(word_blocks(words, letter_stack(t)), t.ring) == t.n * t.n
 
 
 @record
@@ -424,51 +406,6 @@ def generic_length_experiment(
         violations_log=sum(1 for r in reports if not r.within_log_bound),
         violations_paz=sum(1 for r in reports if not r.within_paz_bound),
     )
-
-
-def check_rosenthal_size(n: int, g: int, d: int) -> None:
-    """Raise TooLarge when `rosenthal_check` would exceed a cap.
-
-    n is capped as in `check_certify_size`, and the word count g^(2d) at
-    ROSENTHAL_MAX_WORDS.  The count is multiplied up one letter at a time,
-    so a huge d is refused without forming g^(2d).
-    """
-    check_certify_size(n)
-    count = 1
-    for _ in range(2 * d):
-        count *= g
-        if count > ROSENTHAL_MAX_WORDS:
-            raise TooLarge(
-                f"the all-words check is capped at g^(2d) <= {ROSENTHAL_MAX_WORDS} "
-                f"words; got g = {g}, d = {d}"
-            )
-
-
-def rosenthal_check(
-    n: int, g: int, d: int, p: int = DEFAULT_PRIME, seed: int = 0
-) -> bool:
-    """Do ALL g^(2d) words of degree 2d span at a random point?
-
-    Requires g^(2d) >= n^2.  Only the first gbar matrices need to be in
-    general position, where gbar is the smallest integer with gbar^d >= n
-    (g^(2d) >= n^2 already forces gbar <= g); the remaining matrices are
-    arbitrary, and the check pads with zero matrices to demonstrate that
-    the spanning never depends on them.  Raises TooLarge, before any word
-    or matrix exists, past the caps of `check_rosenthal_size`.
-    """
-    if g < 2:
-        raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
-    check_rosenthal_size(n, g, d)
-    if g ** (2 * d) < n * n:
-        raise Infeasible(
-            f"g^(2d) = {g ** (2 * d)} < n^2 = {n * n}: no spanning is possible"
-        )
-    gbar = least_alphabet(n, d)
-    ring = prime_field(p)
-    rng = random.Random(derive_trial_seed(seed, 0))
-    matrices = [sample_matrix(n, ring, rng) for _ in range(gbar)]
-    matrices += [Matrix.zeros(n, ring) for _ in range(g - gbar)]
-    return sweep_check(all_words(g, 2 * d), MatrixTuple(tuple(matrices)))
 
 
 def grid_certification(

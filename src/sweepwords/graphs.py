@@ -380,9 +380,11 @@ def enumerate_partitions(
     `_fix_reduced_costs` keeps only those of zero reduced cost when the
     level's dual certificate passes its exact check on this graph: every
     walk's (A^T z)_w >= 0 and b^T z <= 0 (see the module docstring).
-    Without a certificate, or when the check fails, every walk stays.
-    Words are assigned most constrained first: by the number of vertex
-    pairs their walks reach, then by their number of walks, ties in
+    Without a certificate, or when the check fails, every walk stays.  Words
+    are assigned most constrained first: by the number of vertex pairs their
+    walks reach, then by their number of walks, ties in decreasing
+    lexicographic order.  This static order is tuned for `build_graph`
+    graphs; on other graphs it can expand far more nodes than the plain
     decreasing lexicographic order.  Each word's m walks are chosen in
     nondecreasing (start, end, steps) order so that partitions are counted
     as multisets; any fixed word order counts each one exactly once.  A
@@ -391,10 +393,9 @@ def enumerate_partitions(
     one partial partition expanded, i.e. one call of `extend`, leaves
     included.  On every `build_graph` level that ships a certificate it
     keeps one walk per word, so the search places the g^(2d) * m walks in
-    that many nodes plus one.  The count saturates at `cap`; expanding
-    more than `budget` nodes raises BudgetExceeded instead of returning a
-    count.  A negative
-    budget raises InvalidInput, and a partition of more than
+    that many nodes plus one.  The count saturates at `cap`; expanding more
+    than `budget` nodes raises BudgetExceeded instead of returning a count.
+    A negative budget raises InvalidInput, and a partition of more than
     SEARCH_MAX_WALKS walks or a graph with more than CANDIDATE_WALKS_MAX
     candidate walks raises TooLarge, all before the search.
     """

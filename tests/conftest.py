@@ -106,8 +106,22 @@ def echelon_insert(
     return lead, pos
 
 
+def extend_rank(ms: list[exactalg.Matrix]) -> int:
+    """Rank of the matrices' vectorizations: the rows `echelon_extend` accepts."""
+    rows = [m.entries for m in ms]
+    return len(exactalg.echelon_extend([], [], rows, ms[0].ring)[2])
+
+
 def mat(rows: list[list[int]], ring: exactalg.ScalarRing) -> exactalg.Matrix:
     return exactalg.Matrix.from_rows(rows, ring)
+
+
+def zeros(n: int, ring: exactalg.ScalarRing) -> exactalg.Matrix:
+    return exactalg.Matrix(n, n, (0,) * (n * n), ring)
+
+
+def empty_basis(n: int, ring: exactalg.ScalarRing) -> exactalg.SubspaceBasis:
+    return exactalg.SubspaceBasis(n, ring, (), (), ())
 
 
 def mat_add(a: exactalg.Matrix, b: exactalg.Matrix) -> exactalg.Matrix:

@@ -12,18 +12,21 @@ import random
 import time
 from collections import Counter
 
-from conftest import evaluate_word, mat, mat_scale, monomial_coefficient_bruteforce
+from conftest import (
+    evaluate_word,
+    extend_rank,
+    mat,
+    mat_scale,
+    monomial_coefficient_bruteforce,
+)
 from sweepwords import exactalg, words
 from sweepwords.exactalg import MatrixTuple, discriminant, prime_field
 from sweepwords.genericity import (
     DEFAULT_PRIME,
-    derive_trial_seed,
     generic_length_experiment,
     grid_certification,
-    rosenthal_check,
     sample_tuple,
     subspace_length,
-    sweep_check,
 )
 from sweepwords.graphs import (
     build_graph,
@@ -33,7 +36,7 @@ from sweepwords.graphs import (
     verify_partition,
 )
 from sweepwords.witness import build_and_verify
-from sweepwords.words import Word, build_word_grid, certificate_monomial
+from sweepwords.words import Word, build_word_grid, certificate_monomial, least_alphabet
 
 FP = prime_field(DEFAULT_PRIME)
 
@@ -123,10 +126,16 @@ def test_criterion_5_generic_length_experiment():
 
 
 def test_criterion_6_rosenthal_spanning():
+    # the grid of (n, gbar, d) is n^2 degree-2d words over the first gbar
+    # letters, so its certification proves that all g^(2d) words of degree
+    # 2d span, for every g >= gbar
     failures = []
     for n, g, d in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (8, 2, 3), (9, 3, 2)]:
+        gbar = least_alphabet(n, d)
+        assert gbar <= g
         for seed in range(3):
-            if not rosenthal_check(n, g, d, p=DEFAULT_PRIME, seed=seed):
+            rep = grid_certification(n, gbar, p=DEFAULT_PRIME, trials=1, seed=seed, d=d)
+            if not rep.certified:
                 failures.append((n, g, d, seed))
     report(6, not failures, f"all degree-2d word sets span at 3 seeds each; failures={failures}")
 
@@ -134,11 +143,9 @@ def test_criterion_6_rosenthal_spanning():
 def test_criterion_7_symmetric_tuples_sweep():
     failures = []
     for n in range(2, 9):
-        grid_words = build_word_grid(n, 2).flatten()
         for seed in range(3):
-            rng = random.Random(derive_trial_seed(seed, 0))
-            t = sample_tuple(n, 2, FP, rng, symmetric=True)
-            if not sweep_check(grid_words, t):
+            rep = grid_certification(n, 2, trials=1, seed=seed, symmetric=True)
+            if not rep.certified:
                 failures.append((n, seed))
     report(7, not failures, f"symmetric samples sweep for n=2..8, 3 seeds each; failures={failures}")
 
@@ -227,7 +234,7 @@ def test_criterion_10c_chain_monotonicity():
                 for word in words.all_words(g, length):
                     evals.append(evaluate_word(word, t))
                 if length >= rep.length:
-                    assert exactalg.rank(evals) == rep.terminal_dim
+                    assert extend_rank(evals) == rep.terminal_dim
     report(10, True, "property suite c: chains strictly increase then stay, 100 cases")
 
 

@@ -3,8 +3,8 @@
 Every prime field runs one kernel: the limb products of `_matmul`, their
 p-dependent recombination `_recombine`, Shoup's product `_mulmod`, and
 the blocked elimination of `echelon_extend` (with its in-block window
-that widens on demand), on which `discriminant`, `rank` and `span_insert`
-are built.
+that widens on demand), on which `discriminant`, `span_insert` and the
+length chains are built.
 Each is checked at primes from 2 to the largest below 2^62 that
 `ScalarRing` accepts: the kernel against Python-int products,
 `echelon_extend` (leads included) against a fold of the row-at-a-time
@@ -22,21 +22,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import echelon_insert, pure_det, rank_fractions
+from conftest import (
+    echelon_insert,
+    empty_basis,
+    extend_rank,
+    pure_det,
+    rank_fractions,
+)
 from sweepwords import exactalg
 from sweepwords.errors import InvalidInput
 from sweepwords.exactalg import (
     MERSENNE61,
     Matrix,
     MatrixTuple,
-    SubspaceBasis,
     _matmul,
     _mulmod,
     big_integer,
     discriminant,
     echelon_extend,
     prime_field,
-    rank,
     span_insert,
 )
 from sweepwords.genericity import subspace_length
@@ -154,7 +158,7 @@ class TestRank:
         n, vectors, r = family
         assert rank_fractions(vectors) == r
         for p in PRIMES:
-            assert rank(_vectors(vectors, n, prime_field(p))) == r
+            assert extend_rank(_vectors(vectors, n, prime_field(p))) == r
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.randoms(use_true_random=False), st.data())
@@ -167,7 +171,7 @@ class TestRank:
         vectors = [[rng.randrange(-1, 2) for _ in range(nn)] for _ in range(count)]
         expected = rank_fractions(vectors)
         for p in ((1 << 61) - 31, MERSENNE61, (1 << 62) - 57):
-            assert rank(_vectors(vectors, n, prime_field(p))) == expected
+            assert extend_rank(_vectors(vectors, n, prime_field(p))) == expected
 
 
 class TestSpanInsertFold:
@@ -177,13 +181,13 @@ class TestSpanInsertFold:
         ring = prime_field(p)
         n, vectors, _ = family
         ms = _vectors(vectors, n, ring)
-        basis = SubspaceBasis.empty(n, ring)
+        basis = empty_basis(n, ring)
         for k, m in enumerate(ms, start=1):
-            before = basis.dimension
+            before = len(basis.vectors)
             basis, inserted = span_insert(basis, m)
-            assert basis.dimension == rank(ms[:k])
-            assert inserted == (basis.dimension == before + 1)
-            assert len(basis.matrices) == basis.dimension
+            assert len(basis.vectors) == extend_rank(ms[:k])
+            assert inserted == (len(basis.vectors) == before + 1)
+            assert len(basis.matrices) == len(basis.vectors)
         pivots = list(basis.pivots)
         assert pivots == sorted(set(pivots))
         for row, c in zip(basis.vectors, pivots):
@@ -518,12 +522,8 @@ class TestIntegersRefused:
         with pytest.raises(InvalidInput, match="prime fields only"):
             echelon_extend([], [], [[1, 0, 0, 0], [0, 1, 0, 0]], self.ZZ)
 
-    def test_rank(self):
-        with pytest.raises(InvalidInput, match="prime fields only"):
-            rank(self._units())
-
     def test_span_insert(self):
-        basis = SubspaceBasis.empty(2, self.ZZ)
+        basis = empty_basis(2, self.ZZ)
         with pytest.raises(InvalidInput, match="prime fields only"):
             span_insert(basis, self._units()[0])
 

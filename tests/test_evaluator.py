@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate_word, identity
+from conftest import evaluate_word, extend_rank, identity
 from sweepwords import exactalg
 from sweepwords.exactalg import (
     _BATCH,
@@ -28,7 +28,6 @@ from sweepwords.exactalg import (
     big_integer,
     letter_stack,
     prime_field,
-    rank,
 )
 from sweepwords.genericity import evaluate_words, subspace_length
 from sweepwords.witness import build_witness
@@ -167,7 +166,7 @@ def oracle_dims(t: MatrixTuple, include_identity: bool) -> list[int]:
     dims: list[int] = []
     for k in range(1, t.n * t.n + 2):
         evals += oracle_evaluate_words(all_words(t.g, k), t)
-        dims.append(rank(evals))
+        dims.append(extend_rank(evals))
         if len(dims) > 1 and dims[-1] == dims[-2]:
             return dims
     raise AssertionError("the chain did not stabilize")

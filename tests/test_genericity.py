@@ -7,16 +7,17 @@ import pytest
 from conftest import (
     echelon_insert,
     evaluate_word,
+    extend_rank,
     identity,
     mat,
     mat_add,
     mat_scale,
     mat_transpose,
     unit,
+    zeros,
 )
 from sweepwords import exactalg, genericity
 from sweepwords.errors import (
-    Infeasible,
     InvalidInput,
     InvalidModulus,
     InvalidWord,
@@ -27,22 +28,19 @@ from sweepwords.exactalg import (
     Matrix,
     MatrixTuple,
     _det_echelon,
-    _rank_echelon,
     discriminant,
+    echelon_extend,
     letter_stack,
     prime_field,
-    rank,
     word_blocks,
 )
 from sweepwords.genericity import (
     CERTIFY_MAX_N,
     DEFAULT_PRIME,
     LENGTH_MAX_N,
-    ROSENTHAL_MAX_WORDS,
     TRIALS_MAX,
     check_certify_size,
     check_length_size,
-    check_rosenthal_size,
     check_trials,
     derive_trial_seed,
     evaluate_words,
@@ -50,13 +48,17 @@ from sweepwords.genericity import (
     grid_certification,
     is_locally_linearly_independent,
     random_words_certification,
-    rosenthal_check,
     sample_tuple,
     subspace_length,
-    sweep_check,
     words_digest,
 )
-from sweepwords.words import Word, all_words, build_word_grid
+from sweepwords.words import (
+    WORDS_MAX_D,
+    Word,
+    all_words,
+    build_word_grid,
+    least_alphabet,
+)
 
 
 def w(letters, g=2):
@@ -128,14 +130,14 @@ class TestCertification:
         assert json.dumps(a) == json.dumps(b)
 
     def test_success_implies_full_rank(self, fp_default):
-        # the two code paths (determinant, rank) agree on certification
+        # the determinant and the rank of the same rows agree on certification
         for n, g in [(2, 2), (3, 2), (3, 3)]:
             grid_words = build_word_grid(n, g).flatten()
             rng = random.Random(derive_trial_seed(5, 0))
             t = sample_tuple(n, g, fp_default, rng)
             evals = evaluate_words(grid_words, t)
             if exactalg.discriminant(evals) != 0:
-                assert rank(evals) == n * n
+                assert extend_rank(evals) == n * n
 
     def test_random_word_harness_is_deterministic(self):
         a = random_words_certification(3, 2, trials=2, seed=4)
@@ -160,6 +162,12 @@ class TestCertification:
         assert shared == direct
 
 
+def sweeps(words: list[Word], t: MatrixTuple) -> bool:
+    """Do n^2 words span M_n at t?  Their streamed determinant is nonzero."""
+    assert len(words) == t.n * t.n
+    return _det_echelon(word_blocks(words, letter_stack(t)), t.ring) != 0
+
+
 class TestSweepCheck:
     def test_rank_three_point_does_not_sweep(self, fp_default):
         # x, y, xy, yx at X = diag(1, 2), Y = e12 + e21: the evaluations
@@ -168,20 +176,15 @@ class TestSweepCheck:
         y = mat([[0, 1], [1, 0]], fp_default)
         t = MatrixTuple((x, y))
         words = [w([1]), w([2]), w([1, 2]), w([2, 1])]
-        assert rank(evaluate_words(words, t)) == 3
-        assert not sweep_check(words, t)
+        assert extend_rank(evaluate_words(words, t)) == 3
+        assert not sweeps(words, t)
 
     def test_adjusted_point_sweeps(self, fp_default):
         x = mat([[1, 0], [0, 2]], fp_default)
         y = mat([[0, 1], [1, 1]], fp_default)
         t = MatrixTuple((x, y))
         words = [w([1]), w([2]), w([1, 2]), w([2, 1])]
-        assert sweep_check(words, t)
-
-    def test_too_few_words_never_sweep(self, fp_default):
-        rng = random.Random(1)
-        t = sample_tuple(2, 2, fp_default, rng)
-        assert not sweep_check([w([1]), w([2]), w([1, 2])], t)
+        assert sweeps(words, t)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_symmetric_tuples_sweep_grid_words(self, n, fp_default):
@@ -190,11 +193,12 @@ class TestSweepCheck:
         t = sample_tuple(n, 2, fp_default, rng, symmetric=True)
         for m in t.matrices:
             assert m == mat_transpose(m)
-        assert sweep_check(words, t)
+        assert sweeps(words, t)
 
 
 def fold_rank(ms: list[Matrix]) -> int:
-    """Rank by folding `echelon_insert`, not `rank`, which is under test here."""
+    """Rank by folding `echelon_insert`, not `echelon_extend`, which is under
+    test here."""
     vectors, pivots = [], []
     for m in ms:
         echelon_insert(vectors, pivots, m.entries, m.ring.p)
@@ -282,7 +286,7 @@ class TestSubspaceLength:
             grid = build_word_grid(n, 2)
             rng = random.Random(derive_trial_seed(31, n))
             t = sample_tuple(n, 2, fp_default, rng)
-            if sweep_check(grid.flatten(), t):
+            if sweeps(grid.flatten(), t):
                 report = subspace_length(t)
                 assert report.length <= 2 * grid.d
 
@@ -303,7 +307,7 @@ class TestLengthCap:
     def test_subspace_length_refuses_before_allocating(self, monkeypatch, fp101):
         self._forbid(monkeypatch, "letter_stack", "echelon_extend")
         n = LENGTH_MAX_N + 1
-        t = MatrixTuple((Matrix.zeros(n, fp101), Matrix.zeros(n, fp101)))
+        t = MatrixTuple((zeros(n, fp101), zeros(n, fp101)))
         with pytest.raises(TooLarge):
             subspace_length(t)
 
@@ -325,7 +329,7 @@ class TestLengthCap:
         # the default field, which never folded, is refused at the same cap
         self._forbid(monkeypatch, "letter_stack", "echelon_extend")
         n = LENGTH_MAX_N + 1
-        t = MatrixTuple((Matrix.zeros(n, fp_default), Matrix.zeros(n, fp_default)))
+        t = MatrixTuple((zeros(n, fp_default), zeros(n, fp_default)))
         with pytest.raises(TooLarge):
             subspace_length(t)
 
@@ -443,7 +447,8 @@ def _counting_blocks(drawn):
 
 class TestStreamedElimination:
     """Word blocks fed straight into elimination against the joined path,
-    `discriminant` and `rank` of the whole `evaluate_words` list."""
+    `discriminant` of the whole `evaluate_words` list, and the rank of the
+    row-at-a-time oracle."""
 
     @pytest.mark.parametrize("g", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 9, 12, 17, 20])
@@ -496,6 +501,8 @@ class TestStreamedElimination:
 
     @pytest.mark.parametrize("ring", STREAM_RINGS, ids=["m61", "p61m31"])
     def test_rank_and_sweep_on_rank_deficient_inputs(self, ring):
+        # every case has at least n^2 words, so the first n^2 of them must
+        # have a zero determinant
         rng = random.Random(5)
         cases = []
         # a tuple inside a proper subalgebra, with more words than n^2
@@ -510,26 +517,39 @@ class TestStreamedElimination:
         # a zero letter: only words in the other letter survive
         n = 3
         z = MatrixTuple(
-            (sample_tuple(n, 2, ring, rng).matrices[0], Matrix.zeros(n, ring))
+            (sample_tuple(n, 2, ring, rng).matrices[0], zeros(n, ring))
         )
         cases.append((all_words(2, 5), z))
         for words, t in cases:
-            expected = rank(evaluate_words(words, t))
+            expected = fold_rank(evaluate_words(words, t))
             assert expected < t.n * t.n
-            assert _rank_echelon(word_blocks(words, letter_stack(t)), ring) == expected
-            assert not sweep_check(words, t)
+            vectors, pivots = [], []
+            for block in word_blocks(words, letter_stack(t)):
+                vectors, pivots, _, _ = echelon_extend(vectors, pivots, block, ring)
+            assert len(vectors) == expected
+            assert not sweeps(words[: t.n * t.n], t)
 
     @pytest.mark.parametrize("ring", STREAM_RINGS, ids=["m61", "p61m31"])
     def test_full_span_stops_the_stream(self, ring, monkeypatch):
-        # all 512 words of degree 9 at n = 4: the span is full after the
-        # first block, and no later block is formed
-        drawn = []
-        monkeypatch.setattr(genericity, "word_blocks", _counting_blocks(drawn))
-        words = all_words(2, 9)
-        t = sample_tuple(4, 2, ring, random.Random(3))
-        assert rank(evaluate_words(words, t)) == 16
-        assert sweep_check(words, t)
-        assert drawn == [_EXTEND_BLOCK]
+        # n = 3, g = 6: the letters span 6 dimensions, and the first of the
+        # two product blocks of step 1 (36 products) fills M_3, so
+        # `subspace_length` forms neither the second block nor any product
+        # of step 2
+        products = []
+
+        def counted_stack(t):
+            st = exactalg.letter_stack(t)
+
+            def mul(a, b):
+                products.append(len(a))
+                return st.mul(a, b)
+
+            return st._replace(mul=mul)
+
+        monkeypatch.setattr(genericity, "letter_stack", counted_stack)
+        t = sample_tuple(3, 6, ring, random.Random(3))
+        assert subspace_length(t).dims == (6, 9, 9)
+        assert products == [_EXTEND_BLOCK]
 
 
 class TestExperiment:
@@ -563,56 +583,47 @@ class TestExperiment:
 
 
 class TestRosenthal:
+    """All g^(2d) words of degree 2d span M_n (g^(2d) >= n^2).  The grid of
+    (n, gbar, d), gbar = `least_alphabet(n, d)`, is n^2 of those words over
+    the first gbar letters, so its certification proves the claim for every
+    g >= gbar, whatever the other g - gbar matrices are."""
+
     @pytest.mark.parametrize("n,g,d", [(2, 2, 1), (3, 3, 1), (4, 2, 2)])
     def test_spanning_cases(self, n, g, d):
-        assert rosenthal_check(n, g, d, seed=0)
+        gbar = least_alphabet(n, d)
+        assert gbar <= g
+        grid = build_word_grid(n, gbar, d).flatten()
+        degree_2d = {word.letters for word in all_words(g, 2 * d)}
+        assert len({word.letters for word in grid}) == n * n
+        assert {word.letters for word in grid} <= degree_2d
+        assert grid_certification(n, gbar, d=d, trials=1, seed=0).certified
 
-    def test_surplus_letters_are_padded_with_zeros(self):
+    def test_surplus_letters_are_padded_with_zeros(self, fp_default):
         # gbar = 2 < g = 3: the two generic matrices alone carry the span
-        assert rosenthal_check(2, 3, 1, seed=0)
+        assert least_alphabet(2, 1) == 2
+        t = sample_tuple(2, 2, fp_default, random.Random(derive_trial_seed(0, 0)))
+        padded = MatrixTuple(t.matrices + (zeros(2, fp_default),))
+        assert sweeps(build_word_grid(2, 2, 1).flatten(), padded)
 
     def test_infeasible_when_too_few_words(self):
-        with pytest.raises(Infeasible):
-            rosenthal_check(4, 2, 1)
+        # g^(2d) < n^2 means g^d < n: no grid of that degree exists
+        with pytest.raises(InvalidInput, match="too small"):
+            grid_certification(4, 2, d=1)
 
     def test_unary_alphabet_is_refused(self):
-        with pytest.raises(InvalidInput, match="need g >= 2"):
-            rosenthal_check(1, 1, 1)
+        with pytest.raises(InvalidInput, match="g >= 2"):
+            grid_certification(2, 1, d=1)
 
 
 class TestRosenthalCap:
-    def _forbid(self, monkeypatch):
+    def test_huge_degree_is_refused_at_once(self, monkeypatch):
+        # the degree cap of the grid bounds the claim's degree too
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the size check")
 
-        for name in (
-            "all_words", "sample_matrix", "sample_tuple", "evaluate_words", "word_blocks"
-        ):
+        for name in ("sample_matrix", "sample_tuple", "word_blocks"):
             monkeypatch.setattr(genericity, name, refuse)
-
-    def test_word_cap_is_inclusive(self):
-        # g^(2d) is a square: 45^2 = 2025 <= 2048 < 46^2
-        assert 45**2 <= ROSENTHAL_MAX_WORDS < 46**2
-        check_rosenthal_size(4, 45, 1)
         with pytest.raises(TooLarge):
-            check_rosenthal_size(4, 46, 1)
-
-    def test_huge_degree_is_refused_at_once(self):
+            grid_certification(4, 2, d=WORDS_MAX_D + 1)
         with pytest.raises(TooLarge):
-            check_rosenthal_size(4, 2, 10**18)
-
-    @pytest.mark.parametrize(
-        "n, g, d, p",
-        [
-            # too many words: 4^6 = 4096
-            (4, 2, 6, DEFAULT_PRIME),
-            # n above the certification caps, with few enough words
-            (CERTIFY_MAX_N + 1, CERTIFY_MAX_N + 1, 1, DEFAULT_PRIME),
-            (CERTIFY_MAX_N + 1, CERTIFY_MAX_N + 2, 1, (1 << 61) - 31),
-        ],
-    )
-    def test_refused_before_words_or_matrices(self, monkeypatch, n, g, d, p):
-        assert g ** (2 * d) >= n * n  # feasible: the cap is what refuses
-        self._forbid(monkeypatch)
-        with pytest.raises(TooLarge):
-            rosenthal_check(n, g, d, p=p)
+            grid_certification(4, 2, d=10**18)

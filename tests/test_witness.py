@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import identity, rows
+from conftest import identity, rows, zeros
 from sweepwords import witness
 from sweepwords.errors import InvalidInput, TooLarge
 from sweepwords.exactalg import Matrix, MatrixTuple, big_integer, prime_field
@@ -89,7 +89,7 @@ class TestVerifyWitness:
 
     def test_all_zero_tuple_gives_zero(self):
         ring = big_integer()
-        zero = Matrix.zeros(2, ring)
+        zero = zeros(2, ring)
         assert verify_witness(MatrixTuple((zero, zero)), build_word_grid(2, 2)) == 0
 
     def test_n3_is_nonzero(self):
