@@ -31,9 +31,7 @@ from .errors import BudgetExceeded, InvalidInput, SweepwordsError
 # set with `setattr(cli, name, ...)` is what they call.
 _HOME = {
     "DEFAULT_PRIME": "genericity",
-    "check_length_size": "genericity",
-    "check_length_work": "genericity",
-    "check_trials": "genericity",
+    "check_length_run": "genericity",
     "generic_length_experiment": "genericity",
     "grid_certification": "genericity",
     "random_words_certification": "genericity",
@@ -45,7 +43,6 @@ _HOME = {
     "build_and_verify": "witness",
     "reported_constants": "witness",
     "build_word_grid": "words",
-    "check_alphabet_size": "words",
 }
 
 
@@ -166,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_BUDGET,
         help=f"node budget for --enumerate (default {DEFAULT_BUDGET}); a node "
-        "is one partial partition expanded.  d >= 3 searches exceed it and "
-        "exit 3",
+        "is one partial partition expanded.  Levels without a shipped "
+        "certificate, such as g=2 d=4 and g=3 d=3, exceed it and exit 3",
     )
     p_graph.add_argument("--dot", default=None, help="also write a DOT file here")
     common(p_graph)
@@ -278,15 +275,7 @@ def _cmd_length(args) -> tuple[dict, dict, int]:
     sizes = _parse_n_range(args.n)
     prime = _cli.DEFAULT_PRIME if args.prime is None else args.prime
     # refuse the whole range before running any of it
-    _cli.check_trials(args.trials)
-    if args.g < 2:
-        raise InvalidInput(f"need g >= 2 matrices, got g = {args.g}")
-    _cli.check_alphabet_size(args.g)
-    for n in sizes:
-        if n < 1:
-            raise InvalidInput(f"n must be >= 1, got {n}")
-        _cli.check_length_size(n)
-    _cli.check_length_work(sizes, args.trials)
+    _cli.check_length_run(sizes, args.g, args.trials)
     summaries = []
     code = 0
     for n in sizes:

@@ -201,7 +201,8 @@ class Matrix:
         return self.n_rows == self.n_cols
 
     def mul(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
+        if self.ring != other.ring:
+            raise InvalidInput("ring mismatch")
         if self.n_cols != other.n_rows:
             raise InvalidShape(
                 f"cannot multiply {self.n_rows}x{self.n_cols} by "
@@ -216,10 +217,6 @@ class Matrix:
                 dot = sum(arow[k] * b[k * m + j] for k in range(mid))
                 out.append(self.ring.canon(dot))
         return Matrix(n, m, tuple(out), self.ring)
-
-    def _check_compatible(self, other: "Matrix"):
-        if self.ring != other.ring:
-            raise InvalidInput("ring mismatch")
 
     def to_json(self) -> dict:
         if not self.is_square:

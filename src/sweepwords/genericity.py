@@ -273,13 +273,24 @@ def check_length_size(n: int) -> None:
         raise TooLarge(f"length chains are capped at n = {LENGTH_MAX_N}; got n = {n}")
 
 
-def check_length_work(sizes, trials: int) -> None:
-    """Raise TooLarge when a run of chains costs more than the costliest
-    single size: TRIALS_MAX trials at n = LENGTH_MAX_N.
+def check_length_run(sizes, g: int, trials: int) -> None:
+    """Refuse a run of length chains over `sizes` before any of it runs.
 
+    Raises, in this order: past `check_trials`; InvalidInput for g < 2 and
+    TooLarge past the alphabet cap; for each n, InvalidInput below 1 and
+    TooLarge past `check_length_size`; and TooLarge when the run costs more
+    than the costliest single size, TRIALS_MAX trials at n = LENGTH_MAX_N.
     A chain at size n costs ~n^6, so the run costs trials * sum(n^6) of
     those units.
     """
+    check_trials(trials)
+    if g < 2:
+        raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
+    check_alphabet_size(g)
+    for n in sizes:
+        if n < 1:
+            raise InvalidInput(f"n must be >= 1, got {n}")
+        check_length_size(n)
     if trials * sum(n**6 for n in sizes) > TRIALS_MAX * LENGTH_MAX_N**6:
         raise TooLarge(
             f"a length run is capped at trials * sum(n^6) <= {TRIALS_MAX} * "
@@ -385,11 +396,7 @@ def generic_length_experiment(
 
     Raises InvalidInput or TooLarge before sampling anything.
     """
-    check_trials(trials)
-    if g < 2:
-        raise InvalidInput(f"need g >= 2 matrices, got g = {g}")
-    check_alphabet_size(g)
-    check_length_size(n)
+    check_length_run((n,), g, trials)
     ring = prime_field(p)
     reports = []
     for trial in range(trials):

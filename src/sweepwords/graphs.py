@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from operator import itemgetter
 
 from .errors import BudgetExceeded, InvalidInput, TooLarge
 from .words import (
@@ -248,9 +249,6 @@ CANDIDATE_WALKS_MAX = 250_000
 # (729 walks).
 SEARCH_MAX_WALKS = 768
 
-# a walk as (pair index, ((edge id, uses), ...), index past its pair's run)
-_Walk = tuple[int, tuple[tuple[int, int], ...], int]
-
 # where the dual certificate of level (g, d) lives, as g{g}d{d}.json: its
 # positive "denominator", and integer numerators for the "words" (in the
 # order of `all_words`), the "pairs" (row-major, (1, 1), (1, 2), ...) and
@@ -261,22 +259,22 @@ DUALS_DIR = os.path.join(os.path.dirname(__file__), "duals")
 
 def _candidate_walks(
     graph: LabeledMultigraph, words: list[tuple[int, ...]]
-) -> tuple[list[int], list[list[_Walk]]]:
+) -> tuple[list[int], list[list[tuple]]]:
     """Edge multiplicities by edge id, and every word's walks in the full graph.
 
-    A walk's pair index is (start - 1) * n_side + (end - 1).  Each word's
-    walks come in lexicographic (start, end, steps) order, which is the
-    order the search tries them in, so the walks of one vertex pair form
-    one run; each walk carries the index just past its run.
+    A walk is (pair index, ((edge id, uses), ...)): its pair index is
+    (start - 1) * n_side + (end - 1), and its edges come in the order the
+    walk first uses them.  Each word's walks are built in one layered pass,
+    every partial walk extended by one letter at a time from every start
+    vertex, targets ascending; a finished walk that uses an edge more often
+    than its multiplicity is dropped.  The walks come in pair order, and in
+    (start, steps) lexicographic order inside a pair, which is the order the
+    search tries them in.
     """
     n_side = graph.n_vertices
-    pair_index = {
-        (i, j): (i - 1) * n_side + j - 1
-        for i in range(1, n_side + 1)
-        for j in range(1, n_side + 1)
-    }
     keys = sorted(graph.edges)
     mult = [graph.edges[key] for key in keys]
+    min_mult = min(mult, default=0)
     # adjacency by (source, label), targets ascending for canonical order
     adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for edge, (u, v, label) in enumerate(keys):
@@ -287,29 +285,26 @@ def _candidate_walks(
     stored = 0
     walks_by_word = []
     for letters in words:
-        # each pair's walks in (start, steps) order
-        runs: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-        usage: Counter[int] = Counter()
-
-        def walk_from(pos: int, depth: int, start: int):
-            if depth == len(letters):
-                steps = tuple(shared.setdefault(eu, eu) for eu in usage.items())
-                runs.setdefault(pair_index[(start, pos)], []).append(steps)
-                return
-            for target, edge in adj.get((pos, letters[depth]), ()):
-                if mult[edge] > usage[edge]:
-                    usage[edge] += 1
-                    walk_from(target, depth + 1, start)
-                    usage[edge] -= 1
-                    if not usage[edge]:
-                        del usage[edge]
-
-        for start in range(1, n_side + 1):
-            walk_from(start, 0, start)
-        walks: list[_Walk] = []
-        for pair in sorted(runs):
-            run_end = len(walks) + len(runs[pair])
-            walks.extend((pair, steps, run_end) for steps in runs[pair])
+        # (start, position, edge ids) in (start, steps) lexicographic order
+        layer = [(start, start, ()) for start in range(1, n_side + 1)]
+        for letter in letters:
+            layer = [
+                (start, target, edges + (edge,))
+                for start, pos, edges in layer
+                for target, edge in adj.get((pos, letter), ())
+            ]
+        # a walk uses no edge more often than it has letters, so only a
+        # smaller multiplicity can drop one
+        check = min_mult < len(letters)
+        walks = []
+        for start, end, edges in layer:
+            usage = Counter(edges).items()
+            if check and any(uses > mult[edge] for edge, uses in usage):
+                continue
+            steps = tuple(map(shared.setdefault, usage, usage))
+            walks.append(((start - 1) * n_side + end - 1, steps))
+        # stable, so each pair's walks keep their (start, steps) order
+        walks.sort(key=itemgetter(0))
         stored += len(walks)
         if stored > CANDIDATE_WALKS_MAX:
             raise TooLarge(
@@ -322,8 +317,8 @@ def _candidate_walks(
 
 
 def _fix_reduced_costs(
-    graph: LabeledMultigraph, walks_by_word: list[list[_Walk]]
-) -> list[list[_Walk]]:
+    graph: LabeledMultigraph, walks_by_word: list[list[tuple]]
+) -> list[list[tuple]]:
     """Each word's walks of zero reduced cost, if the level's certificate holds.
 
     Works in the certificate's integer numerators, which have the signs of
@@ -332,7 +327,7 @@ def _fix_reduced_costs(
     candidate walk.  Returns `walks_by_word` itself when there is no
     certificate for (g, d), when its shape does not fit the graph, when
     b^T z > 0, or when some walk has (A^T z)_w < 0.  The kept walks keep
-    their order, with their run ends recomputed.
+    their order.
     """
     try:
         with open(os.path.join(DUALS_DIR, f"g{graph.g}d{graph.d}.json")) as fh:
@@ -357,7 +352,7 @@ def _fix_reduced_costs(
     fixed = []
     for z_word, walks in zip(z_words, walks_by_word):
         zero = []
-        for pair, steps, _ in walks:
+        for pair, steps in walks:
             cost = z_word + z_pairs[pair]
             for edge, uses in steps:
                 cost += uses * z_edges[edge]
@@ -365,9 +360,7 @@ def _fix_reduced_costs(
                 return walks_by_word
             if not cost:
                 zero.append((pair, steps))
-        # a pair's walks stay contiguous, so its run ends past its last one
-        run_end = {pair: idx + 1 for idx, (pair, _) in enumerate(zero)}
-        fixed.append([(pair, steps, run_end[pair]) for pair, steps in zero])
+        fixed.append(zero)
     return fixed
 
 
@@ -387,7 +380,8 @@ def enumerate_partitions(
     graphs; on other graphs it can expand far more nodes than the plain
     decreasing lexicographic order.  Each word's m walks are chosen in
     nondecreasing (start, end, steps) order so that partitions are counted
-    as multisets; any fixed word order counts each one exactly once.  A
+    as multisets; any fixed word order counts each one exactly once.  After
+    the word sort each walk gets the index just past its pair's run, and a
     search node filters its word's list against the residual edge and pair
     counts, skipping the rest of a full pair's run in one step.  A node is
     one partial partition expanded, i.e. one call of `extend`, leaves
@@ -423,8 +417,13 @@ def enumerate_partitions(
     walks_by_word = _fix_reduced_costs(graph, walks_by_word)
     # stable, so ties keep the decreasing lexicographic order of `words`
     walks_by_word.sort(
-        key=lambda walks: (len({pair for pair, _, _ in walks}), len(walks))
+        key=lambda walks: (len({pair for pair, _ in walks}), len(walks))
     )
+    # a pair's walks are contiguous, so each walk carries the index just
+    # past its pair's run
+    for w, walks in enumerate(walks_by_word):
+        run_end = {pair: idx + 1 for idx, (pair, _) in enumerate(walks)}
+        walks_by_word[w] = [(pair, steps, run_end[pair]) for pair, steps in walks]
     pair_rem = [m] * graph.n_vertices**2
     n_words = len(words)
     nodes = 0

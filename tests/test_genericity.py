@@ -575,6 +575,17 @@ class TestExperiment:
         with pytest.raises(InvalidInput, match="need g >= 2"):
             generic_length_experiment(3, g, trials=1)
 
+    def test_empty_size_is_refused_before_sampling(self, monkeypatch):
+        # the same check_length_run as `length` refuses n < 1 before any
+        # tuple is sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        for name in ("sample_tuple", "sample_matrix", "subspace_length"):
+            monkeypatch.setattr(genericity, name, refuse)
+        with pytest.raises(InvalidInput, match="n must be >= 1"):
+            generic_length_experiment(0, 2, trials=1)
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_is_refused(self, trials):
         # an empty report list would claim every bound holds

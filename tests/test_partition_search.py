@@ -362,6 +362,31 @@ def complete_level_one() -> LabeledMultigraph:
     return LabeledMultigraph(2, 1, 1, edges)
 
 
+def assert_lists_like_oracle(graph: LabeledMultigraph) -> None:
+    """`_candidate_walks` lists, word by word, the walks of `walks_in` in
+    order: as (pair index, ((edge id, uses), ...)) with edge ids indexing
+    the sorted edge keys in the order the walk first uses them, stably
+    sorted by pair, so (start, steps) order holds inside a pair."""
+    keys = sorted(graph.edges)
+    edge_id = {key: idx for idx, key in enumerate(keys)}
+    n_side, adj, edges = graph.n_vertices, adjacency(graph), Counter(graph.edges)
+    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    expected = []
+    for letters in words:
+        walks = []
+        for start, steps in walks_in(edges, adj, n_side, letters):
+            pos, usage = start, {}
+            for target, label in steps:
+                edge = edge_id[(pos, target, label)]
+                usage[edge] = usage.get(edge, 0) + 1
+                pos = target
+            walks.append(((start - 1) * n_side + pos - 1, tuple(usage.items())))
+        expected.append(sorted(walks, key=lambda walk: walk[0]))
+    mult, listed = graphs._candidate_walks(graph, words)
+    assert mult == [graph.edges[key] for key in keys]
+    assert listed == expected
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize(
         "g,d,m",
@@ -386,6 +411,32 @@ class TestAgainstOracle:
             enumerate_partitions(build_graph(3, 2), cap=2, budget=81)
         assert exc.value.nodes == 82
 
+    @pytest.mark.parametrize("g,d", SHIPPED)
+    def test_lister_on_shipped_levels(self, g, d):
+        assert_lists_like_oracle(build_graph(g, d))
+
+    def test_lister_drops_walks_that_reuse_an_edge(self):
+        # every edge of complete_level_one is there once, so the walks
+        # 1 -> 1 -> 1 and 2 -> 2 -> 2 reading (1, 1) would use a loop twice;
+        # with the loop at 1 doubled, the first of them is listed.  Edge
+        # ids: (1, 1, 1) = 0, (1, 2, 1) = 2, (2, 1, 1) = 4, (2, 2, 1) = 6
+        graph = complete_level_one()
+        assert_lists_like_oracle(graph)
+        rest = [
+            (0, ((2, 1), (4, 1))),
+            (1, ((0, 1), (2, 1))),
+            (1, ((2, 1), (6, 1))),
+            (2, ((4, 1), (0, 1))),
+            (2, ((6, 1), (4, 1))),
+            (3, ((4, 1), (2, 1))),
+        ]
+        assert graphs._candidate_walks(graph, [(1, 1)])[1] == [rest]
+        doubled = LabeledMultigraph(2, 1, 1, {**graph.edges, (1, 1, 1): 2})
+        assert_lists_like_oracle(doubled)
+        assert graphs._candidate_walks(doubled, [(1, 1)])[1] == [
+            [(0, ((0, 2),)), *rest]
+        ]
+
     def test_broken_graph(self):
         assert assert_same_search(broken_level_one(), cap=2) == (0, 0)
 
@@ -407,6 +458,7 @@ class TestAgainstOracle:
         # level-one trees mostly finish or saturate within the budget; the
         # rest must stop at the same node.  Each level ships a certificate,
         # which holds on some planted graphs and prunes their walks
+        assert_lists_like_oracle(graph)
         result = assert_same_search(graph, cap, budget=PLANTED_BUDGET)
         outcome = "stopped at the budget" if result is None else f"count {result[0]}"
         held = zero_cost_walks(graph, read_certificate(graph.g, graph.d))
@@ -502,7 +554,7 @@ def kept_walks(graph: LabeledMultigraph) -> set[tuple[tuple[int, ...], int, froz
     return {
         (letters, pair, frozenset(steps))
         for letters, walks in zip(words, graphs._fix_reduced_costs(graph, walks_by_word))
-        for pair, steps, _ in walks
+        for pair, steps in walks
     }
 
 
@@ -595,7 +647,7 @@ class TestReducedCostFixing:
     @pytest.mark.parametrize("g,d,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])
     def test_zero_certificate_keeps_every_walk(self, g, d, m, tmp_path, monkeypatch):
         # z = 0 holds on every graph and prices every walk at 0, so the
-        # kept lists, run ends included, are the full ones
+        # kept lists are the full ones
         graph = build_graph(g, d, m)
         words = [w.letters for w in all_words(g, 2 * d)]
         _, walks_by_word = graphs._candidate_walks(graph, words)

@@ -2,9 +2,9 @@
 
 One fresh interpreter installs a profiler before it imports sweepwords, so
 that calls made at import time (such as `words.record` building the record
-classes) count, and then runs `cli.main` on an argument matrix: every
-command, every `--format`, every flag, one over-cap refusal per command and
-`--help`.  Every function and method in the package's source (a code
+classes) count, and then runs `cli.main` on `command_vectors.REACHABILITY`:
+every command, every `--format`, every flag, one over-cap refusal per
+command and `--help`.  Every function and method in the package's source (a code
 object with `inspect.CO_OPTIMIZED`, which class bodies and modules lack)
 must have been entered, unless the allowlist names it with its reason.
 Lambdas and comprehensions are not counted: they are parts of the body of
@@ -20,16 +20,15 @@ import pathlib
 import subprocess
 import sys
 
+from command_vectors import REACHABILITY
+
 PKG = pathlib.Path(__file__).resolve().parent.parent / "src" / "sweepwords"
-# a prime other than the default 2^61 - 1
-P61M31 = str((1 << 61) - 31)
 
 # qualified name -> why no command enters it
 ALLOWED = {
     # perfbench/tracer.py wraps these by name, so a traced benchmark run
     # fails without them; no command calls them
     "Matrix.mul": "wrapped by perfbench/tracer.py",
-    "Matrix._check_compatible": "called only by Matrix.mul",
     "span_insert": "wrapped by perfbench/tracer.py",
     "_echelon_rows": "called only by span_insert",
     # protocol and safety methods of the frozen records, pinned by
@@ -67,38 +66,6 @@ print(json.dumps([codes, sorted(entered)]))
 """
 
 
-def argv_matrix(tmp: pathlib.Path) -> list[tuple[list[str], int]]:
-    """(argv, expected exit code) for every command, format and flag."""
-    out, dot = str(tmp / "out.txt"), str(tmp / "graph.dot")
-    return [
-        (["--help"], 0),
-        (["words", "--n", "5"], 0),
-        (["words", "--n", "4", "--g", "3", "--d", "2", "--format", "csv"], 0),
-        (["words", "--n", "3", "--format", "text", "--out", out], 0),
-        (["words", "--n", "257"], 2),
-        (["certify", "--n", "3", "--trials", "1"], 0),
-        (["certify", "--n", "3", "--format", "csv", "--symmetric"], 0),
-        (["certify", "--n", "3", "--trials", "1", "--format", "text", "--d", "3"], 0),
-        (["certify", "--n", "3", "--trials", "1", "--prime", P61M31, "--seed", "5"], 0),
-        (["certify", "--n", "3", "--trials", "1", "--inject-duplicate"], 1),
-        (["certify", "--n", "3", "--trials", "1", "--random-words"], 0),
-        (["certify", "--n", "41"], 2),
-        (["graph", "--d", "2", "--enumerate", "--dot", dot, "--out", out], 0),
-        (["graph", "--d", "3", "--enumerate", "--budget", "10"], 3),
-        (["graph", "--g", "3", "--d", "1", "--m-scale", "2", "--format", "csv"], 0),
-        (["graph", "--d", "1", "--format", "text"], 0),
-        (["graph", "--d", "17"], 2),
-        (["length", "--n", "2..3", "--trials", "1", "--include-identity"], 0),
-        (["length", "--n", "3", "--trials", "1", "--format", "csv", "--symmetric"], 0),
-        (["length", "--n", "3", "--trials", "1", "--format", "text", "--prime", "101"], 0),
-        (["length", "--n", "49"], 2),
-        (["witness", "--n", "8", "--paper-constants"], 0),
-        (["witness", "--n", "3", "--g", "3", "--base", "10", "--format", "csv"], 0),
-        (["witness", "--n", "3", "--format", "text"], 0),
-        (["witness", "--n", "17"], 2),
-    ]
-
-
 def function_codes() -> dict[tuple[str, int, str], str]:
     """(file name, first line, name) -> qualified name, for every named
     function code object compiled from the package's source files."""
@@ -124,16 +91,19 @@ def function_codes() -> dict[tuple[str, int, str], str]:
 
 
 def test_every_function_is_reached_by_a_command(tmp_path):
-    cases = argv_matrix(tmp_path)
+    # the vectors name their --out and --dot files relative to the probe's
+    # working directory
+    argvs = json.dumps([argv for argv, _ in REACHABILITY])
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(PKG), json.dumps([a for a, _ in cases])],
+        [sys.executable, "-c", _PROBE, str(PKG), argvs],
+        cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(PKG.parent)),
         capture_output=True,
         text=True,
         check=True,
     )
     codes, entered = json.loads(proc.stdout)
-    assert codes == [code for _, code in cases]
+    assert codes == [code for _, code in REACHABILITY]
     functions = function_codes()
     # module and class bodies are entered too, but are not functions
     entered = {tuple(key) for key in entered}

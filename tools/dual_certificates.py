@@ -66,7 +66,7 @@ def lp_columns(g: int, d: int, m: int):
     columns = [
         (w, pair, steps, 0 if (words[w], pair, tuple(sorted(steps))) in certified else 1)
         for w, walks in enumerate(walks_by_word)
-        for pair, steps, _ in walks
+        for pair, steps in walks
     ]
     return graph, words, keys, columns
 
