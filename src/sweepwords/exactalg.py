@@ -787,8 +787,8 @@ def _det_block_triangular(rows) -> int:
     matching every term of the Leibniz sum vanishes and det = 0.  The
     strongly connected components of the graph i -> k (B[i][k] != 0) are
     the diagonal blocks of B's block-triangular form (Duff 1977), so det B
-    is the product of their determinants: the diagonal entry for a 1x1
-    block, `_det_bareiss` for a larger one.
+    is the product of their determinants, each by `_det_bareiss` (which
+    returns the entry of a 1x1 block).
     """
     pattern = [[j for j, x in enumerate(row) if x] for row in rows]
     sigma = _perfect_matching(pattern)
@@ -799,10 +799,7 @@ def _det_block_triangular(rows) -> int:
         place[j] = k
     det = _perm_sign(sigma)
     for block in _strong_components([[place[j] for j in cols] for cols in pattern]):
-        if len(block) == 1:
-            det *= rows[block[0]][sigma[block[0]]]
-        else:
-            det *= _det_bareiss([[rows[i][sigma[k]] for k in block] for i in block])
+        det *= _det_bareiss([[rows[i][sigma[k]] for k in block] for i in block])
         if not det:
             return 0
     return det

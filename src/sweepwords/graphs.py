@@ -33,7 +33,6 @@ from .errors import BudgetExceeded, InvalidInput, TooLarge
 from .words import (
     all_words,
     check_alphabet_size,
-    degree_exponent,
     entry_variable_chain,
     record,
 )
@@ -170,37 +169,25 @@ class WalkPartition:
         return usage
 
 
-def derive_walks_from_certificate(n: int, g: int) -> WalkPartition:
-    """Unfold the certificate factors into the canonical walk partition.
+def derive_walks_from_certificate(graph: LabeledMultigraph) -> WalkPartition:
+    """Unfold the certificate factors into the graph's canonical walk partition.
 
-    Requires n to be an exact power of g.  Each variable (k, a, b) of the
-    chain at position (i, j) is the step a -> b labeled k.  The chain lists
-    an opening and a closing variable per level, outermost first; the walk
-    takes the openings in that order and then the closings in reverse,
-    giving a walk of length 2d from i to j whose word is the grid entry
-    (i, j).
+    Each variable (k, a, b) of the chain at position (i, j) of the side
+    g**d grid is the step a -> b labeled k.  The chain lists an opening and
+    a closing variable per level, outermost first; the walk takes the
+    openings in that order and then the closings in reverse, giving a walk
+    of length 2d from i to j whose word is the grid entry (i, j).  Every
+    pair carries the graph's m copies of its walk; at d = 0 that is m empty
+    walks at (1, 1).
     """
-    if g < 2 or n < 2:
-        raise InvalidInput(f"need n >= 2 and g >= 2, got n={n}, g={g}")
-    if g ** degree_exponent(n, g) != n:
-        raise InvalidInput(f"n={n} is not a power of g={g}")
+    n_side = graph.n_vertices
     walks = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            chain = entry_variable_chain(n, g, i, j)
+    for i in range(1, n_side + 1):
+        for j in range(1, n_side + 1):
+            chain = entry_variable_chain(n_side, graph.g, i, j)
             steps = [(b, k) for k, _, b in chain[0::2] + chain[-1::-2]]
-            walks[(i, j)] = (Walk(i, tuple(steps)),)
-    return WalkPartition(n, walks)
-
-
-def scale_partition(partition: WalkPartition, m: int) -> WalkPartition:
-    """Replicate every walk m times (the partition of the m-scaled graph)."""
-    if m < 1:
-        raise InvalidInput(f"scale must be >= 1, got {m}")
-    return WalkPartition(
-        partition.n_side,
-        {pair: ws * m for pair, ws in partition.walks.items()},
-    )
+            walks[(i, j)] = (Walk(i, tuple(steps)),) * graph.m
+    return WalkPartition(n_side, walks)
 
 
 def verify_partition(graph: LabeledMultigraph, partition: WalkPartition) -> bool:
@@ -316,16 +303,52 @@ def _candidate_walks(
     return mult, walks_by_word
 
 
+def _reduced_costs(
+    graph: LabeledMultigraph, walks_by_word: list[list[tuple]], cert: dict
+) -> tuple[int, list[list[int]]] | None:
+    """b^T z and each word's walk costs (A^T z)_w, or None if cert does not fit.
+
+    Works in the certificate's integer numerators, which have the signs of
+    z when its denominator is positive: b^T z from this graph's rows (m per
+    word, m per pair, each edge's multiplicity), and (A^T z)_w for every
+    walk of `walks_by_word`, in its order.  A certificate with a
+    denominator below 1, or without one word entry per list of
+    `walks_by_word` and one pair entry per ordered vertex pair, gives None.
+    """
+    z_words, z_pairs = cert["words"], cert["pairs"]
+    if (
+        cert["denominator"] < 1
+        or len(z_words) != len(walks_by_word)
+        or len(z_pairs) != graph.n_vertices**2
+    ):
+        return None
+    z_listed = {(u, v, label): z for u, v, label, z in cert["edges"]}
+    keys = sorted(graph.edges)
+    z_edges = [z_listed.get(key, 0) for key in keys]
+    b_z = graph.m * (sum(z_words) + sum(z_pairs)) + sum(
+        graph.edges[key] * z for key, z in zip(keys, z_edges)
+    )
+    costs_by_word = []
+    for z_word, walks in zip(z_words, walks_by_word):
+        costs = []
+        for pair, steps in walks:
+            # an explicit loop: sum() over a generator per walk made the
+            # whole search 5-10% slower
+            cost = z_word + z_pairs[pair]
+            for edge, uses in steps:
+                cost += uses * z_edges[edge]
+            costs.append(cost)
+        costs_by_word.append(costs)
+    return b_z, costs_by_word
+
+
 def _fix_reduced_costs(
     graph: LabeledMultigraph, walks_by_word: list[list[tuple]]
 ) -> list[list[tuple]]:
     """Each word's walks of zero reduced cost, if the level's certificate holds.
 
-    Works in the certificate's integer numerators, which have the signs of
-    z since its denominator is positive: b^T z from this graph's rows (m
-    per word, m per pair, each edge's multiplicity) and (A^T z)_w for every
-    candidate walk.  Returns `walks_by_word` itself when there is no
-    certificate for (g, d), when its shape does not fit the graph, when
+    Returns `walks_by_word` itself when there is no certificate for (g, d),
+    when `_reduced_costs` finds that its shape does not fit the graph, when
     b^T z > 0, or when some walk has (A^T z)_w < 0.  The kept walks keep
     their order.
     """
@@ -334,33 +357,14 @@ def _fix_reduced_costs(
             cert = json.load(fh)
     except FileNotFoundError:
         return walks_by_word
-    z_words, z_pairs = cert["words"], cert["pairs"]
-    if (
-        cert["denominator"] < 1
-        or len(z_words) != len(walks_by_word)
-        or len(z_pairs) != graph.n_vertices**2
-    ):
-        return walks_by_word
-    z_listed = {(u, v, label): z for u, v, label, z in cert["edges"]}
-    keys = sorted(graph.edges)
-    z_edges = [z_listed.get(key, 0) for key in keys]
-    b_z = graph.m * (sum(z_words) + sum(z_pairs)) + sum(
-        graph.edges[key] * z for key, z in zip(keys, z_edges)
-    )
-    if b_z > 0:
+    priced = _reduced_costs(graph, walks_by_word, cert)
+    if priced is None or priced[0] > 0:
         return walks_by_word
     fixed = []
-    for z_word, walks in zip(z_words, walks_by_word):
-        zero = []
-        for pair, steps in walks:
-            cost = z_word + z_pairs[pair]
-            for edge, uses in steps:
-                cost += uses * z_edges[edge]
-            if cost < 0:
-                return walks_by_word
-            if not cost:
-                zero.append((pair, steps))
-        fixed.append(zero)
+    for walks, costs in zip(walks_by_word, priced[1]):
+        if min(costs, default=0) < 0:
+            return walks_by_word
+        fixed.append([walk for walk, cost in zip(walks, costs) if not cost])
     return fixed
 
 

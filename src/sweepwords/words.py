@@ -269,45 +269,23 @@ def build_word_grid(n: int, g: int, d: int | None = None) -> WordGrid:
     return WordGrid(n, g, d, grid)
 
 
-def _residue(i: int, h: int) -> int:
-    """Representative of i mod h in [1, h]."""
-    return (i - 1) % h + 1
-
-
-def _block(i: int, h: int) -> int:
-    """ceil(i / h): which of the g blocks of width h contains i."""
-    return (i - 1) // h + 1
-
-
-def _first_var(i: int, h: int) -> VarId:
-    # The opening letter of the (i, j) grid word, traversed out of index i.
-    a = _block(i, h)
-    if a == 1:
-        return (1, i, i)
-    return (a, i, i - (a - 1) * h)
-
-
-def _last_var(j: int, h: int) -> VarId:
-    # The closing letter, traversed into index j.
-    b = _block(j, h)
-    if b == 1:
-        return (1, j, j)
-    return (b, j - (b - 1) * h, j)
-
-
 def entry_variable_chain(n: int, g: int, i: int, j: int) -> list[VarId]:
     """Variables of the certificate factor at grid position (i, j), outermost
-    level first: the opening/closing pair at each recursion depth."""
+    level first: the opening/closing pair at each recursion depth.
+
+    At block width h = g**(level - 1), i - 1 = (a - 1) * h + (i' - 1) with
+    i' in [1, h]: the opening variable, out of index i, is (a, i, i'), and
+    the closing one, into index j, is (b, j', j).  The next level continues
+    from (i', j').  In the first block (a = 1) the residue i' is i itself.
+    """
     if not (1 <= i <= n and 1 <= j <= n):
         raise InvalidInput(f"position ({i}, {j}) outside [1, {n}]^2")
-    d = degree_exponent(n, g)
     chain: list[VarId] = []
-    while d >= 1:
-        h = g ** (d - 1)
-        chain.append(_first_var(i, h))
-        chain.append(_last_var(j, h))
-        i, j = _residue(i, h), _residue(j, h)
-        d -= 1
+    for level in range(degree_exponent(n, g) - 1, -1, -1):
+        a, i_next = divmod(i - 1, g**level)
+        b, j_next = divmod(j - 1, g**level)
+        chain += [(a + 1, i, i_next + 1), (b + 1, j_next + 1, j)]
+        i, j = i_next + 1, j_next + 1
     return chain
 
 

@@ -16,7 +16,6 @@ from sweepwords.graphs import (
     check_graph_size,
     derive_walks_from_certificate,
     enumerate_partitions,
-    scale_partition,
     verify_partition,
 )
 from sweepwords.words import MAX_G, Word, build_word_grid
@@ -116,7 +115,7 @@ class TestWalks:
 
 class TestDeriveWalks:
     def test_level_one_walks_exactly(self):
-        part = derive_walks_from_certificate(2, 2)
+        part = derive_walks_from_certificate(build_graph(2, 1))
         assert part.walks[(1, 1)] == (Walk(1, ((1, 1), (1, 1))),)
         assert part.walks[(1, 2)] == (Walk(1, ((1, 1), (2, 2))),)
         assert part.walks[(2, 1)] == (Walk(2, ((1, 2), (1, 1))),)
@@ -125,7 +124,7 @@ class TestDeriveWalks:
     @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (3, 1)])
     def test_walk_words_equal_grid_entries(self, g, d):
         n = g**d
-        part = derive_walks_from_certificate(n, g)
+        part = derive_walks_from_certificate(build_graph(g, d))
         grid = build_word_grid(n, g)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -134,28 +133,40 @@ class TestDeriveWalks:
 
     @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_partition_verifies_against_graph(self, g, d):
-        part = derive_walks_from_certificate(g**d, g)
-        assert verify_partition(build_graph(g, d), part)
+        graph = build_graph(g, d)
+        assert verify_partition(graph, derive_walks_from_certificate(graph))
 
     @pytest.mark.parametrize("g,d", SMALL_LEVELS)
     def test_edge_usage_matches_certificate_exponents(self, g, d):
         # the unfolded certificate uses every edge of the independently
         # built graph exactly as often as its multiplicity
-        part = derive_walks_from_certificate(g**d, g)
-        assert part.edge_usage() == Counter(build_graph(g, d).edges)
+        graph = build_graph(g, d)
+        assert derive_walks_from_certificate(graph).edge_usage() == Counter(graph.edges)
 
-    def test_rejects_non_powers(self):
-        with pytest.raises(InvalidInput):
-            derive_walks_from_certificate(3, 2)
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_level_zero_is_the_trivial_partition(self, g, m):
+        # one vertex, no edge: m empty walks at (1, 1), reading the empty word
+        graph = build_graph(g, 0, m)
+        part = derive_walks_from_certificate(graph)
+        assert part == WalkPartition(1, {(1, 1): (Walk(1, ()),) * m})
+        assert verify_partition(graph, part)
+
+    @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_m_copies_of_each_walk(self, g, d, m):
+        one = derive_walks_from_certificate(build_graph(g, d))
+        part = derive_walks_from_certificate(build_graph(g, d, m))
+        assert part.walks == {pair: ws * m for pair, ws in one.walks.items()}
 
     def test_level_two_usage_matches_graph_multiplicities(self):
-        part = derive_walks_from_certificate(4, 2)
+        part = derive_walks_from_certificate(build_graph(2, 2))
         assert part.edge_usage() == build_graph(2, 2).edges
 
     @pytest.mark.parametrize("g,d", SMALL_LEVELS)
     def test_unfolded_chain_matches_walk_recursion(self, g, d):
         n = g**d
-        part = derive_walks_from_certificate(n, g)
+        part = derive_walks_from_certificate(build_graph(g, d))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert part.walks[(i, j)] == (Walk(i, tuple(_walk_steps(d, i, j, g))),)
@@ -192,7 +203,7 @@ class TestGraphCap:
 class TestVerifyPartition:
     def setup_method(self):
         self.graph = build_graph(2, 1)
-        self.part = derive_walks_from_certificate(2, 2)
+        self.part = derive_walks_from_certificate(self.graph)
 
     def test_derived_partition_passes(self):
         assert verify_partition(self.graph, self.part)
@@ -231,8 +242,8 @@ class TestVerifyPartition:
         assert not verify_partition(graph, self.part)
 
     def test_scaled_partition_verifies_on_scaled_graph(self):
-        scaled = scale_partition(self.part, 3)
-        assert verify_partition(build_graph(2, 1, 3), scaled)
+        graph = build_graph(2, 1, 3)
+        assert verify_partition(graph, derive_walks_from_certificate(graph))
 
 
 class TestEnumerate:
@@ -299,7 +310,7 @@ class TestPeeling:
     @pytest.mark.parametrize("m", [1, 2])
     def test_removing_outer_edges_leaves_previous_level(self, g, d, m):
         graph = build_graph(g, d, m)
-        part = scale_partition(derive_walks_from_certificate(g**d, g), m)
+        part = derive_walks_from_certificate(graph)
         remaining = dict(graph.edges)
         for walk in part.all_walks():
             usage = []

@@ -29,6 +29,7 @@ same count.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 from collections import Counter
@@ -47,7 +48,6 @@ from sweepwords.graphs import (
     build_graph,
     derive_walks_from_certificate,
     enumerate_partitions,
-    scale_partition,
 )
 from sweepwords.words import all_words
 
@@ -323,7 +323,7 @@ def planted_graphs(draw) -> LabeledMultigraph:
     slots = [
         [i, j, [label for _, label in walk.steps], [v for v, _ in walk.steps[:-1]]]
         for (i, j), walks in sorted(
-            scale_partition(derive_walks_from_certificate(n_side, g), m).walks.items()
+            derive_walks_from_certificate(build_graph(g, d, m)).walks.items()
         )
         for walk in walks
     ]
@@ -526,7 +526,7 @@ def certificate_walks(g: int, d: int) -> set[tuple[tuple[int, ...], int, tuple]]
     """The walks of `derive_walks_from_certificate`, keyed (letters, start, steps)."""
     return {
         (tuple(label for _, label in walk.steps), walk.start, walk.steps)
-        for walk in derive_walks_from_certificate(g**d, g).all_walks()
+        for walk in derive_walks_from_certificate(build_graph(g, d)).all_walks()
     }
 
 
@@ -633,6 +633,9 @@ class TestReducedCostFixing:
             ("denominator", lambda den: -den),
             ("words", lambda z: z[:-1]),
             ("pairs", lambda z: z[:-1]),
+            # the first pair's numerator is 0, so b^T z stays <= 0 and only
+            # the pair count refuses the file
+            pytest.param("pairs", lambda z: z[1:], id="pairs-first-removed"),
         ],
     )
     def test_malformed_certificate_is_refused(
@@ -665,3 +668,44 @@ class TestReducedCostFixing:
         monkeypatch.setattr(graphs, "DUALS_DIR", str(tmp_path))
         assert read_certificate(2, 2) is None
         assert assert_same_search(build_graph(2, 2), cap=2) == (1, 142)
+
+
+def load_writer():
+    """`tools/dual_certificates.py` as a module; scipy loads only in `solve`."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "dual_certificates.py"
+    spec = importlib.util.spec_from_file_location("dual_certificates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWriterCheck:
+    """The certificate writer's exact check (A^T z >= c' and b^T z <= 0)
+    accepts every shipped file and refuses what the search refuses."""
+
+    @pytest.mark.parametrize("g,d", SHIPPED)
+    def test_accepts_every_shipped_level(self, g, d):
+        writer = load_writer()
+        for m in (1, 2):
+            assert writer.check(g, d, m, read_certificate(g, d))
+
+    @pytest.mark.parametrize(
+        "entry,malform",
+        [
+            pytest.param("denominator", lambda den: -den, id="negated-denominator"),
+            pytest.param("words", lambda z: z[:-1], id="short-words"),
+            pytest.param("pairs", lambda z: z[:-1], id="short-pairs"),
+            pytest.param("pairs", lambda z: z[1:], id="first-pair-removed"),
+            # with denominator 1: the first word's certificate walk at cost
+            # -1, and b^T z raised from 0 to m
+            pytest.param("words", lambda z: [z[0] - 1, *z[1:]], id="negative-cost"),
+            pytest.param("words", lambda z: [z[0] + 1, *z[1:]], id="positive-b-z"),
+        ],
+    )
+    def test_refuses_what_the_search_refuses(self, entry, malform):
+        writer = load_writer()
+        certificate = read_certificate(2, 2)
+        assert certificate["denominator"] == 1
+        certificate[entry] = malform(certificate[entry])
+        for m in (1, 2):
+            assert not writer.check(2, 2, m, certificate)

@@ -10,15 +10,20 @@ checks: m walks per word, m walks per ordered vertex pair, and each edge
 used exactly its multiplicity.  With c' = 1 on every walk that is not a
 walk of `derive_walks_from_certificate` and 0 on those, it minimizes
 b^T z subject to A^T z >= c' with scipy's HiGHS, rounds each z with
-`Fraction.limit_denominator`, and checks the rounded z exactly: A^T z >= c'
-on every column and b^T z <= 0, at m = 1 and m = 2.  That implies the
-check the search makes on every run (A^T z >= 0 and b^T z <= 0).  Only a
-z that passes is written, to src/sweepwords/duals/g{g}d{d}.json.  Such a z proves that
-the certificate's walks form the level's one partition at every m (Farkas'
+`Fraction.limit_denominator`, and checks the rounded z exactly at m = 1
+and m = 2.  The check prices every column with `graphs._reduced_costs`,
+the function the search prices with, so a certificate whose denominator
+is below 1 or whose word or pair entries do not fit the graph is refused
+here as it is there; it then requires A^T z >= c' on every column and
+b^T z <= 0.  That implies the check the search makes on every run
+(A^T z >= 0 and b^T z <= 0).  Only a z that passes is written, to
+src/sweepwords/duals/g{g}d{d}.json.  Such a z proves that the
+certificate's walks form the level's one partition at every m (Farkas'
 lemma: c'^T x <= z^T A x = z^T b <= 0 for every x in P).
 
-scipy is not a dependency of sweepwords; this script is the only code that
-needs it, and neither the tests nor the package run it.
+scipy is not a dependency of sweepwords; only `solve` imports it, so the
+tests import this module and run `check` without it.  Neither the tests
+nor the package run `solve`.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from sweepwords.graphs import (
     DUALS_DIR,
     _candidate_walks,
+    _reduced_costs,
     build_graph,
     derive_walks_from_certificate,
 )
@@ -46,10 +53,11 @@ MAX_DENOMINATOR = 1000
 
 
 def lp_columns(g: int, d: int, m: int):
-    """(graph, words, edge keys, columns) of the level's LP.
+    """(graph, words, edge keys, walks by word, c') of the level's LP.
 
-    A column is (word index, pair index, ((edge id, uses), ...), c'), in the
-    order `_candidate_walks` lists them.
+    The columns are the walks `_candidate_walks` lists, word by word, as
+    (pair index, ((edge id, uses), ...)); c' holds their costs, in that
+    order.
     """
     graph = build_graph(g, d, m)
     words = [w.letters for w in all_words(g, 2 * d)]
@@ -57,21 +65,22 @@ def lp_columns(g: int, d: int, m: int):
     edge_id = {key: idx for idx, key in enumerate(keys)}
     n_side = graph.n_vertices
     certified = set()
-    for (i, j), walks in derive_walks_from_certificate(n_side, g).walks.items():
-        (walk,) = walks
+    for (i, j), walks in derive_walks_from_certificate(graph).walks.items():
+        # the m copies of a pair's walk are one column
+        walk = walks[0]
         usage = tuple(sorted((edge_id[e], u) for e, u in walk.edge_usage().items()))
         letters = tuple(label for _, label in walk.steps)
         certified.add((letters, (i - 1) * n_side + j - 1, usage))
     _, walks_by_word = _candidate_walks(graph, words)
-    columns = [
-        (w, pair, steps, 0 if (words[w], pair, tuple(sorted(steps))) in certified else 1)
-        for w, walks in enumerate(walks_by_word)
+    c_prime = [
+        0 if (letters, pair, tuple(sorted(steps))) in certified else 1
+        for letters, walks in zip(words, walks_by_word)
         for pair, steps in walks
     ]
-    return graph, words, keys, columns
+    return graph, words, keys, walks_by_word, c_prime
 
 
-def solve(graph, words, keys, columns) -> list[float]:
+def solve(graph, words, keys, walks_by_word, c_prime) -> list[float]:
     """An optimal z of min b^T z s.t. A^T z >= c', rows words | pairs | edges."""
     import numpy as np
     from scipy.optimize import linprog
@@ -79,7 +88,8 @@ def solve(graph, words, keys, columns) -> list[float]:
 
     n_words, n_pairs = len(words), graph.n_vertices**2
     rows, cols, vals = [], [], []
-    for c, (w, pair, steps, _) in enumerate(columns):
+    columns = [(w, *walk) for w, walks in enumerate(walks_by_word) for walk in walks]
+    for c, (w, pair, steps) in enumerate(columns):
         entries = [(w, 1), (n_words + pair, 1)]
         entries += [(n_words + n_pairs + edge, uses) for edge, uses in steps]
         for r, v in entries:
@@ -89,34 +99,33 @@ def solve(graph, words, keys, columns) -> list[float]:
     n_rows = n_words + n_pairs + len(keys)
     a_t = coo_array((vals, (rows, cols)), shape=(len(columns), n_rows)).tocsr()
     b = np.array([1] * (n_words + n_pairs) + [graph.edges[k] for k in keys], float)
-    c_prime = np.array([-cp for *_, cp in columns], float)
-    res = linprog(b, A_ub=a_t, b_ub=c_prime, bounds=(None, None), method="highs-ds")
+    b_ub = np.array([-c for c in c_prime], float)
+    res = linprog(b, A_ub=a_t, b_ub=b_ub, bounds=(None, None), method="highs-ds")
     if res.status != 0:
         raise RuntimeError(f"HiGHS stopped: {res.message}")
     return list(res.x)
 
 
 def check(g: int, d: int, m: int, cert: dict) -> bool:
-    """Whether A^T z >= c' on every column and b^T z <= 0 at scale m."""
-    graph, _, keys, columns = lp_columns(g, d, m)
+    """Whether A^T z >= c' on every column and b^T z <= 0 at scale m.
+
+    `graphs._reduced_costs` prices the columns and refuses a certificate
+    whose shape does not fit, as the search does.
+    """
+    graph, _, _, walks_by_word, c_prime = lp_columns(g, d, m)
+    priced = _reduced_costs(graph, walks_by_word, cert)
+    if priced is None:
+        return False
+    b_z, costs_by_word = priced
     den = cert["denominator"]
-    z_edges = {(u, v, label): z for u, v, label, z in cert["edges"]}
-    z_edge = [z_edges.get(key, 0) for key in keys]
-    b_z = m * (sum(cert["words"]) + sum(cert["pairs"])) + sum(
-        graph.edges[key] * z for key, z in zip(keys, z_edge)
-    )
-    return b_z <= 0 and all(
-        cert["words"][w] + cert["pairs"][pair]
-        + sum(uses * z_edge[edge] for edge, uses in steps)
-        >= den * c_prime
-        for w, pair, steps, c_prime in columns
-    )
+    costs = chain.from_iterable(costs_by_word)
+    return b_z <= 0 and all(cost >= den * c for cost, c in zip(costs, c_prime))
 
 
 def certificate(g: int, d: int) -> dict:
     """The rounded dual of level (g, d) as integer numerators over one denominator."""
-    graph, words, keys, columns = lp_columns(g, d, 1)
-    z = solve(graph, words, keys, columns)
+    graph, words, keys, walks_by_word, c_prime = lp_columns(g, d, 1)
+    z = solve(graph, words, keys, walks_by_word, c_prime)
     z = [Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in z]
     den = lcm(*(q.denominator for q in z))
     nums = [int(q * den) for q in z]
