@@ -34,7 +34,7 @@ ring, and two things are built on it and on the kernel:
 
 Elimination runs over prime fields only, and all of it goes through
 `echelon_extend`: `span_insert`, the span growth of
-`genericity.subspace_length` and every prime-field determinant, which is
+`genericity.subspace_length` and the prime-field determinant, which is
 the product of the leads it reports times the sign of the pivot order
 (`_det_echelon`).  Over the integers `echelon_extend` raises InvalidInput,
 so `span_insert` and `subspace_length` refuse them before eliminating
@@ -44,8 +44,9 @@ one block of products besides the echelon rows, and stops evaluating at
 the first dependent block.
 
 The integers serve one routine, the exact determinant of a witness
-(`_det_block_triangular`).  It is split along the block-triangular form
-of its nonzero pattern: a perfect row -> column matching puts nonzeros on
+(`discriminant`, which refuses prime-field matrices).  It is split along
+the block-triangular form of its nonzero pattern
+(`_det_block_triangular`): a perfect row -> column matching puts nonzeros on
 the diagonal (none means the determinant is 0), the strongly connected
 components of the matched pattern are the irreducible diagonal blocks,
 and the determinant is the matching's sign times the product of the block
@@ -71,7 +72,7 @@ from .errors import (
     InvalidShape,
     InvalidWord,
 )
-from .words import Word, record
+from .words import record
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -262,7 +263,7 @@ class MatrixTuple:
         return {"matrices": [m.to_json() for m in self.matrices]}
 
 
-def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
+def evaluate_words(words: list[tuple[int, ...]], t: MatrixTuple) -> list[Matrix]:
     """Evaluate nonempty words at the tuple t, as one list of matrices.
 
     The blocks of `word_blocks`, the package's one evaluator, joined; for
@@ -278,7 +279,7 @@ def evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
     ]
 
 
-def word_blocks(words: list[Word], st: RingStack):
+def word_blocks(words: list[tuple[int, ...]], st: RingStack):
     """Yield the evaluations of nonempty words, in order, _EXTEND_BLOCK at a time.
 
     Each block is a stack of `st` (the `letter_stack` of the tuple), so it
@@ -293,15 +294,15 @@ def word_blocks(words: list[Word], st: RingStack):
     """
     g = len(st.letters)
     for w in words:
-        if w.degree == 0:
+        if not w:
             raise InvalidWord("cannot evaluate the empty word")
-        if any(not 1 <= letter <= g for letter in w.letters):
-            raise InvalidWord(f"word uses letters outside [1, {g}]: {w.letters}")
+        if any(not 1 <= letter <= g for letter in w):
+            raise InvalidWord(f"word uses letters outside [1, {g}]: {w}")
     if not words:
         return
-    cuts = [(w.degree + 1) // 2 for w in words]
-    heads = [w.letters[:c] for w, c in zip(words, cuts)]
-    tails = [w.letters[c:] for w, c in zip(words, cuts)]
+    cuts = [(len(w) + 1) // 2 for w in words]
+    heads = [w[:c] for w, c in zip(words, cuts)]
+    tails = [w[c:] for w, c in zip(words, cuts)]
     index, stack = _prefix_products(set(heads) | set(tails), st)
     head_rows = [index[h] for h in heads]
     tail_rows = [index[h] for h in tails]
@@ -423,27 +424,24 @@ def _check_uniform(ms: list[Matrix]) -> tuple[int, ScalarRing]:
 
 
 def discriminant(ms: list[Matrix]) -> int:
-    """Determinant of the n^2-by-n^2 matrix whose k-th column is ms[k].entries.
+    """Integer determinant of the n^2-by-n^2 matrix whose k-th column is
+    ms[k].entries: the exact value that a witness certifies.
 
-    Exact over both rings.  The vectorizations go in as rows (the transpose
-    has the same determinant).  Over the integers the determinant is split
-    along the block-triangular form of the nonzero pattern
-    (`_det_block_triangular`), and fraction-free (Bareiss) elimination runs
-    on each irreducible diagonal block; the sparse witness grids split
-    into many small blocks.  Over every prime field the rows go to `_det_echelon`: the
-    product of the leads that `echelon_extend` reports times the sign of the
-    pivot order, or 0 at the first slice with a dependent row.
+    The vectorizations go in as rows (the transpose has the same
+    determinant).  The determinant is split along the block-triangular form
+    of the nonzero pattern (`_det_block_triangular`), and fraction-free
+    (Bareiss) elimination runs on each irreducible diagonal block; the
+    sparse witness grids split into many small blocks.  Raises InvalidInput
+    for matrices over a prime field: there the determinant of word blocks
+    is `_det_echelon`'s.
     """
     n, ring = _check_uniform(ms)
+    if ring.kind != "big_integer":
+        raise InvalidInput("discriminant takes integer matrices only")
     nn = n * n
     if len(ms) != nn:
         raise ArityMismatch(f"discriminant needs exactly {nn} matrices, got {len(ms)}")
-    rows = [m.entries for m in ms]
-    if ring.kind == "big_integer":
-        return _det_block_triangular(rows)
-    return _det_echelon(
-        (rows[lo : lo + _EXTEND_BLOCK] for lo in range(0, nn, _EXTEND_BLOCK)), ring
-    )
+    return _det_block_triangular([m.entries for m in ms])
 
 
 def _det_echelon(blocks, ring: ScalarRing) -> int:

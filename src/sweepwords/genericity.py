@@ -39,12 +39,12 @@ from .exactalg import (
     word_blocks,
 )
 from .words import (
-    Word,
     build_word_grid,
     check_alphabet_size,
     check_grid_size,
     degree_exponent,
     record,
+    word_string,
 )
 
 try:
@@ -128,9 +128,9 @@ def sample_tuple(
     )
 
 
-def words_digest(words: list[Word]) -> str:
+def words_digest(words: list[tuple[int, ...]], g: int) -> str:
     """sha256, in hex, of the words' strings joined by "|"."""
-    payload = "|".join(w.to_string() for w in words).encode()
+    payload = "|".join(word_string(w, g) for w in words).encode()
     return sha256(payload).hexdigest()
 
 
@@ -180,7 +180,7 @@ def check_certify_size(n: int) -> None:
 
 
 def is_locally_linearly_independent(
-    words: list[Word],
+    words: list[tuple[int, ...]],
     n: int,
     g: int,
     p: int = DEFAULT_PRIME,
@@ -206,23 +206,23 @@ def is_locally_linearly_independent(
     if len(words) != n * n:
         raise InvalidWord(f"need exactly {n * n} words, got {len(words)}")
     for w in words:
-        if w.degree == 0 or any(not 1 <= letter <= g for letter in w.letters):
-            raise InvalidWord(f"bad word {w.letters} for alphabet size {g}")
+        if not w or any(not 1 <= letter <= g for letter in w):
+            raise InvalidWord(f"bad word {w} for alphabet size {g}")
     if p <= (1 << 40):
         raise InvalidModulus(f"modulus must exceed 2^40, got {p}")
     ring = prime_field(p)
-    digest = words_digest(words)
+    digest = words_digest(words, g)
     flags = []
     for trial in range(trials):
         rng = random.Random(derive_trial_seed(seed, trial))
         t = sample_tuple(n, g, ring, rng, symmetric)
         flags.append(_det_echelon(word_blocks(words, letter_stack(t)), ring) != 0)
-    total_degree = sum(w.degree for w in words)
+    total_degree = sum(map(len, words))
     common = gcd(total_degree, p)
     return CertificationReport(
         n=n,
         g=g,
-        d=max(w.degree for w in words),
+        d=max(map(len, words)),
         word_digest=digest,
         trials=trials,
         successes=sum(flags),
@@ -473,7 +473,6 @@ def random_words_certification(
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < n * n:
         chosen.add(tuple(rng.randrange(1, g + 1) for _ in range(s)))
-    words = [Word(letters, g) for letters in sorted(chosen)]
     return is_locally_linearly_independent(
-        words, n, g, p=p, trials=trials, seed=seed, symmetric=symmetric
+        sorted(chosen), n, g, p=p, trials=trials, seed=seed, symmetric=symmetric
     )

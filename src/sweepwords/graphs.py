@@ -215,10 +215,7 @@ def verify_partition(graph: LabeledMultigraph, partition: WalkPartition) -> bool
                 seen_words[tuple(label for _, label in w.steps)] += 1
     if partition.edge_usage() != Counter(graph.edges):
         return False
-    expected_words = Counter(
-        {w.letters: m for w in all_words(graph.g, length)}
-    )
-    return seen_words == expected_words
+    return seen_words == Counter(dict.fromkeys(all_words(graph.g, length), m))
 
 
 class _Saturated(Exception):
@@ -407,7 +404,7 @@ def enumerate_partitions(
             f"the partition search is capped at g^(2d) * m <= {SEARCH_MAX_WALKS} "
             f"walks; got g = {graph.g}, d = {graph.d}, m = {m}"
         )
-    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    words = all_words(graph.g, 2 * graph.d)
     # every placed walk uses exactly its word's letters, so matching label
     # totals up front is the only label check the search needs
     need: Counter[int] = Counter()

@@ -1,8 +1,9 @@
 """Free-monoid words, the log-degree word grid, and its certificate monomial.
 
-Letters are the integers 1..g; in every ordering letter 1 is the largest
-(so the all-1 word comes first in a decreasing enumeration).  Words
-serialize as strings over 'a', 'b', ... with letter 1 -> 'a'.
+A word is the tuple of its letters, the integers 1..g; the empty tuple is
+the identity.  In every ordering letter 1 is the largest (so the all-1 word
+comes first in a decreasing enumeration).  Words serialize as strings over
+'a', 'b', ... with letter 1 -> 'a' (`word_string`).
 
 The central object is the n-by-n grid of words of degree 2*ceil(log_g(n))
 whose entry (i, j) is v[i] followed by the reversal of v[j], where v is the
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .errors import InvalidInput, InvalidWord, TooLarge
+from .errors import InvalidInput, TooLarge
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -48,10 +49,10 @@ def record(cls):
     numpy-free ones start-up is most of the job.  `import dataclasses`
     took 6.4-7.0 ms (5.5-6.0 ms of it `inspect`), and each frozen
     dataclass 0.5-0.6 ms more to exec its generated methods, against 0.01
-    ms for `record`; `witness` defines 8 records, `graph` 5 and
-    `certify`/`length` 9 (2-core x86-64, Python 3.11).
-    The price is a slower constructor: a positional `Word(...)` takes 0.93
-    us against 0.63 us, and `build_word_grid(40, 2)` 2.1 ms against 1.6 ms.
+    ms for `record`; `witness` defines 7 records, `graph` 4 and
+    `certify`/`length` 8 (2-core x86-64, Python 3.11).
+    The price is a slower constructor: a positional `graphs.Walk(...)`
+    takes 0.73 us against 0.44 us for the frozen dataclass.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -112,41 +113,15 @@ def _bind(qualname: str, names: tuple, defaults: dict, args: tuple, kwargs: dict
     return [values[name] if name in values else defaults[name] for name in names]
 
 
-@record
-class Word:
-    """A word over the alphabet {1, .., g}; the empty tuple is the identity."""
-
-    letters: tuple[int, ...]
-    g: int
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise InvalidInput(f"alphabet size must be >= 1, got {self.g}")
-        for letter in self.letters:
-            if not 1 <= letter <= self.g:
-                raise InvalidWord(
-                    f"letter {letter} outside alphabet [1, {self.g}]"
-                )
-
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
-
-    def concat(self, other: Word) -> Word:
-        if other.g != self.g:
-            raise InvalidInput("cannot concatenate words over different alphabets")
-        return Word(self.letters + other.letters, self.g)
-
-    def reverse(self) -> Word:
-        return Word(self.letters[::-1], self.g)
-
-    def to_string(self) -> str:
-        if self.g > len(_ALPHA):
-            raise InvalidInput(f"string form supports g <= {len(_ALPHA)}")
-        return "".join(_ALPHA[letter - 1] for letter in self.letters)
+def word_string(letters: tuple[int, ...], g: int) -> str:
+    """The word's string over 'a', 'b', ...; InvalidInput when g > 26,
+    whatever letters the word uses."""
+    if g > len(_ALPHA):
+        raise InvalidInput(f"string form supports g <= {len(_ALPHA)}")
+    return "".join(_ALPHA[letter - 1] for letter in letters)
 
 
-def all_words(g: int, s: int) -> list[Word]:
+def all_words(g: int, s: int) -> list[tuple[int, ...]]:
     """All g**s words of degree s, in strictly decreasing lexicographic order.
 
     Letter 1 is the largest letter, so tuples in ascending natural order are
@@ -156,7 +131,7 @@ def all_words(g: int, s: int) -> list[Word]:
         raise InvalidInput(f"alphabet size must be >= 2, got {g}")
     if s < 0:
         raise InvalidInput(f"degree must be >= 0, got {s}")
-    return [Word(t, g) for t in itertools.product(range(1, g + 1), repeat=s)]
+    return list(itertools.product(range(1, g + 1), repeat=s))
 
 
 # Largest n that `build_word_grid` accepts; the grid holds n^2 words.  A
@@ -225,9 +200,9 @@ class WordGrid:
     n: int
     g: int
     d: int
-    grid: tuple[tuple[Word, ...], ...]
+    grid: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def flatten(self) -> list[Word]:
+    def flatten(self) -> list[tuple[int, ...]]:
         """Words w_1, .., w_{n^2} with w_{(i-1)n+j} = entry (i, j)."""
         return [w for row in self.grid for w in row]
 
@@ -236,7 +211,7 @@ class WordGrid:
             "n": self.n,
             "g": self.g,
             "d": self.d,
-            "grid": [[w.to_string() for w in row] for row in self.grid],
+            "grid": [[word_string(w, self.g) for w in row] for row in self.grid],
         }
 
 
@@ -260,12 +235,8 @@ def build_word_grid(n: int, g: int, d: int | None = None) -> WordGrid:
         raise InvalidInput(f"d={d} too small: g**d must be >= n={n}")
     check_grid_size(n, g, d)
     # only the first n of the g**d degree-d words are ever referenced
-    heads = itertools.islice(itertools.product(range(1, g + 1), repeat=d), n)
-    v = [Word(t, g) for t in heads]
-    rev = [w.reverse() for w in v]
-    grid = tuple(
-        tuple(v[i].concat(rev[j]) for j in range(n)) for i in range(n)
-    )
+    v = list(itertools.islice(itertools.product(range(1, g + 1), repeat=d), n))
+    grid = tuple(tuple(v[i] + v[j][::-1] for j in range(n)) for i in range(n))
     return WordGrid(n, g, d, grid)
 
 

@@ -81,7 +81,8 @@ _CONSOLE = [
     "length --n 2..6 --trials 1 --prime 101",
 ]
 
-# one refusal per cap, each exit 2 with empty stdout: CI's, then the trial
+# one refusal per cap, each exit 2 with empty stdout: CI's (with the string
+# form's g <= 26 in certify's digest and in the words grid), then the trial
 # caps, the negative budget and the search's placed-walk cap
 _REFUSALS = [
     "words --n 257",
@@ -91,6 +92,7 @@ _REFUSALS = [
     "witness --n 2 --g 257",
     "length --n 3 --g 257",
     "certify --n 20 --g 27 --trials 3",
+    "words --n 4 --g 27",
     "length --n 2..48 --trials 9",
     "witness --n 16 --base 65536",
     "certify --n 3 --trials 65",

@@ -14,7 +14,7 @@ import pytest
 from sweepwords import exactalg
 from sweepwords.errors import InvalidShape, TooLarge
 from sweepwords.graphs import Walk
-from sweepwords.words import VarId, Word, WordGrid
+from sweepwords.words import VarId, WordGrid
 
 
 def det_cofactor(rows: list[list[int]]) -> int:
@@ -160,17 +160,25 @@ def unit(n: int, i: int, j: int, ring: exactalg.ScalarRing) -> exactalg.Matrix:
     return mat(entries, ring)
 
 
-def evaluate_word(w: Word, t: exactalg.MatrixTuple) -> exactalg.Matrix:
+def evaluate_word(w: tuple[int, ...], t: exactalg.MatrixTuple) -> exactalg.Matrix:
     """The library evaluator on one word: its letters' matrices multiplied in order."""
     return exactalg.evaluate_words([w], t)[0]
 
 
-def word_of_walk(w: Walk, g: int | None = None) -> Word:
+def prime_discriminant(ms: list[exactalg.Matrix]) -> int:
+    """Determinant over a prime field of the matrix whose k-th row is
+    ms[k].entries: `exactalg._det_echelon` on row blocks of _EXTEND_BLOCK,
+    as certification feeds it word blocks.  `discriminant` is the integer
+    determinant only."""
+    rows = [m.entries for m in ms]
+    step = exactalg._EXTEND_BLOCK
+    blocks = (rows[lo : lo + step] for lo in range(0, len(rows), step))
+    return exactalg._det_echelon(blocks, ms[0].ring)
+
+
+def word_of_walk(w: Walk) -> tuple[int, ...]:
     """The word read off the walk's labels in traversal order."""
-    letters = tuple(label for _, label in w.steps)
-    if g is None:
-        g = max(letters, default=2)
-    return Word(letters, g)
+    return tuple(label for _, label in w.steps)
 
 
 # --- symbolic expansion over generic matrices (hard-capped at n = 2) -------
@@ -178,14 +186,16 @@ def word_of_walk(w: Walk, g: int | None = None) -> Word:
 Monomial = tuple[tuple[VarId, int], ...]  # sorted ((k,i,j), exponent) pairs
 
 
-def _entry_polynomial(word: Word, n: int, i: int, j: int) -> dict[Monomial, int]:
+def _entry_polynomial(
+    word: tuple[int, ...], n: int, i: int, j: int
+) -> dict[Monomial, int]:
     """Entry (i, j) of `word` evaluated at generic matrices, matrix 1 diagonal.
 
     Expands the sum over index paths i -> .. -> j; a step with letter 1 must
     stay in place (diagonal matrix), other letters may move anywhere.
     """
     states: list[tuple[int, Counter]] = [(i, Counter())]
-    for letter in word.letters:
+    for letter in word:
         nxt: list[tuple[int, Counter]] = []
         for pos, vars_used in states:
             if letter == 1:

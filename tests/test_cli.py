@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,11 @@ P61M31 = str((1 << 61) - 31)
 
 def refuse(*args, **kwargs):
     raise AssertionError("work started before the size check")
+
+
+# in place of `words.itertools`: the grid's words are the letter tuples of
+# itertools.product, so no word can be built
+NO_WORDS = SimpleNamespace(product=refuse, islice=refuse)
 
 
 def run(argv):
@@ -56,6 +62,18 @@ class TestWordsCommand:
         assert code == 2
         assert "invalid" in err
 
+    def test_alphabet_without_string_form_exits_2(self):
+        # letters print as a..z, so g = 27 has no string form, even for a
+        # grid whose words use only a and b
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(["words", "--n", "4", "--g", "27", "--format", fmt])
+            assert code == 2
+            assert out == ""
+            assert "g <= 26" in err
+        code, env, _ = run_json(["words", "--n", "2", "--g", "26"])
+        assert code == 0
+        assert env["result"]["grid"]["grid"] == [["aa", "ab"], ["ba", "bb"]]
+
     def test_missing_required_flag_exits_2(self):
         code, _, _ = run(["words"])
         assert code == 2
@@ -80,7 +98,7 @@ class TestWordsCommand:
         assert json.loads(target.read_text())["command"] == "words"
 
     def test_size_above_cap_exits_2(self, monkeypatch):
-        monkeypatch.setattr(words, "Word", refuse)
+        monkeypatch.setattr(words, "itertools", NO_WORDS)
         for argv in (
             ["--n", str(WORDS_MAX_N + 1)],
             ["--n", "2", "--d", str(WORDS_MAX_D + 1)],
@@ -187,8 +205,9 @@ class TestCertifyCommand:
             assert "capped" in err
 
     def test_degree_and_alphabet_above_cap_exit_2(self, monkeypatch):
-        for owner in (words, genericity):
-            monkeypatch.setattr(owner, "Word", refuse)
+        monkeypatch.setattr(words, "itertools", NO_WORDS)
+        # every random draw, of words or of a tuple, is seeded through it
+        monkeypatch.setattr(genericity, "derive_trial_seed", refuse)
         monkeypatch.setattr(genericity, "sample_tuple", refuse)
         for argv in (
             ["--d", str(WORDS_MAX_D + 1)],

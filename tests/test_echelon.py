@@ -3,8 +3,8 @@
 Every prime field runs one kernel: the limb products of `_matmul`, their
 p-dependent recombination `_recombine`, Shoup's product `_mulmod`, and
 the blocked elimination of `echelon_extend` (with its in-block window
-that widens on demand), on which `discriminant`, `span_insert` and the
-length chains are built.
+that widens on demand), on which the determinant `_det_echelon`,
+`span_insert` and the length chains are built.
 Each is checked at primes from 2 to the largest below 2^62 that
 `ScalarRing` accepts: the kernel against Python-int products,
 `echelon_extend` (leads included) against a fold of the row-at-a-time
@@ -26,6 +26,7 @@ from conftest import (
     echelon_insert,
     empty_basis,
     extend_rank,
+    prime_discriminant,
     pure_det,
     rank_fractions,
 )
@@ -38,7 +39,6 @@ from sweepwords.exactalg import (
     _matmul,
     _mulmod,
     big_integer,
-    discriminant,
     echelon_extend,
     prime_field,
     span_insert,
@@ -112,14 +112,14 @@ class TestDiscriminant:
     @given(st.sampled_from(PRIMES), square_systems(n_max=6))
     def test_matches_oracle(self, p, system):
         n, a = system
-        assert discriminant(_columns(a, n, prime_field(p))) == pure_det(a, p)
+        assert prime_discriminant(_columns(a, n, prime_field(p))) == pure_det(a, p)
 
     @settings(max_examples=40, deadline=None)
     @given(square_systems(n_max=4))
     def test_mersenne_kernel_at_small_sizes(self, system):
         n, a = system
         ring = prime_field(MERSENNE61)
-        assert discriminant(_columns(a, n, ring)) == pure_det(a, MERSENNE61)
+        assert prime_discriminant(_columns(a, n, ring)) == pure_det(a, MERSENNE61)
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -135,7 +135,7 @@ class TestDiscriminant:
                 a[i][:h] = [0] * h
             if pure_det(a, p):
                 break
-        assert discriminant(_columns(a, n, prime_field(p))) == pure_det(a, p)
+        assert prime_discriminant(_columns(a, n, prime_field(p))) == pure_det(a, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -145,10 +145,10 @@ class TestDiscriminant:
         a = [[rng.randrange(p) for _ in range(nn)] for _ in range(nn)]
         dup = [list(r) for r in a]
         dup[-1] = list(dup[nn // 2])
-        assert discriminant(_columns(dup, n, prime_field(p))) == 0
+        assert prime_discriminant(_columns(dup, n, prime_field(p))) == 0
         for row in a:
             row[-1] = 0
-        assert discriminant(_columns(a, n, prime_field(p))) == 0
+        assert prime_discriminant(_columns(a, n, prime_field(p))) == 0
 
 
 class TestRank:

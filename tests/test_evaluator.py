@@ -31,7 +31,7 @@ from sweepwords.exactalg import (
 )
 from sweepwords.genericity import evaluate_words, subspace_length
 from sweepwords.witness import build_witness
-from sweepwords.words import Word, all_words, build_word_grid
+from sweepwords.words import all_words, build_word_grid
 
 RINGS = {
     "mersenne61": prime_field(MERSENNE61),
@@ -41,7 +41,9 @@ RINGS = {
 }
 
 
-def oracle_evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
+def oracle_evaluate_words(
+    words: list[tuple[int, ...]], t: MatrixTuple
+) -> list[Matrix]:
     cache = {(k,): t.matrices[k - 1] for k in range(1, t.g + 1)}
 
     def ev(letters):
@@ -51,7 +53,7 @@ def oracle_evaluate_words(words: list[Word], t: MatrixTuple) -> list[Matrix]:
             cache[letters] = got
         return got
 
-    return [ev(w.letters) for w in words]
+    return [ev(w) for w in words]
 
 
 def random_tuple(n: int, g: int, ring, rng: random.Random) -> MatrixTuple:
@@ -91,7 +93,7 @@ def test_all_entries_p_minus_one(ring):
     n, g = 5, 2
     top = Matrix(n, n, (ring.p - 1,) * (n * n), ring)
     t = MatrixTuple((top,) * g)
-    words = build_word_grid(n, g).flatten() + [Word((1,), g), Word((2, 1, 2), g)]
+    words = build_word_grid(n, g).flatten() + [(1,), (2, 1, 2)]
     assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
 
 
@@ -102,7 +104,7 @@ def word_lists(draw):
     words = draw(st.lists(letters, min_size=1, max_size=12))
     # repeat some words verbatim
     words += draw(st.lists(st.sampled_from(words), max_size=3))
-    return g, [Word(tuple(w), g) for w in words]
+    return g, [tuple(w) for w in words]
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,6 +272,6 @@ def test_prefix_products_keep_only_the_halves(ring):
         expected = (
             identity(3, ring)
             if not h
-            else oracle_evaluate_words([Word(h, 3)], t)[0]
+            else oracle_evaluate_words([h], t)[0]
         )
         assert tuple(rows[row]) == expected.entries

@@ -17,6 +17,7 @@ from conftest import (
     mat,
     mat_add,
     mat_scale,
+    prime_discriminant,
     pure_det,
     rank_fractions,
     unit,
@@ -47,7 +48,7 @@ from sweepwords.exactalg import (
     span_insert,
 )
 from sweepwords.witness import build_witness
-from sweepwords.words import Word, build_word_grid
+from sweepwords.words import build_word_grid
 
 BLOCK = exactalg._EXTEND_BLOCK
 
@@ -97,29 +98,29 @@ class TestEvaluateWord:
         a = mat([[1, 2], [3, 4]], fp101)
         b = mat([[5, 6], [7, 8]], fp101)
         t = MatrixTuple((a, b))
-        assert evaluate_word(Word((1,), 2), t) == a
+        assert evaluate_word((1,), t) == a
 
     def test_identity_absorbs(self, fp101):
         b = mat([[5, 6], [7, 8]], fp101)
         t = MatrixTuple((identity(2, fp101), b))
-        assert evaluate_word(Word((1, 2), 2), t) == b
+        assert evaluate_word((1, 2), t) == b
 
     def test_hand_product_mod_7(self):
         ring = prime_field(7)
         x = mat([[2, 0], [0, 3]], ring)
         y = mat([[0, 1], [1, 0]], ring)
-        result = evaluate_word(Word((1, 2), 2), MatrixTuple((x, y)))
+        result = evaluate_word((1, 2), MatrixTuple((x, y)))
         assert result == mat([[0, 2], [3, 0]], ring)
 
     def test_rejects_empty_word(self, fp101):
         t = MatrixTuple((identity(2, fp101),) * 2)
         with pytest.raises(InvalidWord):
-            evaluate_word(Word((), 2), t)
+            evaluate_word((), t)
 
     def test_rejects_letter_out_of_range(self, fp101):
         t = MatrixTuple((identity(2, fp101),) * 2)
         with pytest.raises(InvalidWord):
-            evaluate_word(Word((1, 3), 3), t)
+            evaluate_word((1, 3), t)
 
     def test_monoid_homomorphism(self, fp_default):
         rng = random.Random(42)
@@ -135,16 +136,17 @@ class TestEvaluateWord:
                     for _ in range(g)
                 )
             )
-            u = Word(tuple(rng.randrange(1, g + 1) for _ in range(rng.randrange(1, 4))), g)
-            v = Word(tuple(rng.randrange(1, g + 1) for _ in range(rng.randrange(1, 4))), g)
-            lhs = evaluate_word(u.concat(v), t)
+            u = tuple(rng.randrange(1, g + 1) for _ in range(rng.randrange(1, 4)))
+            v = tuple(rng.randrange(1, g + 1) for _ in range(rng.randrange(1, 4)))
+            lhs = evaluate_word(u + v, t)
             rhs = evaluate_word(u, t).mul(evaluate_word(v, t))
             assert lhs == rhs
 
 
 class TestVectorize:
-    """`discriminant` and `echelon_extend` read a matrix's row-major entries
-    as its vectorization: component (i-1)*n + j holds entry (i, j)."""
+    """`discriminant`, `_det_echelon` and `echelon_extend` read a matrix's
+    row-major entries as its vectorization: component (i-1)*n + j holds
+    entry (i, j)."""
 
     def test_identity(self, fp101):
         assert identity(2, fp101).entries == (1, 0, 0, 1)
@@ -158,11 +160,11 @@ class TestVectorize:
         # swaps three pairs and so has sign -1
         row_major = [unit(3, i, j, fp101) for i in (1, 2, 3) for j in (1, 2, 3)]
         col_major = [unit(3, i, j, fp101) for j in (1, 2, 3) for i in (1, 2, 3)]
-        assert discriminant(row_major) == 1
-        assert discriminant(col_major) == 101 - 1
+        assert prime_discriminant(row_major) == 1
+        assert prime_discriminant(col_major) == 101 - 1
 
-    def test_rejects_non_square(self, fp101):
-        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]], fp101)
+    def test_rejects_non_square(self, zz):
+        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]], zz)
         with pytest.raises(InvalidShape):
             discriminant([m])
 
@@ -189,20 +191,30 @@ def _elementary_basis(n, ring):
 
 
 class TestDiscriminant:
-    def test_elementary_basis_gives_one(self, fp101):
-        assert discriminant(_elementary_basis(2, fp101)) == 1
+    """`discriminant` over the integers, and `_det_echelon` on the same
+    inputs over F_p (`prime_discriminant`)."""
 
-    def test_repeated_matrix_gives_zero(self, fp101):
-        ms = _elementary_basis(2, fp101)
-        ms[3] = ms[0]
-        assert discriminant(ms) == 0
+    def test_elementary_basis_gives_one(self, fp101, zz):
+        assert prime_discriminant(_elementary_basis(2, fp101)) == 1
+        assert discriminant(_elementary_basis(2, zz)) == 1
+
+    def test_repeated_matrix_gives_zero(self, fp101, zz):
+        for det, ring in ((prime_discriminant, fp101), (discriminant, zz)):
+            ms = _elementary_basis(2, ring)
+            ms[3] = ms[0]
+            assert det(ms) == 0
+
+    def test_prime_field_is_refused(self, fp101):
+        # over F_p the determinant of word blocks is `_det_echelon`'s
+        with pytest.raises(InvalidInput, match="integer"):
+            discriminant(_elementary_basis(2, fp101))
 
     def test_grid_point_fixture_mod_101(self, fp101):
         # words x^2, xy, yx, y^2 at X = diag(2, 3), Y = e12 + e21
         x = mat([[2, 0], [0, 3]], fp101)
         y = mat([[0, 1], [1, 0]], fp101)
         evals = [x.mul(x), x.mul(y), y.mul(x), y.mul(y)]
-        value = discriminant(evals)
+        value = prime_discriminant(evals)
         assert value == 25
         cols = [m.entries for m in evals]
         rows = [[cols[k][r] for k in range(4)] for r in range(4)]
@@ -214,20 +226,20 @@ class TestDiscriminant:
         evals = [x.mul(x), x.mul(y), y.mul(x), y.mul(y)]
         assert discriminant(evals) == 25
 
-    def test_wrong_count(self, fp101):
+    def test_wrong_count(self, zz):
         with pytest.raises(ArityMismatch):
-            discriminant(_elementary_basis(2, fp101)[:3])
+            discriminant(_elementary_basis(2, zz)[:3])
 
-    def test_mixed_sizes(self, fp101):
-        ms = _elementary_basis(2, fp101)
-        ms[1] = identity(3, fp101)
-        with pytest.raises(InvalidInput):
+    def test_mixed_sizes(self, zz):
+        ms = _elementary_basis(2, zz)
+        ms[1] = identity(3, zz)
+        with pytest.raises(InvalidInput, match="sizes"):
             discriminant(ms)
 
     def test_mixed_rings(self, fp101, zz):
-        ms = _elementary_basis(2, fp101)
-        ms[1] = identity(2, zz)
-        with pytest.raises(InvalidInput):
+        ms = _elementary_basis(2, zz)
+        ms[1] = identity(2, fp101)
+        with pytest.raises(InvalidInput, match="rings"):
             discriminant(ms)
 
     # the default prime reduces by Mersenne folds, 101 by Shoup products
@@ -245,7 +257,7 @@ class TestDiscriminant:
             i, j = rng.sample(range(n * n), 2)
             swapped = list(ms)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            assert discriminant(swapped) == (-discriminant(ms)) % p
+            assert prime_discriminant(swapped) == (-prime_discriminant(ms)) % p
 
     @pytest.mark.parametrize("ring_name", ["fp_default", "fp101"])
     def test_nonzero_iff_full_rank(self, ring_name, request):
@@ -261,7 +273,7 @@ class TestDiscriminant:
             if trial % 2:
                 # plant a dependency: last = sum of the first two
                 ms[3] = mat_add(ms[0], ms[1])
-            d = discriminant(ms)
+            d = prime_discriminant(ms)
             r = extend_rank(ms)
             assert (d != 0) == (r == n * n)
 
@@ -275,7 +287,7 @@ class TestDiscriminant:
                 for _ in range(n * n)
             ]
             dz = discriminant([mat(rows, zz) for rows in rows_list])
-            dp = discriminant([mat(rows, fp_default) for rows in rows_list])
+            dp = prime_discriminant([mat(rows, fp_default) for rows in rows_list])
             assert dz % p == dp
 
 
@@ -487,7 +499,7 @@ class _DeterminantCases:
     """`_det_echelon` over F_p against the pure elimination of conftest.
 
     Subclasses set p.  The rows go into `_det_echelon` in slices of
-    _EXTEND_BLOCK = 32, as `discriminant` passes them, so the sizes sit on
+    _EXTEND_BLOCK = 32, as certification passes word blocks, so the sizes sit on
     and across slice boundaries.
     """
 

@@ -13,6 +13,7 @@ from conftest import (
     mat_add,
     mat_scale,
     mat_transpose,
+    prime_discriminant,
     unit,
     zeros,
 )
@@ -28,7 +29,6 @@ from sweepwords.exactalg import (
     Matrix,
     MatrixTuple,
     _det_echelon,
-    discriminant,
     echelon_extend,
     letter_stack,
     prime_field,
@@ -54,15 +54,11 @@ from sweepwords.genericity import (
 )
 from sweepwords.words import (
     WORDS_MAX_D,
-    Word,
     all_words,
     build_word_grid,
     least_alphabet,
+    word_string,
 )
-
-
-def w(letters, g=2):
-    return Word(tuple(letters), g)
 
 
 class TestSeedDerivation:
@@ -87,22 +83,22 @@ class TestCertification:
         assert report.single_trial_failure_bound == (8, DEFAULT_PRIME)
 
     def test_repeated_word_is_never_certified(self):
-        words = [w([1]), w([2]), w([1, 2]), w([1, 2])]
+        words = [(1,), (2,), (1, 2), (1, 2)]
         report = is_locally_linearly_independent(words, 2, 2, trials=3, seed=0)
         assert report.successes == 0
         assert report.status == "inconclusive"
 
     def test_wrong_word_count(self):
         with pytest.raises(InvalidWord):
-            is_locally_linearly_independent([w([1])] * 3, 2, 2)
+            is_locally_linearly_independent([(1,)] * 3, 2, 2)
 
     def test_letter_out_of_alphabet(self):
-        words = [w([1]), w([2]), w([1, 2]), w([3], g=3)]
+        words = [(1,), (2,), (1, 2), (3,)]
         with pytest.raises(InvalidWord):
             is_locally_linearly_independent(words, 2, 2)
 
     def test_empty_word_rejected(self):
-        words = [w([]), w([2]), w([1, 2]), w([2, 1])]
+        words = [(), (2,), (1, 2), (2, 1)]
         with pytest.raises(InvalidWord):
             is_locally_linearly_independent(words, 2, 2)
 
@@ -119,8 +115,8 @@ class TestCertification:
     def test_word_digest_is_sha256_of_the_joined_words(self):
         # the digest no longer comes from hashlib; it must not change
         words = build_word_grid(4, 3).flatten()
-        payload = "|".join(word.to_string() for word in words).encode()
-        assert words_digest(words) == hashlib.sha256(payload).hexdigest()
+        payload = "|".join(word_string(word, 3) for word in words).encode()
+        assert words_digest(words, 3) == hashlib.sha256(payload).hexdigest()
         report = grid_certification(4, 3, trials=1)
         assert report.word_digest == hashlib.sha256(payload).hexdigest()
 
@@ -136,7 +132,7 @@ class TestCertification:
             rng = random.Random(derive_trial_seed(5, 0))
             t = sample_tuple(n, g, fp_default, rng)
             evals = evaluate_words(grid_words, t)
-            if exactalg.discriminant(evals) != 0:
+            if prime_discriminant(evals) != 0:
                 assert extend_rank(evals) == n * n
 
     def test_random_word_harness_is_deterministic(self):
@@ -162,7 +158,7 @@ class TestCertification:
         assert shared == direct
 
 
-def sweeps(words: list[Word], t: MatrixTuple) -> bool:
+def sweeps(words: list[tuple[int, ...]], t: MatrixTuple) -> bool:
     """Do n^2 words span M_n at t?  Their streamed determinant is nonzero."""
     assert len(words) == t.n * t.n
     return _det_echelon(word_blocks(words, letter_stack(t)), t.ring) != 0
@@ -175,7 +171,7 @@ class TestSweepCheck:
         x = mat([[1, 0], [0, 2]], fp_default)
         y = mat([[0, 1], [1, 0]], fp_default)
         t = MatrixTuple((x, y))
-        words = [w([1]), w([2]), w([1, 2]), w([2, 1])]
+        words = [(1,), (2,), (1, 2), (2, 1)]
         assert extend_rank(evaluate_words(words, t)) == 3
         assert not sweeps(words, t)
 
@@ -183,7 +179,7 @@ class TestSweepCheck:
         x = mat([[1, 0], [0, 2]], fp_default)
         y = mat([[0, 1], [1, 1]], fp_default)
         t = MatrixTuple((x, y))
-        words = [w([1]), w([2]), w([1, 2]), w([2, 1])]
+        words = [(1,), (2,), (1, 2), (2, 1)]
         assert sweeps(words, t)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -364,7 +360,7 @@ class TestCertifyCap:
         with pytest.raises(TooLarge):
             random_words_certification(n, 2, p=p, trials=1)
         with pytest.raises(TooLarge):
-            is_locally_linearly_independent([w([1])] * (n * n), n, 2, p=p, trials=1)
+            is_locally_linearly_independent([(1,)] * (n * n), n, 2, p=p, trials=1)
 
 
 class TestTrialsCap:
@@ -446,9 +442,9 @@ def _counting_blocks(drawn):
 
 
 class TestStreamedElimination:
-    """Word blocks fed straight into elimination against the joined path,
-    `discriminant` of the whole `evaluate_words` list, and the rank of the
-    row-at-a-time oracle."""
+    """The blocks of `word_blocks` fed straight into elimination against
+    the joined path, the determinant of the whole `evaluate_words` list,
+    and the rank of the row-at-a-time oracle."""
 
     @pytest.mark.parametrize("g", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 9, 12, 17, 20])
@@ -456,7 +452,7 @@ class TestStreamedElimination:
         ring = prime_field(DEFAULT_PRIME)
         words, t = _grid_tuple(n, g, ring, 100 * n + g)
         streamed = _det_echelon(word_blocks(words, letter_stack(t)), ring)
-        assert streamed == discriminant(evaluate_words(words, t))
+        assert streamed == prime_discriminant(evaluate_words(words, t))
         assert streamed != 0
 
     @pytest.mark.parametrize("g", [2, 3])
@@ -466,7 +462,7 @@ class TestStreamedElimination:
         ring = prime_field((1 << 61) - 31)
         words, t = _grid_tuple(n, g, ring, 100 * n + g)
         streamed = _det_echelon(word_blocks(words, letter_stack(t)), ring)
-        assert streamed == discriminant(evaluate_words(words, t)) != 0
+        assert streamed == prime_discriminant(evaluate_words(words, t)) != 0
 
     def test_late_duplicate_stops_the_stream(self, monkeypatch):
         # 144 grid words make blocks 0..4; the copy of word 5 at row 100
@@ -604,9 +600,8 @@ class TestRosenthal:
         gbar = least_alphabet(n, d)
         assert gbar <= g
         grid = build_word_grid(n, gbar, d).flatten()
-        degree_2d = {word.letters for word in all_words(g, 2 * d)}
-        assert len({word.letters for word in grid}) == n * n
-        assert {word.letters for word in grid} <= degree_2d
+        assert len(set(grid)) == n * n
+        assert set(grid) <= set(all_words(g, 2 * d))
         assert grid_certification(n, gbar, d=d, trials=1, seed=0).certified
 
     def test_surplus_letters_are_padded_with_zeros(self, fp_default):

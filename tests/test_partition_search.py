@@ -118,7 +118,7 @@ def reduced_costs(
     """
     den = certificate["denominator"]
     n_side, m = graph.n_vertices, graph.m
-    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    words = all_words(graph.g, 2 * graph.d)
     z_word = {
         letters: Fraction(z, den) for letters, z in zip(words, certificate["words"])
     }
@@ -181,7 +181,7 @@ def oracle_partitions(
         raise InvalidInput(f"cap must be >= 2, got {cap}")
     g, d, m = graph.g, graph.d, graph.m
     n_side = graph.n_vertices
-    words = [w.letters for w in all_words(g, 2 * d)]
+    words = all_words(g, 2 * d)
     edges_rem: Counter[tuple[int, int, int]] = Counter(graph.edges)
     pair_rem = {
         (i, j): m
@@ -370,7 +370,7 @@ def assert_lists_like_oracle(graph: LabeledMultigraph) -> None:
     keys = sorted(graph.edges)
     edge_id = {key: idx for idx, key in enumerate(keys)}
     n_side, adj, edges = graph.n_vertices, adjacency(graph), Counter(graph.edges)
-    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    words = all_words(graph.g, 2 * graph.d)
     expected = []
     for letters in words:
         walks = []
@@ -549,7 +549,7 @@ def as_search_walks(
 
 def kept_walks(graph: LabeledMultigraph) -> set[tuple[tuple[int, ...], int, frozenset]]:
     """The walks the search keeps, in the form of `as_search_walks`."""
-    words = [w.letters for w in all_words(graph.g, 2 * graph.d)]
+    words = all_words(graph.g, 2 * graph.d)
     _, walks_by_word = graphs._candidate_walks(graph, words)
     return {
         (letters, pair, frozenset(steps))
@@ -652,7 +652,7 @@ class TestReducedCostFixing:
         # z = 0 holds on every graph and prices every walk at 0, so the
         # kept lists are the full ones
         graph = build_graph(g, d, m)
-        words = [w.letters for w in all_words(g, 2 * d)]
+        words = all_words(g, 2 * d)
         _, walks_by_word = graphs._candidate_walks(graph, words)
         certificate = read_certificate(g, d)
         for entry in ("words", "pairs"):

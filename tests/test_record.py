@@ -15,8 +15,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from sweepwords.errors import InvalidWord
-from sweepwords.words import FrozenInstanceError, Word, record
+from sweepwords.errors import InvalidModulus
+from sweepwords.exactalg import ScalarRing
+from sweepwords.words import FrozenInstanceError, record
 
 
 def _define(decorate, prefix: str) -> SimpleNamespace:
@@ -150,9 +151,11 @@ def test_deepcopy_copies_mutable_fields():
 
 
 def test_package_records():
-    word = Word((1, 2), 2)
-    assert repr(word) == "Word(letters=(1, 2), g=2)"
-    assert hash(word) == hash(((1, 2), 2))
-    assert word == Word(letters=(1, 2), g=2) != Word((1, 2), 3)
-    with pytest.raises(InvalidWord):
-        Word((3,), 2)
+    ring = ScalarRing("prime_field", 101)
+    assert repr(ring) == "ScalarRing(kind='prime_field', p=101)"
+    assert hash(ring) == hash(("prime_field", 101))
+    assert ring == ScalarRing(kind="prime_field", p=101)
+    assert ring != ScalarRing("prime_field", 103)
+    assert ScalarRing("big_integer").p is None
+    with pytest.raises(InvalidModulus):
+        ScalarRing("prime_field", 100)

@@ -1,15 +1,15 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import monomial_coefficient_bruteforce
 from sweepwords import words
-from sweepwords.errors import InvalidInput, InvalidWord, TooLarge
+from sweepwords.errors import InvalidInput, TooLarge
 from sweepwords.words import (
     MAX_G,
     WORDS_MAX_D,
     WORDS_MAX_N,
-    Word,
     WordGrid,
     all_words,
     build_word_grid,
@@ -18,37 +18,28 @@ from sweepwords.words import (
     degree_exponent,
     entry_variable_chain,
     least_alphabet,
+    word_string,
 )
 
 
 def strings(ws):
-    return [w.to_string() for w in ws]
+    """The string forms of words over two letters."""
+    return [word_string(w, 2) for w in ws]
 
 
 class TestWord:
-    def test_letter_range_validation(self):
-        with pytest.raises(InvalidWord):
-            Word((1, 3), 2)
-        with pytest.raises(InvalidWord):
-            Word((0,), 2)
-
-    def test_empty_word_is_allowed(self):
-        assert Word((), 2).degree == 0
-
-    def test_concat_and_reverse(self):
-        w = Word((1, 2), 2).concat(Word((2,), 2))
-        assert w.letters == (1, 2, 2)
-        assert w.reverse().letters == (2, 2, 1)
-
     def test_string_round_trip(self):
-        w = Word((1, 2, 1, 3), 3)
-        assert w.to_string() == "abac"
-        assert Word((), 2).to_string() == ""
+        assert word_string((1, 2, 1, 3), 3) == "abac"
+        assert word_string((), 2) == ""
+        assert word_string((26,), 26) == "z"
+        # the refusal goes by the alphabet, whatever letters the word uses
+        with pytest.raises(InvalidInput, match="g <= 26"):
+            word_string((1, 2), 27)
 
 
 class TestAllWords:
     def test_degree_zero_is_identity_singleton(self):
-        assert all_words(2, 0) == [Word((), 2)]
+        assert all_words(2, 0) == [()]
 
     def test_degree_one(self):
         assert strings(all_words(2, 1)) == ["a", "b"]
@@ -63,8 +54,7 @@ class TestAllWords:
         assert len(set(ws)) == g**s
         # letter 1 is the largest, so decreasing word order is ascending
         # natural order on the letter tuples
-        tuples = [w.letters for w in ws]
-        assert tuples == sorted(tuples)
+        assert ws == sorted(ws)
 
 
 class TestDegreeExponent:
@@ -116,7 +106,10 @@ class TestGridCaps:
         def refuse(*args, **kwargs):
             raise AssertionError("built a word before the size check")
 
-        monkeypatch.setattr(words, "Word", refuse)
+        # the grid's words are the letter tuples of itertools.product
+        monkeypatch.setattr(
+            words, "itertools", SimpleNamespace(product=refuse, islice=refuse)
+        )
         for n, g, d in [
             (WORDS_MAX_N + 1, 2, None),
             (2, 2, WORDS_MAX_D + 1),
@@ -135,10 +128,10 @@ class TestWordGrid:
 
     def test_n4_entries(self):
         grid = build_word_grid(4, 2)
-        assert grid.grid[0][0].to_string() == "aaaa"
+        assert grid.grid[0][0] == (1, 1, 1, 1)
         # outer(1) * v1[i_2] * v1[j_2] * outer(3) with i_2 = j_2 = 1
-        assert grid.grid[0][2].to_string() == "aaab"
-        assert grid.grid[3][3].to_string() == "bbbb"
+        assert grid.grid[0][2] == (1, 1, 1, 2)
+        assert grid.grid[3][3] == (2, 2, 2, 2)
 
     def test_n3_is_leading_subgrid_of_n4(self):
         g3 = build_word_grid(3, 2)
@@ -154,15 +147,15 @@ class TestWordGrid:
             v = all_words(g, grid.d)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    expected = v[i - 1].letters + v[j - 1].letters[::-1]
-                    assert grid.grid[i - 1][j - 1].letters == expected
+                    expected = v[i - 1] + tuple(reversed(v[j - 1]))
+                    assert grid.grid[i - 1][j - 1] == expected
 
     @pytest.mark.parametrize("n,g", [(2, 2), (3, 2), (7, 2), (16, 2), (3, 3), (10, 3)])
     def test_uniform_degree(self, n, g):
         grid = build_word_grid(n, g)
         d = degree_exponent(n, g)
         assert grid.d == d
-        assert all(w.degree == 2 * d for w in grid.flatten())
+        assert all(len(w) == 2 * d for w in grid.flatten())
 
     @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_full_grid_enumerates_all_words_once(self, g, d):
@@ -176,7 +169,8 @@ class TestWordGrid:
         grid = build_word_grid(n, g)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert grid.grid[i - 1][j - 1].reverse() == grid.grid[j - 1][i - 1]
+                word = grid.grid[i - 1][j - 1]
+                assert tuple(reversed(word)) == grid.grid[j - 1][i - 1]
 
     def test_flatten_is_row_major(self):
         grid = build_word_grid(3, 2)
@@ -188,7 +182,7 @@ class TestWordGrid:
     def test_degree_override(self):
         grid = build_word_grid(2, 2, d=2)
         assert grid.d == 2
-        assert all(w.degree == 4 for w in grid.flatten())
+        assert all(len(w) == 4 for w in grid.flatten())
         big = build_word_grid(4, 2)
         assert grid.grid[1][0] == big.grid[1][0]
         with pytest.raises(InvalidInput):
@@ -204,7 +198,7 @@ class TestWordGrid:
         grid = build_word_grid(3, 2)
         data = grid.to_json()
         assert (data["n"], data["g"], data["d"]) == (3, 2, 2)
-        assert data["grid"] == [[w.to_string() for w in row] for row in grid.grid]
+        assert data["grid"] == [strings(row) for row in grid.grid]
         assert data["grid"][0] == ["aaaa", "aaba", "aaab"]
 
 

@@ -60,7 +60,7 @@ def lp_columns(g: int, d: int, m: int):
     order.
     """
     graph = build_graph(g, d, m)
-    words = [w.letters for w in all_words(g, 2 * d)]
+    words = all_words(g, 2 * d)
     keys = sorted(graph.edges)
     edge_id = {key: idx for idx, key in enumerate(keys)}
     n_side = graph.n_vertices

@@ -41,13 +41,30 @@ SEARCH = (
 )
 CHAIN = ("tests/test_words.py", "tests/test_graphs.py")
 DETERMINANT = ("tests/test_exactalg.py",)
+ENVELOPES = ("tests/test_envelopes.py",)
 
 WORDS = "src/sweepwords/words.py"
 GRAPHS = "src/sweepwords/graphs.py"
 EXACTALG = "src/sweepwords/exactalg.py"
+CLI = "src/sweepwords/cli.py"
 
 # (name, file, fragment, replacement, tests)
 MUTANTS = [
+    # the word grid and its string form
+    (
+        "grid without the reversal",
+        WORDS,
+        "v[i] + v[j][::-1]",
+        "v[i] + v[j]",
+        CHAIN,
+    ),
+    (
+        "string form refused from g = 26",
+        WORDS,
+        "if g > len(_ALPHA):",
+        "if g >= len(_ALPHA):",
+        CHAIN,
+    ),
     # the index chain and the partition unfolded from it
     (
         "chain residue off by one",
@@ -271,13 +288,44 @@ MUTANTS = [
         "piv, free = np.concatenate([piv, free[cols]]), free[len(cols) :]",
         KERNEL,
     ),
-    # the integer determinant
+    # the determinants
     (
         "_perm_sign starting from even",
         EXACTALG,
         "odd = len(perm) % 2",
         "odd = 0",
         DETERMINANT,
+    ),
+    (
+        "discriminant without its prime-field refusal",
+        EXACTALG,
+        '''    if ring.kind != "big_integer":
+        raise InvalidInput("discriminant takes integer matrices only")
+''',
+        "",
+        DETERMINANT,
+    ),
+    # the envelope bytes
+    (
+        "paper_refs renamed",
+        CLI,
+        '"paper_refs": _CLAIMS[args.command],',
+        '"paper_ref": _CLAIMS[args.command],',
+        ENVELOPES,
+    ),
+    (
+        "graph csv header from renamed src",
+        CLI,
+        'writer.writerow(["from", "to", "label", "mult"])',
+        'writer.writerow(["src", "to", "label", "mult"])',
+        ENVELOPES,
+    ),
+    (
+        "text separator changed",
+        CLI,
+        'lines.append(f"{prefix}: {value}")',
+        'lines.append(f"{prefix}= {value}")',
+        ENVELOPES,
     ),
 ]
 
