@@ -23,7 +23,8 @@ ring, and two things are built on it and on the kernel:
   halves, the distinct halves are built once through a prefix trie, and
   the words come out in blocks of _EXTEND_BLOCK rows, each one batched
   product head @ tail formed only when it is asked for.
-  `evaluate_words` joins the blocks into a list of matrices.
+  `evaluate_words` joins the blocks of an integer tuple into a list of
+  matrices, for the witness discriminant.
 - `echelon_extend`, blocked echelon extension: candidate rows go in blocks
   into an int64 RREF basis held on its free columns only (at most N^2/4
   entries), each block reduced against it by one kernel product.  Inside
@@ -264,18 +265,20 @@ class MatrixTuple:
 
 
 def evaluate_words(words: list[tuple[int, ...]], t: MatrixTuple) -> list[Matrix]:
-    """Evaluate nonempty words at the tuple t, as one list of matrices.
+    """Evaluate nonempty words at the integer tuple t, as one list of matrices.
 
-    The blocks of `word_blocks`, the package's one evaluator, joined; for
-    callers that need every product at once, such as the integer
-    discriminant of a witness.
+    The blocks of `word_blocks`, the package's one evaluator, joined, for
+    the integer discriminant of a witness, which needs every product at
+    once.  Raises InvalidInput for a tuple over a prime field: there the
+    blocks go straight into elimination.
     """
-    st = letter_stack(t)
     n, ring = t.n, t.ring
+    if ring.kind != "big_integer":
+        raise InvalidInput("evaluate_words takes integer tuples only")
     return [
-        Matrix(n, n, tuple(entries), ring)
-        for block in word_blocks(words, st)
-        for entries in st.entries(block)
+        Matrix(n, n, entries, ring)
+        for block in word_blocks(words, letter_stack(t))
+        for entries in block
     ]
 
 
@@ -326,7 +329,6 @@ class RingStack(NamedTuple):
     mul: Callable  # mul(a, b): the products a[i] @ b[i], as a stack
     take: Callable  # take(a, idx): the stack of a[i] for i in idx
     join: Callable  # join(stacks): the stacks one after another, as one
-    entries: Callable  # entries(a): the rows as sequences of Python ints
 
 
 def letter_stack(t: MatrixTuple) -> RingStack:
@@ -352,7 +354,6 @@ def letter_stack(t: MatrixTuple) -> RingStack:
             mul,
             lambda a, idx: a[idx],
             np.concatenate,
-            lambda a: a.tolist(),
         )
     return RingStack(
         letters,
@@ -360,7 +361,6 @@ def letter_stack(t: MatrixTuple) -> RingStack:
         _int_matmul(n),
         lambda a, idx: [a[i] for i in idx],
         lambda stacks: [row for s in stacks for row in s],
-        lambda a: a,
     )
 
 

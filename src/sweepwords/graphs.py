@@ -128,53 +128,16 @@ def build_graph(g: int, d: int, m: int = 1) -> LabeledMultigraph:
     return LabeledMultigraph(g, d, m, dict(edges))
 
 
-@record
-class Walk:
-    """A walk given by its start vertex and (target, label) steps."""
-
-    start: int
-    steps: tuple[tuple[int, int], ...]
-
-    @property
-    def end(self) -> int:
-        return self.steps[-1][0] if self.steps else self.start
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    def edge_usage(self) -> Counter[tuple[int, int, int]]:
-        usage: Counter[tuple[int, int, int]] = Counter()
-        pos = self.start
-        for target, label in self.steps:
-            usage[(pos, target, label)] += 1
-            pos = target
-        return usage
-
-
-@record
-class WalkPartition:
-    """For each ordered pair (i, j), a tuple of walks from i to j."""
-
-    n_side: int
-    walks: dict[tuple[int, int], tuple[Walk, ...]]
-
-    def all_walks(self) -> list[Walk]:
-        return [w for _, ws in sorted(self.walks.items()) for w in ws]
-
-    def edge_usage(self) -> Counter[tuple[int, int, int]]:
-        usage: Counter[tuple[int, int, int]] = Counter()
-        for walk in self.all_walks():
-            usage.update(walk.edge_usage())
-        return usage
-
-
-def derive_walks_from_certificate(graph: LabeledMultigraph) -> WalkPartition:
+def derive_walks_from_certificate(
+    graph: LabeledMultigraph,
+) -> dict[tuple[int, int], tuple[tuple[tuple[int, int, int], ...], ...]]:
     """Unfold the certificate factors into the graph's canonical walk partition.
 
-    Each variable (k, a, b) of the chain at position (i, j) of the side
-    g**d grid is the step a -> b labeled k.  The chain lists an opening and
-    a closing variable per level, outermost first; the walk takes the
+    A walk is the tuple of the graph's edge keys (source, target, label) it
+    traverses, and the partition maps every ordered vertex pair (i, j) to
+    its walks.  Each variable (k, a, b) of the chain at position (i, j) of
+    the side g**d grid is the edge (a, b, k).  The chain lists an opening
+    and a closing variable per level, outermost first; the walk takes the
     openings in that order and then the closings in reverse, giving a walk
     of length 2d from i to j whose word is the grid entry (i, j).  Every
     pair carries the graph's m copies of its walk; at d = 0 that is m empty
@@ -185,37 +148,36 @@ def derive_walks_from_certificate(graph: LabeledMultigraph) -> WalkPartition:
     for i in range(1, n_side + 1):
         for j in range(1, n_side + 1):
             chain = entry_variable_chain(n_side, graph.g, i, j)
-            steps = [(b, k) for k, _, b in chain[0::2] + chain[-1::-2]]
-            walks[(i, j)] = (Walk(i, tuple(steps)),) * graph.m
-    return WalkPartition(n_side, walks)
+            walk = tuple((a, b, k) for k, a, b in chain[0::2] + chain[-1::-2])
+            walks[(i, j)] = (walk,) * graph.m
+    return walks
 
 
-def verify_partition(graph: LabeledMultigraph, partition: WalkPartition) -> bool:
-    """Whether the partition satisfies both invariants on the graph.
+def verify_partition(graph: LabeledMultigraph, walks: dict) -> bool:
+    """Whether `walks` (pair (i, j) -> walks as edge-key tuples) partitions the graph.
 
-    Each of the n^2 endpoint pairs carries exactly m walks of length 2d
-    with those endpoints, the walks use every edge exactly as often as its
-    multiplicity, and their words cover every word of length 2d exactly m
-    times.
+    The dict holds exactly the n^2 ordered vertex pairs, each with m walks
+    that start at i, end at j and whose consecutive edges meet; the walks
+    use every edge exactly as often as its multiplicity, and their words
+    cover every word of length 2d exactly m times.  A walk of another
+    length reads a word that the coverage never expects.
     """
-    n_side = graph.n_vertices
-    if partition.n_side != n_side:
+    side = range(1, graph.n_vertices + 1)
+    if walks.keys() != {(i, j) for i in side for j in side}:
         return False
-    m = graph.m
-    length = 2 * graph.d
-    seen_words: Counter[tuple[int, ...]] = Counter()
-    for i in range(1, n_side + 1):
-        for j in range(1, n_side + 1):
-            ws = partition.walks.get((i, j))
-            if ws is None or len(ws) != m:
+    edges: Counter[tuple[int, int, int]] = Counter()
+    words: Counter[tuple[int, ...]] = Counter()
+    for (i, j), ws in walks.items():
+        if len(ws) != graph.m:
+            return False
+        for walk in ws:
+            if [i, *(v for _, v, _ in walk)] != [*(u for u, _, _ in walk), j]:
                 return False
-            for w in ws:
-                if w.start != i or w.end != j or w.length != length:
-                    return False
-                seen_words[tuple(label for _, label in w.steps)] += 1
-    if partition.edge_usage() != Counter(graph.edges):
-        return False
-    return seen_words == Counter(dict.fromkeys(all_words(graph.g, length), m))
+            edges.update(walk)
+            words[tuple(label for _, _, label in walk)] += 1
+    return edges == Counter(graph.edges) and words == Counter(
+        dict.fromkeys(all_words(graph.g, 2 * graph.d), graph.m)
+    )
 
 
 class _Saturated(Exception):

@@ -49,10 +49,11 @@ def record(cls):
     numpy-free ones start-up is most of the job.  `import dataclasses`
     took 6.4-7.0 ms (5.5-6.0 ms of it `inspect`), and each frozen
     dataclass 0.5-0.6 ms more to exec its generated methods, against 0.01
-    ms for `record`; `witness` defines 7 records, `graph` 4 and
+    ms for `record`; `witness` defines 7 records, `graph` 2 and
     `certify`/`length` 8 (2-core x86-64, Python 3.11).
-    The price is a slower constructor: a positional `graphs.Walk(...)`
-    takes 0.73 us against 0.44 us for the frozen dataclass.
+    The price is a slower constructor: a positional
+    `graphs.LabeledMultigraph(...)` (4 fields) takes 0.99-1.03 us against
+    0.67-0.72 us for the frozen dataclass.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}

@@ -13,7 +13,6 @@ import pytest
 
 from sweepwords import exactalg
 from sweepwords.errors import InvalidShape, TooLarge
-from sweepwords.graphs import Walk
 from sweepwords.words import VarId, WordGrid
 
 
@@ -160,9 +159,23 @@ def unit(n: int, i: int, j: int, ring: exactalg.ScalarRing) -> exactalg.Matrix:
     return mat(entries, ring)
 
 
+def evaluate_blocks(
+    words: list[tuple[int, ...]], t: exactalg.MatrixTuple
+) -> list[exactalg.Matrix]:
+    """The library evaluator over any ring: the rows of `exactalg.word_blocks`
+    as matrices, in order.  `exactalg.evaluate_words` joins the same blocks
+    for integer tuples only."""
+    n, ring = t.n, t.ring
+    return [
+        exactalg.Matrix(n, n, tuple(map(int, row)), ring)
+        for block in exactalg.word_blocks(words, exactalg.letter_stack(t))
+        for row in block
+    ]
+
+
 def evaluate_word(w: tuple[int, ...], t: exactalg.MatrixTuple) -> exactalg.Matrix:
     """The library evaluator on one word: its letters' matrices multiplied in order."""
-    return exactalg.evaluate_words([w], t)[0]
+    return evaluate_blocks([w], t)[0]
 
 
 def prime_discriminant(ms: list[exactalg.Matrix]) -> int:
@@ -176,9 +189,10 @@ def prime_discriminant(ms: list[exactalg.Matrix]) -> int:
     return exactalg._det_echelon(blocks, ms[0].ring)
 
 
-def word_of_walk(w: Walk) -> tuple[int, ...]:
-    """The word read off the walk's labels in traversal order."""
-    return tuple(label for _, label in w.steps)
+def word_of_walk(walk: tuple[tuple[int, int, int], ...]) -> tuple[int, ...]:
+    """The word read off the labels of the walk's (source, target, label)
+    edges, in traversal order."""
+    return tuple(label for _, _, label in walk)
 
 
 # --- symbolic expansion over generic matrices (hard-capped at n = 2) -------

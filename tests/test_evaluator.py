@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate_word, extend_rank, identity
+from conftest import evaluate_blocks, evaluate_word, extend_rank, identity
 from sweepwords import exactalg
 from sweepwords.exactalg import (
     _BATCH,
@@ -29,7 +29,7 @@ from sweepwords.exactalg import (
     letter_stack,
     prime_field,
 )
-from sweepwords.genericity import evaluate_words, subspace_length
+from sweepwords.genericity import subspace_length
 from sweepwords.witness import build_witness
 from sweepwords.words import all_words, build_word_grid
 
@@ -76,14 +76,14 @@ def test_grid_matches_oracle(n, g):
     ring = RINGS["mersenne61"]
     words = build_word_grid(n, g).flatten()
     t = random_tuple(n, g, ring, random.Random(n * 10 + g))
-    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+    assert evaluate_blocks(words, t) == oracle_evaluate_words(words, t)
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
 def test_grid_matches_oracle_on_every_ring(ring):
     words = build_word_grid(4, 2).flatten()
     t = random_tuple(4, 2, ring, random.Random(4))
-    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+    assert evaluate_blocks(words, t) == oracle_evaluate_words(words, t)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_all_entries_p_minus_one(ring):
     top = Matrix(n, n, (ring.p - 1,) * (n * n), ring)
     t = MatrixTuple((top,) * g)
     words = build_word_grid(n, g).flatten() + [(1,), (2, 1, 2)]
-    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+    assert evaluate_blocks(words, t) == oracle_evaluate_words(words, t)
 
 
 @st.composite
@@ -119,7 +119,7 @@ def test_word_lists_match_oracle(case, n, ring_name, seed):
     ring = RINGS[ring_name]
     t = random_tuple(n, g, ring, random.Random(seed))
     expected = oracle_evaluate_words(words, t)
-    assert evaluate_words(words, t) == expected
+    assert evaluate_blocks(words, t) == expected
     assert [evaluate_word(w, t) for w in words] == expected
 
 
@@ -148,7 +148,7 @@ def test_integer_grid_matches_oracle(n, g):
         negated(witness, rng),
         random_tuple(n, g, RINGS["integers"], rng),
     ):
-        assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+        assert exactalg.evaluate_words(words, t) == oracle_evaluate_words(words, t)
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -158,7 +158,7 @@ def test_prime_grid_matches_oracle(n, g, p):
     ring = prime_field(p)
     words = build_word_grid(n, g).flatten()
     t = random_tuple(n, g, ring, random.Random(10 * n + g))
-    assert evaluate_words(words, t) == oracle_evaluate_words(words, t)
+    assert evaluate_blocks(words, t) == oracle_evaluate_words(words, t)
 
 
 def oracle_dims(t: MatrixTuple, include_identity: bool) -> list[int]:
@@ -194,8 +194,10 @@ def test_subspace_length_dims_match_oracle(n, g, include_identity):
 
 
 def test_empty_word_list():
-    t = random_tuple(2, 2, RINGS["mersenne61"], random.Random(0))
-    assert evaluate_words([], t) == []
+    for ring in (RINGS["mersenne61"], RINGS["integers"]):
+        assert evaluate_blocks([], random_tuple(2, 2, ring, random.Random(0))) == []
+    t = random_tuple(2, 2, RINGS["integers"], random.Random(0))
+    assert exactalg.evaluate_words([], t) == []
 
 
 @pytest.mark.parametrize("k", [1, 511, 512, 513, 700])
@@ -267,7 +269,7 @@ def test_prefix_products_keep_only_the_halves(ring):
     assert sorted(index) == sorted(halves)
     assert sorted(index.values()) == list(range(len(halves)))
     assert len(stack) == len(halves)
-    rows = letter_stack(t).entries(stack)
+    rows = [tuple(map(int, row)) for row in stack]
     for h, row in index.items():
         expected = (
             identity(3, ring)

@@ -122,6 +122,14 @@ class TestEvaluateWord:
         with pytest.raises(InvalidWord):
             evaluate_word((1, 3), t)
 
+    def test_evaluate_words_refuses_a_prime_field(self, fp101, zz):
+        # over F_p the word blocks go straight into elimination
+        a = mat([[1, 2], [3, 4]], fp101)
+        with pytest.raises(InvalidInput, match="integer"):
+            exactalg.evaluate_words([(1, 2)], MatrixTuple((a, a)))
+        b = mat([[1, 2], [3, 4]], zz)
+        assert exactalg.evaluate_words([(1, 2)], MatrixTuple((b, b))) == [b.mul(b)]
+
     def test_monoid_homomorphism(self, fp_default):
         rng = random.Random(42)
         for _ in range(40):

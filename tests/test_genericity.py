@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     echelon_insert,
+    evaluate_blocks,
     evaluate_word,
     extend_rank,
     identity,
@@ -43,7 +44,6 @@ from sweepwords.genericity import (
     check_length_size,
     check_trials,
     derive_trial_seed,
-    evaluate_words,
     generic_length_experiment,
     grid_certification,
     is_locally_linearly_independent,
@@ -131,7 +131,7 @@ class TestCertification:
             grid_words = build_word_grid(n, g).flatten()
             rng = random.Random(derive_trial_seed(5, 0))
             t = sample_tuple(n, g, fp_default, rng)
-            evals = evaluate_words(grid_words, t)
+            evals = evaluate_blocks(grid_words, t)
             if prime_discriminant(evals) != 0:
                 assert extend_rank(evals) == n * n
 
@@ -153,7 +153,7 @@ class TestCertification:
         rng = random.Random(13)
         t = sample_tuple(3, 2, fp_default, rng)
         words = build_word_grid(3, 2).flatten()
-        shared = evaluate_words(words, t)
+        shared = evaluate_blocks(words, t)
         direct = [evaluate_word(word, t) for word in words]
         assert shared == direct
 
@@ -172,7 +172,7 @@ class TestSweepCheck:
         y = mat([[0, 1], [1, 0]], fp_default)
         t = MatrixTuple((x, y))
         words = [(1,), (2,), (1, 2), (2, 1)]
-        assert extend_rank(evaluate_words(words, t)) == 3
+        assert extend_rank(evaluate_blocks(words, t)) == 3
         assert not sweeps(words, t)
 
     def test_adjusted_point_sweeps(self, fp_default):
@@ -443,7 +443,7 @@ def _counting_blocks(drawn):
 
 class TestStreamedElimination:
     """The blocks of `word_blocks` fed straight into elimination against
-    the joined path, the determinant of the whole `evaluate_words` list,
+    the joined path, the determinant of the whole list of evaluations,
     and the rank of the row-at-a-time oracle."""
 
     @pytest.mark.parametrize("g", [2, 3])
@@ -452,7 +452,7 @@ class TestStreamedElimination:
         ring = prime_field(DEFAULT_PRIME)
         words, t = _grid_tuple(n, g, ring, 100 * n + g)
         streamed = _det_echelon(word_blocks(words, letter_stack(t)), ring)
-        assert streamed == prime_discriminant(evaluate_words(words, t))
+        assert streamed == prime_discriminant(evaluate_blocks(words, t))
         assert streamed != 0
 
     @pytest.mark.parametrize("g", [2, 3])
@@ -462,7 +462,7 @@ class TestStreamedElimination:
         ring = prime_field((1 << 61) - 31)
         words, t = _grid_tuple(n, g, ring, 100 * n + g)
         streamed = _det_echelon(word_blocks(words, letter_stack(t)), ring)
-        assert streamed == prime_discriminant(evaluate_words(words, t)) != 0
+        assert streamed == prime_discriminant(evaluate_blocks(words, t)) != 0
 
     def test_late_duplicate_stops_the_stream(self, monkeypatch):
         # 144 grid words make blocks 0..4; the copy of word 5 at row 100
@@ -517,7 +517,7 @@ class TestStreamedElimination:
         )
         cases.append((all_words(2, 5), z))
         for words, t in cases:
-            expected = fold_rank(evaluate_words(words, t))
+            expected = fold_rank(evaluate_blocks(words, t))
             assert expected < t.n * t.n
             vectors, pivots = [], []
             for block in word_blocks(words, letter_stack(t)):

@@ -10,8 +10,6 @@ from sweepwords.graphs import (
     GRAPH_MAX_VERTICES,
     SEARCH_MAX_WALKS,
     LabeledMultigraph,
-    Walk,
-    WalkPartition,
     build_graph,
     check_graph_size,
     derive_walks_from_certificate,
@@ -26,7 +24,7 @@ SMALL_LEVELS = [
 ]
 
 
-def _walk_steps(d: int, i: int, j: int, g: int) -> list[tuple[int, int]]:
+def _walk_edges(d: int, i: int, j: int, g: int) -> list[tuple[int, int, int]]:
     """The walk from i to j at level d, as its own recursion.
 
     Oracle for `derive_walks_from_certificate`, which unfolds the certificate
@@ -41,7 +39,12 @@ def _walk_steps(d: int, i: int, j: int, g: int) -> list[tuple[int, int]]:
     b = (j - 1) // h + 1
     i2 = (i - 1) % h + 1
     j2 = (j - 1) % h + 1
-    return [(i2, a)] + _walk_steps(d - 1, i2, j2, g) + [(j, b)]
+    return [(i, i2, a)] + _walk_edges(d - 1, i2, j2, g) + [(j2, j, b)]
+
+
+def _edge_usage(walks: dict) -> Counter:
+    """How often the partition's walks traverse each edge key."""
+    return Counter(edge for ws in walks.values() for walk in ws for edge in walk)
 
 
 class TestBuildGraph:
@@ -101,25 +104,26 @@ class TestBuildGraph:
 
 class TestWalks:
     def test_word_of_empty_walk(self):
-        assert word_of_walk(Walk(1, ())) == ()
+        assert word_of_walk(()) == ()
 
     def test_word_of_two_loops(self):
-        walk = Walk(1, ((1, 1), (1, 1)))
+        walk = ((1, 1, 1), (1, 1, 1))
         assert word_of_walk(walk) == (1, 1)
 
     def test_word_of_round_trip_walk(self):
-        walk = Walk(2, ((1, 2), (2, 2)))
+        walk = ((2, 1, 2), (1, 2, 2))
         assert word_of_walk(walk) == (2, 2)
-        assert walk.end == 2 and walk.length == 2
+        assert walk[0][0] == walk[-1][1] == 2
 
 
 class TestDeriveWalks:
     def test_level_one_walks_exactly(self):
-        part = derive_walks_from_certificate(build_graph(2, 1))
-        assert part.walks[(1, 1)] == (Walk(1, ((1, 1), (1, 1))),)
-        assert part.walks[(1, 2)] == (Walk(1, ((1, 1), (2, 2))),)
-        assert part.walks[(2, 1)] == (Walk(2, ((1, 2), (1, 1))),)
-        assert part.walks[(2, 2)] == (Walk(2, ((1, 2), (2, 2))),)
+        assert derive_walks_from_certificate(build_graph(2, 1)) == {
+            (1, 1): (((1, 1, 1), (1, 1, 1)),),
+            (1, 2): (((1, 1, 1), (1, 2, 2)),),
+            (2, 1): (((2, 1, 2), (1, 1, 1)),),
+            (2, 2): (((2, 1, 2), (1, 2, 2)),),
+        }
 
     @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (3, 1)])
     def test_walk_words_equal_grid_entries(self, g, d):
@@ -128,7 +132,7 @@ class TestDeriveWalks:
         grid = build_word_grid(n, g)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                (walk,) = part.walks[(i, j)]
+                (walk,) = part[(i, j)]
                 assert word_of_walk(walk) == grid.grid[i - 1][j - 1]
 
     @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -141,7 +145,7 @@ class TestDeriveWalks:
         # the unfolded certificate uses every edge of the independently
         # built graph exactly as often as its multiplicity
         graph = build_graph(g, d)
-        assert derive_walks_from_certificate(graph).edge_usage() == Counter(graph.edges)
+        assert _edge_usage(derive_walks_from_certificate(graph)) == Counter(graph.edges)
 
     @pytest.mark.parametrize("g", [2, 3])
     @pytest.mark.parametrize("m", [1, 3])
@@ -149,7 +153,7 @@ class TestDeriveWalks:
         # one vertex, no edge: m empty walks at (1, 1), reading the empty word
         graph = build_graph(g, 0, m)
         part = derive_walks_from_certificate(graph)
-        assert part == WalkPartition(1, {(1, 1): (Walk(1, ()),) * m})
+        assert part == {(1, 1): ((),) * m}
         assert verify_partition(graph, part)
 
     @pytest.mark.parametrize("g,d", [(2, 1), (2, 2), (3, 1)])
@@ -157,11 +161,11 @@ class TestDeriveWalks:
     def test_m_copies_of_each_walk(self, g, d, m):
         one = derive_walks_from_certificate(build_graph(g, d))
         part = derive_walks_from_certificate(build_graph(g, d, m))
-        assert part.walks == {pair: ws * m for pair, ws in one.walks.items()}
+        assert part == {pair: ws * m for pair, ws in one.items()}
 
     def test_level_two_usage_matches_graph_multiplicities(self):
         part = derive_walks_from_certificate(build_graph(2, 2))
-        assert part.edge_usage() == build_graph(2, 2).edges
+        assert _edge_usage(part) == build_graph(2, 2).edges
 
     @pytest.mark.parametrize("g,d", SMALL_LEVELS)
     def test_unfolded_chain_matches_walk_recursion(self, g, d):
@@ -169,7 +173,7 @@ class TestDeriveWalks:
         part = derive_walks_from_certificate(build_graph(g, d))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert part.walks[(i, j)] == (Walk(i, tuple(_walk_steps(d, i, j, g))),)
+                assert part[(i, j)] == (tuple(_walk_edges(d, i, j, g)),)
 
 
 class TestGraphCap:
@@ -203,43 +207,70 @@ class TestGraphCap:
 class TestVerifyPartition:
     def setup_method(self):
         self.graph = build_graph(2, 1)
-        self.part = derive_walks_from_certificate(self.graph)
+        self.walks = derive_walks_from_certificate(self.graph)
 
     def test_derived_partition_passes(self):
-        assert verify_partition(self.graph, self.part)
+        assert verify_partition(self.graph, self.walks)
 
     def test_duplicate_word_fails_coverage(self):
-        walks = dict(self.part.walks)
+        walks = dict(self.walks)
         # replace the aa walk at (1, 1) with the 1 -> 2 -> 1 walk reading bb:
         # endpoints still match but bb is now covered twice and aa never
-        walks[(1, 1)] = (Walk(1, ((2, 2), (1, 2))),)
-        assert not verify_partition(self.graph, WalkPartition(2, walks))
+        walks[(1, 1)] = (((1, 2, 2), (2, 1, 2)),)
+        assert not verify_partition(self.graph, walks)
 
     def test_swapped_endpoint_slots_fail(self):
-        walks = dict(self.part.walks)
+        walks = dict(self.walks)
         walks[(1, 2)], walks[(2, 1)] = walks[(2, 1)], walks[(1, 2)]
-        assert not verify_partition(self.graph, WalkPartition(2, walks))
+        assert not verify_partition(self.graph, walks)
 
     def test_wrong_walk_count_fails(self):
-        walks = dict(self.part.walks)
+        walks = dict(self.walks)
         walks[(1, 1)] = walks[(1, 1)] * 2
-        assert not verify_partition(self.graph, WalkPartition(2, walks))
+        assert not verify_partition(self.graph, walks)
 
-    def test_side_mismatch_fails(self):
-        # the same walks, but the partition claims a side of 3
-        assert not verify_partition(self.graph, WalkPartition(3, self.part.walks))
+    def test_missing_pair_fails(self):
+        walks = dict(self.walks)
+        del walks[(2, 2)]
+        assert not verify_partition(self.graph, walks)
+        # at d = 0 the one pair (1, 1) moved to (2, 2) with its empty walk:
+        # walk count, endpoints, edges and words all still match
+        assert not verify_partition(build_graph(2, 0), {(2, 2): ((),)})
+
+    def test_extra_pair_fails(self):
+        # a pair outside [1, 2]^2, even one that holds no walk
+        walks = dict(self.walks)
+        walks[(3, 3)] = ()
+        assert not verify_partition(self.graph, walks)
 
     def test_wrong_length_walk_fails(self):
-        walks = dict(self.part.walks)
-        # a 1 -> 1 walk of length 4 in place of the length-2 one at (1, 1)
-        walks[(1, 1)] = (Walk(1, ((1, 1),) * 4),)
-        assert not verify_partition(self.graph, WalkPartition(2, walks))
+        walks = dict(self.walks)
+        # an empty walk at (1, 1) and a length-4 walk 1 -> 1 -> 1 -> 1 -> 2
+        # at (1, 2): endpoints and edge counts still match, but the words
+        # (), aaab, ba, bb are not the four words of length 2
+        walks[(1, 1)] = ((),)
+        walks[(1, 2)] = (((1, 1, 1),) * 3 + ((1, 2, 2),),)
+        assert _edge_usage(walks) == Counter(self.graph.edges)
+        assert not verify_partition(self.graph, walks)
+
+    def test_broken_walk_fails(self):
+        # swap the fifth edges of the (1, 1) and (1, 2) walks of level 3:
+        # both are labeled 1, so endpoints, words and edge counts all still
+        # match, but the (1, 1) walk now jumps 1 -> 2 between its edges
+        graph = build_graph(2, 3)
+        walks = derive_walks_from_certificate(graph)
+        a, b = list(walks[(1, 1)][0]), list(walks[(1, 2)][0])
+        assert a[4][2] == b[4][2] and a[4] != b[4]
+        a[4], b[4] = b[4], a[4]
+        walks[(1, 1)], walks[(1, 2)] = (tuple(a),), (tuple(b),)
+        assert _edge_usage(walks) == Counter(graph.edges)
+        assert not verify_partition(graph, walks)
 
     def test_edge_usage_mismatch_fails(self):
         edges = dict(self.graph.edges)
         edges[(1, 1, 1)] += 1
         graph = LabeledMultigraph(2, 1, 1, edges)
-        assert not verify_partition(graph, self.part)
+        assert not verify_partition(graph, self.walks)
 
     def test_scaled_partition_verifies_on_scaled_graph(self):
         graph = build_graph(2, 1, 3)
@@ -310,16 +341,11 @@ class TestPeeling:
     @pytest.mark.parametrize("m", [1, 2])
     def test_removing_outer_edges_leaves_previous_level(self, g, d, m):
         graph = build_graph(g, d, m)
-        part = derive_walks_from_certificate(graph)
         remaining = dict(graph.edges)
-        for walk in part.all_walks():
-            usage = []
-            pos = walk.start
-            for target, label in walk.steps:
-                usage.append((pos, target, label))
-                pos = target
-            remaining[usage[0]] -= 1
-            remaining[usage[-1]] -= 1
+        for walks in derive_walks_from_certificate(graph).values():
+            for walk in walks:
+                remaining[walk[0]] -= 1
+                remaining[walk[-1]] -= 1
         remaining = {k: v for k, v in remaining.items() if v}
         assert remaining == build_graph(g, d - 1, g * g * m).edges
 

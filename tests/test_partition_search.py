@@ -321,9 +321,9 @@ def planted_graphs(draw) -> LabeledMultigraph:
     n_side = g**d
     vertex = st.integers(1, n_side)
     slots = [
-        [i, j, [label for _, label in walk.steps], [v for v, _ in walk.steps[:-1]]]
+        [i, j, [label for _, _, label in walk], [v for _, v, _ in walk[:-1]]]
         for (i, j), walks in sorted(
-            derive_walks_from_certificate(build_graph(g, d, m)).walks.items()
+            derive_walks_from_certificate(build_graph(g, d, m)).items()
         )
         for walk in walks
     ]
@@ -523,10 +523,16 @@ class TestBounds:
 
 
 def certificate_walks(g: int, d: int) -> set[tuple[tuple[int, ...], int, tuple]]:
-    """The walks of `derive_walks_from_certificate`, keyed (letters, start, steps)."""
+    """The walks of `derive_walks_from_certificate`, keyed (letters, start,
+    steps) as `walks_in` lists them: steps are (target, label) pairs."""
     return {
-        (tuple(label for _, label in walk.steps), walk.start, walk.steps)
-        for walk in derive_walks_from_certificate(build_graph(g, d)).all_walks()
+        (
+            tuple(label for _, _, label in walk),
+            walk[0][0],
+            tuple((v, label) for _, v, label in walk),
+        )
+        for walks in derive_walks_from_certificate(build_graph(g, d)).values()
+        for walk in walks
     }
 
 

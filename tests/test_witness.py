@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import identity, prime_discriminant, rows, zeros
+from conftest import evaluate_blocks, identity, prime_discriminant, rows, zeros
 from sweepwords import witness
 from sweepwords.errors import InvalidInput, TooLarge
 from sweepwords.exactalg import Matrix, MatrixTuple, big_integer, prime_field
@@ -146,9 +146,7 @@ class TestBuildAndVerify:
                 tuple(Matrix.from_rows(rows(m), pring) for m in t.matrices)
             )
             grid = build_word_grid(n, 2)
-            from sweepwords.genericity import evaluate_words
-
-            dp = prime_discriminant(evaluate_words(grid.flatten(), reduced))
+            dp = prime_discriminant(evaluate_blocks(grid.flatten(), reduced))
             assert dp == report.discriminant % p
 
 

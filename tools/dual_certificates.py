@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -65,11 +66,10 @@ def lp_columns(g: int, d: int, m: int):
     edge_id = {key: idx for idx, key in enumerate(keys)}
     n_side = graph.n_vertices
     certified = set()
-    for (i, j), walks in derive_walks_from_certificate(graph).walks.items():
+    for (i, j), (walk, *_) in derive_walks_from_certificate(graph).items():
         # the m copies of a pair's walk are one column
-        walk = walks[0]
-        usage = tuple(sorted((edge_id[e], u) for e, u in walk.edge_usage().items()))
-        letters = tuple(label for _, label in walk.steps)
+        usage = tuple(sorted(Counter(edge_id[e] for e in walk).items()))
+        letters = tuple(label for _, _, label in walk)
         certified.add((letters, (i - 1) * n_side + j - 1, usage))
     _, walks_by_word = _candidate_walks(graph, words)
     c_prime = [

@@ -83,15 +83,32 @@ MUTANTS = [
     (
         "derive without the m copies",
         GRAPHS,
-        "(Walk(i, tuple(steps)),) * graph.m",
-        "(Walk(i, tuple(steps)),)",
+        "walks[(i, j)] = (walk,) * graph.m",
+        "walks[(i, j)] = (walk,)",
         SEARCH,
     ),
     (
-        "verify_partition without the length check",
+        "verify_partition comparing only a walk's first source and last target",
         GRAPHS,
-        "if w.start != i or w.end != j or w.length != length:",
-        "if w.start != i or w.end != j:",
+        "if [i, *(v for _, v, _ in walk)] != [*(u for u, _, _ in walk), j]:",
+        "if [i, *(v for _, v, _ in walk)][-1:] + [*(u for u, _, _ in walk), j][:1]"
+        " != [j, i]:",
+        SEARCH,
+    ),
+    (
+        "verify_partition without the pair-key check",
+        GRAPHS,
+        "if walks.keys() != {(i, j) for i in side for j in side}:",
+        "if False:",
+        SEARCH,
+    ),
+    (
+        "verify_partition without the word coverage",
+        GRAPHS,
+        """    return edges == Counter(graph.edges) and words == Counter(
+        dict.fromkeys(all_words(graph.g, 2 * graph.d), graph.m)
+    )""",
+        "    return edges == Counter(graph.edges)",
         SEARCH,
     ),
     # reduced-cost pricing and fixing
@@ -338,10 +355,6 @@ EXPECTED_SURVIVORS = {
     "_mulmod subtracts p only above p": (
         "r = p would need p | x * w with 0 <= x, w < p, so x or w is 0, and "
         "then r = 0"
-    ),
-    "verify_partition without the length check": (
-        "a walk of another length reads a word of another length, which the "
-        "word-coverage check never expects"
     ),
 }
 
