@@ -300,7 +300,10 @@ def _cmd_length(args) -> tuple[dict, dict, int]:
 
 def _cmd_witness(args) -> tuple[dict, dict, int]:
     report, t = _cli.build_and_verify(args.n, args.g, base_override=args.base)
-    result = {"witness": report.to_json(), "matrices": t.to_json()}
+    result = {
+        "witness": report.to_json(),
+        "matrices": {"matrices": [m.to_json() for m in t]},
+    }
     if args.paper_constants:
         result["reported_constants"] = _cli.reported_constants(args.n, args.g)
     config = dict(n=str(args.n), g=args.g, base=str(report.spec.base))

@@ -64,7 +64,7 @@ integers) and every input refused with exit 2 run without it.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -230,49 +230,18 @@ class Matrix:
         }
 
 
-@record
-class MatrixTuple:
-    """A tuple of g >= 2 square matrices of equal size over one ring."""
-
-    matrices: tuple[Matrix, ...]
-
-    def __post_init__(self):
-        if len(self.matrices) < 2:
-            raise InvalidInput("a matrix tuple needs at least 2 matrices")
-        first = self.matrices[0]
-        if not first.is_square:
-            raise InvalidShape("tuple matrices must be square")
-        for m in self.matrices[1:]:
-            if m.n_rows != first.n_rows or m.n_cols != first.n_cols:
-                raise InvalidShape("tuple matrices must share one size")
-            if m.ring != first.ring:
-                raise InvalidInput("tuple matrices must share one ring")
-
-    @property
-    def g(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].n_rows
-
-    @property
-    def ring(self) -> ScalarRing:
-        return self.matrices[0].ring
-
-    def to_json(self) -> dict:
-        return {"matrices": [m.to_json() for m in self.matrices]}
-
-
-def evaluate_words(words: list[tuple[int, ...]], t: MatrixTuple) -> list[Matrix]:
+def evaluate_words(
+    words: list[tuple[int, ...]], t: tuple[Matrix, ...]
+) -> list[Matrix]:
     """Evaluate nonempty words at the integer tuple t, as one list of matrices.
 
     The blocks of `word_blocks`, the package's one evaluator, joined, for
     the integer discriminant of a witness, which needs every product at
-    once.  Raises InvalidInput for a tuple over a prime field: there the
-    blocks go straight into elimination.
+    once.  t is refused as `_check_uniform` refuses it, and with
+    InvalidInput over a prime field: there the blocks go straight into
+    elimination.
     """
-    n, ring = t.n, t.ring
+    n, ring = _check_uniform(t)
     if ring.kind != "big_integer":
         raise InvalidInput("evaluate_words takes integer tuples only")
     return [
@@ -331,15 +300,16 @@ class RingStack(NamedTuple):
     join: Callable  # join(stacks): the stacks one after another, as one
 
 
-def letter_stack(t: MatrixTuple) -> RingStack:
-    """The `RingStack` of t's ring, with t's matrices as its letters.
+def letter_stack(t: tuple[Matrix, ...]) -> RingStack:
+    """The `RingStack` of t's ring, with the matrices of t as its letters.
 
-    Over a prime field the stacks are int64 arrays and every product is one
-    batched `_matmul` call; this is the only branch that loads numpy.  The
-    integers multiply exact Python ints (`_int_matmul`).
+    t is refused as `_check_uniform` refuses it.  Over a prime field the
+    stacks are int64 arrays and every product is one batched `_matmul`
+    call; this is the only branch that loads numpy.  The integers multiply
+    exact Python ints (`_int_matmul`).
     """
-    ring, n = t.ring, t.n
-    letters = [tuple(ring.canon(x) for x in m.entries) for m in t.matrices]
+    n, ring = _check_uniform(t)
+    letters = [tuple(ring.canon(x) for x in m.entries) for m in t]
     eye = [tuple(1 if i == j else 0 for i in range(n) for j in range(n))]
     if ring.kind == "prime_field":
         import numpy as np
@@ -409,7 +379,13 @@ def _prefix_products(halves: set, st: RingStack):
     return index, st.join(kept)
 
 
-def _check_uniform(ms: list[Matrix]) -> tuple[int, ScalarRing]:
+def _check_uniform(ms: Sequence[Matrix]) -> tuple[int, ScalarRing]:
+    """(n, ring) of a nonempty sequence of n x n matrices over one ring.
+
+    The one check of a list of matrices: it raises ArityMismatch for an
+    empty one, InvalidShape when the first matrix is not square, and
+    InvalidInput for mixed sizes or mixed rings.
+    """
     if not ms:
         raise ArityMismatch("need at least one matrix")
     first = ms[0]

@@ -27,8 +27,8 @@ from .exactalg import (
     _EXTEND_BLOCK,
     MERSENNE61,
     Matrix,
-    MatrixTuple,
     ScalarRing,
+    _check_uniform,
     _det_echelon,
     discriminant,  # noqa: F401 - re-exported; perfbench/tracer.py wraps it here
     echelon_extend,
@@ -122,10 +122,9 @@ def sample_tuple(
     ring: ScalarRing,
     rng: random.Random,
     symmetric: bool = False,
-) -> MatrixTuple:
-    return MatrixTuple(
-        tuple(sample_matrix(n, ring, rng, symmetric) for _ in range(g))
-    )
+) -> tuple[Matrix, ...]:
+    """g matrices of `sample_matrix`, drawn in order from rng."""
+    return tuple(sample_matrix(n, ring, rng, symmetric) for _ in range(g))
 
 
 def words_digest(words: list[tuple[int, ...]], g: int) -> str:
@@ -298,22 +297,27 @@ def check_length_run(sizes, g: int, trials: int) -> None:
         )
 
 
-def subspace_length(t: MatrixTuple, include_identity: bool = False) -> LengthReport:
+def subspace_length(
+    t: tuple[Matrix, ...], include_identity: bool = False
+) -> LengthReport:
     """Grow the span of products of the tuple until the dimension stabilizes.
 
     Step k holds the span of all products of at most k tuple members; the
     reported chain ends with the first repeated dimension.  The identity is
     excluded unless requested (products of length zero are not counted).
     Until it repeats the dimension rises at every step and never passes
-    n^2, so the chain ends by step n^2 + 1.  Over the integers
-    `echelon_extend` raises InvalidInput.
+    n^2, so the chain ends by step n^2 + 1.  t is refused as
+    `_check_uniform` refuses it, and over the integers `echelon_extend`
+    raises InvalidInput.
 
     The letters, the fresh products and the echelon rows are stacks of
     `letter_stack`; each step's products are formed and go through
     `echelon_extend` one elimination block (_EXTEND_BLOCK rows) at a time,
     which bounds the memory that products and reductions hold at once.
     """
-    n, nn, ring = t.n, t.n * t.n, t.ring
+    g = len(t)
+    n, ring = _check_uniform(t)
+    nn = n * n
     check_length_size(n)
     st = letter_stack(t)
     vectors, pivots = [], []
@@ -326,7 +330,7 @@ def subspace_length(t: MatrixTuple, include_identity: bool = False) -> LengthRep
         # products a @ b with one more factor, a over the letters (outer)
         # and b over the fresh members (inner); older basis members already
         # produced their successors in earlier steps
-        pairs, found = t.g * len(fresh), []
+        pairs, found = g * len(fresh), []
         for lo in range(0, pairs, _EXTEND_BLOCK):
             if len(vectors) == nn:
                 break  # a full span takes no more rows
@@ -345,12 +349,12 @@ def subspace_length(t: MatrixTuple, include_identity: bool = False) -> LengthRep
         fresh = st.join(found)
     return LengthReport(
         n=n,
-        g=t.g,
+        g=g,
         dims=tuple(dims),
         length=k,
         terminal_dim=dims[-1],
         paz_bound=2 * n - 2,
-        log_bound=2 * degree_exponent(n, t.g),
+        log_bound=2 * degree_exponent(n, g),
     )
 
 

@@ -22,7 +22,6 @@ import math
 from .errors import InvalidInput, TooLarge
 from .exactalg import (
     Matrix,
-    MatrixTuple,
     big_integer,
     discriminant,
     evaluate_words,
@@ -102,12 +101,12 @@ class WitnessSpec:
 
 def build_witness(
     n: int, g: int, base_override: int | None = None
-) -> tuple[WitnessSpec, MatrixTuple]:
+) -> tuple[WitnessSpec, tuple[Matrix, ...]]:
     """Distinct-power integer tuple supported on the certificate variables.
 
-    Exponents 0, 1, 2, .. follow the fixed order (letter, level, position);
-    the base is 2d * n^2 + 1 unless overridden.  Off-support entries are
-    zero.
+    Returns the spec and the g integer n x n matrices.  Exponents 0, 1,
+    2, .. follow the fixed order (letter, level, position); the base is
+    2d * n^2 + 1 unless overridden.  Off-support entries are zero.
     """
     if n < 2 or g < 2:
         raise InvalidInput(f"need n >= 2 and g >= 2, got n={n}, g={g}")
@@ -133,7 +132,7 @@ def build_witness(
     rows = [[[0] * n for _ in range(n)] for _ in range(g)]
     for (k, i, j), e in support.items():
         rows[k - 1][i - 1][j - 1] = base**e
-    t = MatrixTuple(tuple(Matrix.from_rows(r, ring) for r in rows))
+    t = tuple(Matrix.from_rows(r, ring) for r in rows)
     spec = WitnessSpec(
         n=n,
         g=g,
@@ -145,15 +144,15 @@ def build_witness(
     return spec, t
 
 
-def verify_witness(t: MatrixTuple, grid: WordGrid) -> int:
-    """Exact integer discriminant of the evaluated grid words.
+def verify_witness(t: tuple[Matrix, ...], grid: WordGrid) -> int:
+    """Exact integer discriminant of the grid words evaluated at t.
 
     Nonzero certifies the witness outright; zero means the base collided
-    and the caller should escalate.
+    and the caller should escalate.  Raises InvalidInput when t has fewer
+    matrices than the grid has letters or matrices of another size than
+    the grid's, and `evaluate_words` refuses a tuple over a prime field.
     """
-    if t.ring.kind != "big_integer":
-        raise InvalidInput("witness verification runs over the integers")
-    if t.n != grid.n or t.g < grid.g:
+    if len(t) < grid.g or t[0].n_rows != grid.n:
         raise InvalidInput("tuple and grid sizes do not match")
     return discriminant(evaluate_words(grid.flatten(), t))
 
@@ -181,7 +180,7 @@ def build_and_verify(
     n: int,
     g: int,
     base_override: int | None = None,
-) -> tuple[WitnessReport, MatrixTuple]:
+) -> tuple[WitnessReport, tuple[Matrix, ...]]:
     """Build a witness and verify it, squaring the base on a zero result.
 
     The base is squared at most MAX_ESCALATIONS times.  Raises TooLarge,

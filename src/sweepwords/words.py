@@ -49,8 +49,8 @@ def record(cls):
     numpy-free ones start-up is most of the job.  `import dataclasses`
     took 6.4-7.0 ms (5.5-6.0 ms of it `inspect`), and each frozen
     dataclass 0.5-0.6 ms more to exec its generated methods, against 0.01
-    ms for `record`; `witness` defines 7 records, `graph` 2 and
-    `certify`/`length` 8 (2-core x86-64, Python 3.11).
+    ms for `record`; `witness` defines 6 records, `graph` 2 and
+    `certify`/`length` 7 (2-core x86-64, Python 3.11).
     The price is a slower constructor: a positional
     `graphs.LabeledMultigraph(...)` (4 fields) takes 0.99-1.03 us against
     0.67-0.72 us for the frozen dataclass.

@@ -3,8 +3,9 @@
 `REACHABILITY` is the matrix of `test_reachability.py`: every command,
 every `--format` and flag, one over-cap refusal per command, and `--help`,
 each with its expected exit code.  `ENVELOPE_VECTORS` runs each of those in
-json, csv and text, plus the small console-script runs of CI, one refusal
-per cap and the walk-partition search's paths.  `tests/envelopes.json`
+json, csv and text, plus the small console-script runs of CI, a certify
+run whose duplicate row widens the elimination window, one refusal per cap
+and the walk-partition search's paths.  `tests/envelopes.json`
 pins what `envelope` records for each of them; `tools/pin_envelopes.py`
 writes it.
 
@@ -81,6 +82,12 @@ _CONSOLE = [
     "length --n 2..6 --trials 1 --prime 101",
 ]
 
+# a duplicate grid row that widens `_gauss_jordan`'s window: n = 6 is the
+# smallest certify size where it does (n = 4 and n = 5 do not)
+_WIDENING = [
+    "certify --n 6 --trials 1 --inject-duplicate",
+]
+
 # one refusal per cap, each exit 2 with empty stdout: CI's (with the string
 # form's g <= 26 in certify's digest and in the words grid), then the trial
 # caps, the negative budget and the search's placed-walk cap
@@ -118,7 +125,7 @@ ENVELOPE_VECTORS: list[list[str]] = [
         for argv, _ in REACHABILITY[1:]
         for fmt in ("json", "csv", "text")
     ),
-    *(line.split() for line in _CONSOLE + _REFUSALS + _SEARCH),
+    *(line.split() for line in _CONSOLE + _WIDENING + _REFUSALS + _SEARCH),
 ]
 
 

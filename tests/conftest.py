@@ -160,12 +160,12 @@ def unit(n: int, i: int, j: int, ring: exactalg.ScalarRing) -> exactalg.Matrix:
 
 
 def evaluate_blocks(
-    words: list[tuple[int, ...]], t: exactalg.MatrixTuple
+    words: list[tuple[int, ...]], t: tuple[exactalg.Matrix, ...]
 ) -> list[exactalg.Matrix]:
     """The library evaluator over any ring: the rows of `exactalg.word_blocks`
     as matrices, in order.  `exactalg.evaluate_words` joins the same blocks
     for integer tuples only."""
-    n, ring = t.n, t.ring
+    n, ring = t[0].n_rows, t[0].ring
     return [
         exactalg.Matrix(n, n, tuple(map(int, row)), ring)
         for block in exactalg.word_blocks(words, exactalg.letter_stack(t))
@@ -173,7 +173,9 @@ def evaluate_blocks(
     ]
 
 
-def evaluate_word(w: tuple[int, ...], t: exactalg.MatrixTuple) -> exactalg.Matrix:
+def evaluate_word(
+    w: tuple[int, ...], t: tuple[exactalg.Matrix, ...]
+) -> exactalg.Matrix:
     """The library evaluator on one word: its letters' matrices multiplied in order."""
     return evaluate_blocks([w], t)[0]
 

@@ -21,7 +21,7 @@ from conftest import (
     prime_discriminant,
 )
 from sweepwords import exactalg, words
-from sweepwords.exactalg import MatrixTuple, discriminant, prime_field
+from sweepwords.exactalg import discriminant, prime_field
 from sweepwords.genericity import (
     DEFAULT_PRIME,
     generic_length_experiment,
@@ -262,6 +262,6 @@ def test_criterion_10e_scale_invariance():
         g = rng.choice([2, 3])
         t = sample_tuple(n, g, FP, rng)
         c = rng.randrange(1, DEFAULT_PRIME)
-        scaled = MatrixTuple(tuple(mat_scale(m, c) for m in t.matrices))
+        scaled = tuple(mat_scale(m, c) for m in t)
         assert subspace_length(t).dims == subspace_length(scaled).dims
     report(10, True, "property suite e: length chains are scale-invariant, 100 cases")

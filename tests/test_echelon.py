@@ -35,7 +35,6 @@ from sweepwords.errors import InvalidInput
 from sweepwords.exactalg import (
     MERSENNE61,
     Matrix,
-    MatrixTuple,
     _matmul,
     _mulmod,
     big_integer,
@@ -529,4 +528,4 @@ class TestIntegersRefused:
 
     def test_subspace_length(self):
         with pytest.raises(InvalidInput, match="prime fields only"):
-            subspace_length(MatrixTuple(tuple(self._units())))
+            subspace_length(tuple(self._units()))

@@ -22,7 +22,6 @@ from sweepwords.exactalg import (
     _BATCH,
     MERSENNE61,
     Matrix,
-    MatrixTuple,
     _matmul,
     _prefix_products,
     big_integer,
@@ -42,9 +41,9 @@ RINGS = {
 
 
 def oracle_evaluate_words(
-    words: list[tuple[int, ...]], t: MatrixTuple
+    words: list[tuple[int, ...]], t: tuple[Matrix, ...]
 ) -> list[Matrix]:
-    cache = {(k,): t.matrices[k - 1] for k in range(1, t.g + 1)}
+    cache = {(k,): m for k, m in enumerate(t, start=1)}
 
     def ev(letters):
         got = cache.get(letters)
@@ -56,17 +55,14 @@ def oracle_evaluate_words(
     return [ev(w) for w in words]
 
 
-def random_tuple(n: int, g: int, ring, rng: random.Random) -> MatrixTuple:
+def random_tuple(n: int, g: int, ring, rng: random.Random) -> tuple[Matrix, ...]:
     def draw():
         if ring.kind == "prime_field":
             return rng.randrange(ring.p)
         return rng.randrange(-(10**30), 10**30)
 
-    return MatrixTuple(
-        tuple(
-            Matrix(n, n, tuple(draw() for _ in range(n * n)), ring)
-            for _ in range(g)
-        )
+    return tuple(
+        Matrix(n, n, tuple(draw() for _ in range(n * n)), ring) for _ in range(g)
     )
 
 
@@ -92,7 +88,7 @@ def test_grid_matches_oracle_on_every_ring(ring):
 def test_all_entries_p_minus_one(ring):
     n, g = 5, 2
     top = Matrix(n, n, (ring.p - 1,) * (n * n), ring)
-    t = MatrixTuple((top,) * g)
+    t = (top,) * g
     words = build_word_grid(n, g).flatten() + [(1,), (2, 1, 2)]
     assert evaluate_blocks(words, t) == oracle_evaluate_words(words, t)
 
@@ -126,14 +122,12 @@ def test_word_lists_match_oracle(case, n, ring_name, seed):
 # --- the Python-int backend, at the sizes it serves -------------------------
 
 
-def negated(t: MatrixTuple, rng: random.Random) -> MatrixTuple:
+def negated(t: tuple[Matrix, ...], rng: random.Random) -> tuple[Matrix, ...]:
     """t with a random half of its entries negated."""
-    return MatrixTuple(
-        tuple(
-            Matrix(m.n_rows, m.n_cols, tuple(-x if rng.random() < 0.5 else x
-                                             for x in m.entries), m.ring)
-            for m in t.matrices
-        )
+    return tuple(
+        Matrix(m.n_rows, m.n_cols, tuple(-x if rng.random() < 0.5 else x
+                                         for x in m.entries), m.ring)
+        for m in t
     )
 
 
@@ -161,13 +155,14 @@ def test_prime_grid_matches_oracle(n, g, p):
     assert evaluate_blocks(words, t) == oracle_evaluate_words(words, t)
 
 
-def oracle_dims(t: MatrixTuple, include_identity: bool) -> list[int]:
+def oracle_dims(t: tuple[Matrix, ...], include_identity: bool) -> list[int]:
     """rank of the words of length <= k, for k = 1, 2, .. up to the first
     repeat, the words evaluated by the oracle."""
-    evals = [identity(t.n, t.ring)] if include_identity else []
+    n, ring = t[0].n_rows, t[0].ring
+    evals = [identity(n, ring)] if include_identity else []
     dims: list[int] = []
-    for k in range(1, t.n * t.n + 2):
-        evals += oracle_evaluate_words(all_words(t.g, k), t)
+    for k in range(1, n * n + 2):
+        evals += oracle_evaluate_words(all_words(len(t), k), t)
         dims.append(extend_rank(evals))
         if len(dims) > 1 and dims[-1] == dims[-2]:
             return dims
@@ -183,11 +178,9 @@ def test_subspace_length_dims_match_oracle(n, g, include_identity):
     ring = prime_field(101)
     rng = random.Random(1000 * n + 10 * g + include_identity)
     for hi in (2, 101, 2, 101):
-        t = MatrixTuple(
-            tuple(
-                Matrix(n, n, tuple(rng.randrange(hi) for _ in range(n * n)), ring)
-                for _ in range(g)
-            )
+        t = tuple(
+            Matrix(n, n, tuple(rng.randrange(hi) for _ in range(n * n)), ring)
+            for _ in range(g)
         )
         report = subspace_length(t, include_identity=include_identity)
         assert list(report.dims) == oracle_dims(t, include_identity)

@@ -33,7 +33,6 @@ from sweepwords.errors import (
 from sweepwords.exactalg import (
     MERSENNE61,
     Matrix,
-    MatrixTuple,
     ScalarRing,
     _det_bareiss,
     _det_block_triangular,
@@ -47,6 +46,7 @@ from sweepwords.exactalg import (
     prime_field,
     span_insert,
 )
+from sweepwords.genericity import subspace_length
 from sweepwords.witness import build_witness
 from sweepwords.words import build_word_grid
 
@@ -97,28 +97,28 @@ class TestEvaluateWord:
     def test_single_letter(self, fp101):
         a = mat([[1, 2], [3, 4]], fp101)
         b = mat([[5, 6], [7, 8]], fp101)
-        t = MatrixTuple((a, b))
+        t = (a, b)
         assert evaluate_word((1,), t) == a
 
     def test_identity_absorbs(self, fp101):
         b = mat([[5, 6], [7, 8]], fp101)
-        t = MatrixTuple((identity(2, fp101), b))
+        t = (identity(2, fp101), b)
         assert evaluate_word((1, 2), t) == b
 
     def test_hand_product_mod_7(self):
         ring = prime_field(7)
         x = mat([[2, 0], [0, 3]], ring)
         y = mat([[0, 1], [1, 0]], ring)
-        result = evaluate_word((1, 2), MatrixTuple((x, y)))
+        result = evaluate_word((1, 2), (x, y))
         assert result == mat([[0, 2], [3, 0]], ring)
 
     def test_rejects_empty_word(self, fp101):
-        t = MatrixTuple((identity(2, fp101),) * 2)
+        t = (identity(2, fp101),) * 2
         with pytest.raises(InvalidWord):
             evaluate_word((), t)
 
     def test_rejects_letter_out_of_range(self, fp101):
-        t = MatrixTuple((identity(2, fp101),) * 2)
+        t = (identity(2, fp101),) * 2
         with pytest.raises(InvalidWord):
             evaluate_word((1, 3), t)
 
@@ -126,23 +126,21 @@ class TestEvaluateWord:
         # over F_p the word blocks go straight into elimination
         a = mat([[1, 2], [3, 4]], fp101)
         with pytest.raises(InvalidInput, match="integer"):
-            exactalg.evaluate_words([(1, 2)], MatrixTuple((a, a)))
+            exactalg.evaluate_words([(1, 2)], (a, a))
         b = mat([[1, 2], [3, 4]], zz)
-        assert exactalg.evaluate_words([(1, 2)], MatrixTuple((b, b))) == [b.mul(b)]
+        assert exactalg.evaluate_words([(1, 2)], (b, b)) == [b.mul(b)]
 
     def test_monoid_homomorphism(self, fp_default):
         rng = random.Random(42)
         for _ in range(40):
             n = rng.choice([2, 3])
             g = rng.choice([2, 3])
-            t = MatrixTuple(
-                tuple(
-                    mat(
-                        [[rng.randrange(fp_default.p) for _ in range(n)] for _ in range(n)],
-                        fp_default,
-                    )
-                    for _ in range(g)
+            t = tuple(
+                mat(
+                    [[rng.randrange(fp_default.p) for _ in range(n)] for _ in range(n)],
+                    fp_default,
                 )
+                for _ in range(g)
             )
             u = tuple(rng.randrange(1, g + 1) for _ in range(rng.randrange(1, 4)))
             v = tuple(rng.randrange(1, g + 1) for _ in range(rng.randrange(1, 4)))
@@ -171,11 +169,6 @@ class TestVectorize:
         assert prime_discriminant(row_major) == 1
         assert prime_discriminant(col_major) == 101 - 1
 
-    def test_rejects_non_square(self, zz):
-        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]], zz)
-        with pytest.raises(InvalidShape):
-            discriminant([m])
-
     def test_round_trip(self, fp101):
         rng = random.Random(3)
         for _ in range(25):
@@ -196,6 +189,38 @@ def _elementary_basis(n, ring):
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     ]
+
+
+# every entry that takes a list of matrices, each checked by `_check_uniform`
+CHECKED_ENTRIES = {
+    "discriminant": discriminant,
+    "evaluate_words": lambda ms: exactalg.evaluate_words([(1,)], tuple(ms)),
+    "subspace_length": lambda ms: subspace_length(tuple(ms)),
+}
+
+
+@pytest.mark.parametrize("entry", CHECKED_ENTRIES.values(), ids=CHECKED_ENTRIES)
+class TestCheckUniform:
+    def test_empty_list(self, entry):
+        with pytest.raises(ArityMismatch, match="at least one"):
+            entry([])
+
+    def test_rejects_non_square(self, entry, zz):
+        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]], zz)
+        with pytest.raises(InvalidShape, match="square"):
+            entry([m])
+
+    def test_mixed_sizes(self, entry, zz):
+        ms = _elementary_basis(2, zz)
+        ms[1] = identity(3, zz)
+        with pytest.raises(InvalidInput, match="sizes"):
+            entry(ms)
+
+    def test_mixed_rings(self, entry, fp101, zz):
+        ms = _elementary_basis(2, zz)
+        ms[1] = identity(2, fp101)
+        with pytest.raises(InvalidInput, match="rings"):
+            entry(ms)
 
 
 class TestDiscriminant:
@@ -237,18 +262,6 @@ class TestDiscriminant:
     def test_wrong_count(self, zz):
         with pytest.raises(ArityMismatch):
             discriminant(_elementary_basis(2, zz)[:3])
-
-    def test_mixed_sizes(self, zz):
-        ms = _elementary_basis(2, zz)
-        ms[1] = identity(3, zz)
-        with pytest.raises(InvalidInput, match="sizes"):
-            discriminant(ms)
-
-    def test_mixed_rings(self, fp101, zz):
-        ms = _elementary_basis(2, zz)
-        ms[1] = identity(2, fp101)
-        with pytest.raises(InvalidInput, match="rings"):
-            discriminant(ms)
 
     # the default prime reduces by Mersenne folds, 101 by Shoup products
     @pytest.mark.parametrize("ring_name", ["fp_default", "fp101"])

@@ -28,7 +28,6 @@ from sweepwords.errors import (
 from sweepwords.exactalg import (
     _EXTEND_BLOCK,
     Matrix,
-    MatrixTuple,
     _det_echelon,
     echelon_extend,
     letter_stack,
@@ -158,10 +157,10 @@ class TestCertification:
         assert shared == direct
 
 
-def sweeps(words: list[tuple[int, ...]], t: MatrixTuple) -> bool:
+def sweeps(words: list[tuple[int, ...]], t: tuple[Matrix, ...]) -> bool:
     """Do n^2 words span M_n at t?  Their streamed determinant is nonzero."""
-    assert len(words) == t.n * t.n
-    return _det_echelon(word_blocks(words, letter_stack(t)), t.ring) != 0
+    assert len(words) == t[0].n_rows ** 2
+    return _det_echelon(word_blocks(words, letter_stack(t)), t[0].ring) != 0
 
 
 class TestSweepCheck:
@@ -170,7 +169,7 @@ class TestSweepCheck:
         # span only a 3-dimensional subspace (xy + yx is a multiple of y)
         x = mat([[1, 0], [0, 2]], fp_default)
         y = mat([[0, 1], [1, 0]], fp_default)
-        t = MatrixTuple((x, y))
+        t = (x, y)
         words = [(1,), (2,), (1, 2), (2, 1)]
         assert extend_rank(evaluate_blocks(words, t)) == 3
         assert not sweeps(words, t)
@@ -178,7 +177,7 @@ class TestSweepCheck:
     def test_adjusted_point_sweeps(self, fp_default):
         x = mat([[1, 0], [0, 2]], fp_default)
         y = mat([[0, 1], [1, 1]], fp_default)
-        t = MatrixTuple((x, y))
+        t = (x, y)
         words = [(1,), (2,), (1, 2), (2, 1)]
         assert sweeps(words, t)
 
@@ -187,7 +186,7 @@ class TestSweepCheck:
         words = build_word_grid(n, 2).flatten()
         rng = random.Random(derive_trial_seed(0, 0))
         t = sample_tuple(n, 2, fp_default, rng, symmetric=True)
-        for m in t.matrices:
+        for m in t:
             assert m == mat_transpose(m)
         assert sweeps(words, t)
 
@@ -202,14 +201,14 @@ def fold_rank(ms: list[Matrix]) -> int:
 
 
 def brute_dims(
-    t: MatrixTuple, max_k: int, include_identity: bool = False
+    t: tuple[Matrix, ...], max_k: int, include_identity: bool = False
 ) -> list[int]:
     """Independent span dimensions: evaluate every word of length <= k."""
     dims = []
     for k in range(1, max_k + 1):
-        evals = [identity(t.n, t.ring)] if include_identity else []
+        evals = [identity(t[0].n_rows, t[0].ring)] if include_identity else []
         for length in range(1, k + 1):
-            for word in all_words(t.g, length):
+            for word in all_words(len(t), length):
                 evals.append(evaluate_word(word, t))
         dims.append(fold_rank(evals))
     return dims
@@ -218,7 +217,7 @@ def brute_dims(
 class TestSubspaceLength:
     def test_identity_pair(self, fp_default):
         i2 = identity(2, fp_default)
-        report = subspace_length(MatrixTuple((i2, i2)))
+        report = subspace_length((i2, i2))
         assert report.dims == (1, 1)
         assert report.length == 1
         assert report.terminal_dim == 1
@@ -226,7 +225,7 @@ class TestSubspaceLength:
     def test_unit_pair_reaches_full_algebra(self, fp_default):
         e11 = unit(2, 1, 1, fp_default)
         y = mat_add(unit(2, 1, 2, fp_default), unit(2, 2, 1, fp_default))
-        report = subspace_length(MatrixTuple((e11, y)))
+        report = subspace_length((e11, y))
         assert report.terminal_dim == 4
         assert report.length == 2
         assert report.dims == (2, 4, 4)
@@ -248,11 +247,9 @@ class TestSubspaceLength:
         for trial in range(12):
             n = rng.choice([1, 2, 3])
             hi = 2 if trial % 2 else 101
-            t = MatrixTuple(
-                tuple(
-                    Matrix(n, n, tuple(rng.randrange(hi) for _ in range(n * n)), fp101)
-                    for _ in range(2)
-                )
+            t = tuple(
+                Matrix(n, n, tuple(rng.randrange(hi) for _ in range(n * n)), fp101)
+                for _ in range(2)
             )
             report = subspace_length(t, include_identity=include_identity)
             oracle = brute_dims(t, report.length + 1, include_identity)
@@ -261,7 +258,7 @@ class TestSubspaceLength:
     def test_include_identity_flag(self, fp_default):
         e11 = unit(2, 1, 1, fp_default)
         e12 = unit(2, 1, 2, fp_default)
-        t = MatrixTuple((e11, e12))
+        t = (e11, e12)
         without = subspace_length(t)
         with_id = subspace_length(t, include_identity=True)
         assert without.dims[0] == 2
@@ -274,7 +271,7 @@ class TestSubspaceLength:
             n = rng.choice([2, 3])
             t = sample_tuple(n, 2, fp_default, rng)
             c = rng.randrange(1, p)
-            scaled = MatrixTuple(tuple(mat_scale(m, c) for m in t.matrices))
+            scaled = tuple(mat_scale(m, c) for m in t)
             assert subspace_length(t).dims == subspace_length(scaled).dims
 
     def test_sweep_implies_short_chain(self, fp_default):
@@ -303,7 +300,7 @@ class TestLengthCap:
     def test_subspace_length_refuses_before_allocating(self, monkeypatch, fp101):
         self._forbid(monkeypatch, "letter_stack", "echelon_extend")
         n = LENGTH_MAX_N + 1
-        t = MatrixTuple((zeros(n, fp101), zeros(n, fp101)))
+        t = (zeros(n, fp101), zeros(n, fp101))
         with pytest.raises(TooLarge):
             subspace_length(t)
 
@@ -325,7 +322,7 @@ class TestLengthCap:
         # the default field, which never folded, is refused at the same cap
         self._forbid(monkeypatch, "letter_stack", "echelon_extend")
         n = LENGTH_MAX_N + 1
-        t = MatrixTuple((zeros(n, fp_default), zeros(n, fp_default)))
+        t = (zeros(n, fp_default), zeros(n, fp_default))
         with pytest.raises(TooLarge):
             subspace_length(t)
 
@@ -410,20 +407,18 @@ def _grid_tuple(n, g, ring, seed):
 def _upper_triangular_tuple(n, g, ring, rng):
     # every word evaluates inside the upper triangular matrices, so the
     # span has dimension at most n(n + 1)/2 < n^2
-    return MatrixTuple(
-        tuple(
-            Matrix(
-                n,
-                n,
-                tuple(
-                    rng.randrange(ring.p) if i <= j else 0
-                    for i in range(n)
-                    for j in range(n)
-                ),
-                ring,
-            )
-            for _ in range(g)
+    return tuple(
+        Matrix(
+            n,
+            n,
+            tuple(
+                rng.randrange(ring.p) if i <= j else 0
+                for i in range(n)
+                for j in range(n)
+            ),
+            ring,
         )
+        for _ in range(g)
     )
 
 
@@ -512,18 +507,16 @@ class TestStreamedElimination:
         cases.append((words, t))
         # a zero letter: only words in the other letter survive
         n = 3
-        z = MatrixTuple(
-            (sample_tuple(n, 2, ring, rng).matrices[0], zeros(n, ring))
-        )
+        z = (sample_tuple(n, 2, ring, rng)[0], zeros(n, ring))
         cases.append((all_words(2, 5), z))
         for words, t in cases:
             expected = fold_rank(evaluate_blocks(words, t))
-            assert expected < t.n * t.n
+            assert expected < t[0].n_rows ** 2
             vectors, pivots = [], []
             for block in word_blocks(words, letter_stack(t)):
                 vectors, pivots, _, _ = echelon_extend(vectors, pivots, block, ring)
             assert len(vectors) == expected
-            assert not sweeps(words[: t.n * t.n], t)
+            assert not sweeps(words[: t[0].n_rows ** 2], t)
 
     @pytest.mark.parametrize("ring", STREAM_RINGS, ids=["m61", "p61m31"])
     def test_full_span_stops_the_stream(self, ring, monkeypatch):
@@ -608,7 +601,7 @@ class TestRosenthal:
         # gbar = 2 < g = 3: the two generic matrices alone carry the span
         assert least_alphabet(2, 1) == 2
         t = sample_tuple(2, 2, fp_default, random.Random(derive_trial_seed(0, 0)))
-        padded = MatrixTuple(t.matrices + (zeros(2, fp_default),))
+        padded = t + (zeros(2, fp_default),)
         assert sweeps(build_word_grid(2, 2, 1).flatten(), padded)
 
     def test_infeasible_when_too_few_words(self):

@@ -5,7 +5,7 @@ import pytest
 from conftest import evaluate_blocks, identity, prime_discriminant, rows, zeros
 from sweepwords import witness
 from sweepwords.errors import InvalidInput, TooLarge
-from sweepwords.exactalg import Matrix, MatrixTuple, big_integer, prime_field
+from sweepwords.exactalg import Matrix, big_integer, prime_field
 from sweepwords.genericity import DEFAULT_PRIME
 from sweepwords.witness import (
     MAX_ESCALATIONS,
@@ -47,7 +47,7 @@ class TestBuildWitness:
         assert spec.support == {(1, 1, 1): 0, (2, 1, 2): 1, (2, 2, 1): 2}
         assert spec.base == 9  # 2 * d * n^2 + 1 with d = 1
         assert spec.m_constant == 8  # 2! * (2^1)^2
-        x, y = t.matrices
+        x, y = t
         assert rows(x) == [[1, 0], [0, 0]]
         assert rows(y) == [[0, 9], [81, 0]]
 
@@ -90,7 +90,7 @@ class TestVerifyWitness:
     def test_all_zero_tuple_gives_zero(self):
         ring = big_integer()
         zero = zeros(2, ring)
-        assert verify_witness(MatrixTuple((zero, zero)), build_word_grid(2, 2)) == 0
+        assert verify_witness((zero, zero), build_word_grid(2, 2)) == 0
 
     def test_n3_is_nonzero(self):
         _, t = build_witness(3, 2)
@@ -98,7 +98,7 @@ class TestVerifyWitness:
 
     def test_requires_integer_ring(self):
         ring = prime_field(101)
-        t = MatrixTuple((identity(2, ring), identity(2, ring)))
+        t = (identity(2, ring), identity(2, ring))
         with pytest.raises(InvalidInput):
             verify_witness(t, build_word_grid(2, 2))
 
@@ -114,7 +114,7 @@ class TestBuildAndVerify:
         calls = []
 
         def flaky(t, grid):
-            calls.append(t.matrices[1].entries)
+            calls.append(t[1].entries)
             return 0 if len(calls) <= 2 else verify_witness(t, grid)
 
         monkeypatch.setattr(witness, "verify_witness", flaky)
@@ -142,9 +142,7 @@ class TestBuildAndVerify:
         pring = prime_field(p)
         for n in (2, 3, 4):
             report, t = build_and_verify(n, 2)
-            reduced = MatrixTuple(
-                tuple(Matrix.from_rows(rows(m), pring) for m in t.matrices)
-            )
+            reduced = tuple(Matrix.from_rows(rows(m), pring) for m in t)
             grid = build_word_grid(n, 2)
             dp = prime_discriminant(evaluate_blocks(grid.flatten(), reduced))
             assert dp == report.discriminant % p

@@ -292,6 +292,14 @@ MUTANTS = [
         KERNEL,
     ),
     (
+        "widened columns wrong for the rows below the widening row",
+        EXACTALG,
+        "grown = _matmul(a[:, W:], w[:, W:wider], p)",
+        "grown = _matmul(a[:, W:], w[:, W:wider], p)\n"
+        "            grown[i + 1 :] = w[i + 1 :, W:wider]",
+        KERNEL,
+    ),
+    (
         "new rows placed above the old ones",
         EXACTALG,
         "basis = np.concatenate([old, fresh])",
@@ -320,6 +328,21 @@ MUTANTS = [
         raise InvalidInput("discriminant takes integer matrices only")
 ''',
         "",
+        DETERMINANT,
+    ),
+    # the one check of a list of matrices
+    (
+        "_check_uniform without its size comparison",
+        EXACTALG,
+        "if m.n_rows != first.n_rows or m.n_cols != first.n_cols:",
+        "if False:",
+        DETERMINANT,
+    ),
+    (
+        "_check_uniform without its ring comparison",
+        EXACTALG,
+        "if m.ring != first.ring:",
+        "if False:",
         DETERMINANT,
     ),
     # the envelope bytes
